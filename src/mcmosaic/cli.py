@@ -2,8 +2,7 @@
 
 All randomness flows from --seed (or the config's seed); repeated runs with
 the same arguments write byte-identical CSV/JSON/SVG files.  CSV floats use
-shortest round-trip formatting; replication fan-out across threads is
-canonicalized by (rep, event index) before writing.
+shortest round-trip formatting.
 """
 from __future__ import annotations
 
@@ -11,11 +10,9 @@ import argparse
 import inspect
 import json
 import math
-import os
 import sys
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,24 +35,6 @@ def _write_json(path: str, payload) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _resolve_threads(args, settings: dict) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    if "threads" in settings:
-        return max(1, int(settings["threads"]))
-    env = os.environ.get("MC_MOSAIC_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def _map_reps(work, reps: int, threads: int) -> list:
-    if threads <= 1 or reps <= 1:
-        return [work(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(work, range(reps)))
 
 
 def _load_config(args) -> tuple[core.WeightedConfig, dict]:
@@ -88,29 +67,17 @@ def _cmd_simulate(args) -> int:
     seed = _seed(args, settings)
     q_max = float(_pick(args, settings, "q_max", "q_max"))
     reps = int(_pick(args, settings, "reps", "reps", required=False) or 1)
-    threads = _resolve_threads(args, settings)
     root = core.RngStream(seed)
-
-    def work(rep: int):
+    lines = ["rep,event,time,left_lo,left_hi,left_mass,right_lo,right_hi,right_mass,child,parent"]
+    for rep in range(reps):
         sub = root.indexed(rep)
         clocks = core.sample_clocks(config, sub.named("clocks"))
         traj = dynamics.run_trajectory(config, clocks, sub, q_max=q_max)
-        rows = []
         for idx, ev in enumerate(traj.events):
-            rows.append(
-                (rep, idx, ev.time, ev.left.lo, ev.left.hi, ev.left.mass,
-                 ev.right.lo, ev.right.hi, ev.right.mass, ev.edge[0], ev.edge[1])
+            lines.append(
+                f"{rep},{idx},{_f(ev.time)},{ev.left.lo},{ev.left.hi},{_f(ev.left.mass)},"
+                f"{ev.right.lo},{ev.right.hi},{_f(ev.right.mass)},{ev.edge[0]},{ev.edge[1]}"
             )
-        return rows
-
-    all_rows = [row for rows in _map_reps(work, reps, threads) for row in rows]
-    all_rows.sort(key=lambda r: (r[0], r[1]))
-    lines = ["rep,event,time,left_lo,left_hi,left_mass,right_lo,right_hi,right_mass,child,parent"]
-    for r in all_rows:
-        lines.append(
-            f"{r[0]},{r[1]},{_f(r[2])},{r[3]},{r[4]},{_f(r[5])},"
-            f"{r[6]},{r[7]},{_f(r[8])},{r[9]},{r[10]}"
-        )
     _write_lines(args.out, lines)
     return 0
 
@@ -120,23 +87,13 @@ def _cmd_forest(args) -> int:
     seed = _seed(args, settings)
     q = float(_pick(args, settings, "q", "q"))
     reps = int(_pick(args, settings, "reps", "reps", required=False) or 1)
-    threads = _resolve_threads(args, settings)
     root = core.RngStream(seed)
-
-    def work(rep: int):
-        sub = root.indexed(rep)
-        clocks = core.sample_clocks(config, sub.named("clocks"))
-        forest, _ = walk.breadth_first_forest(config, clocks, q)
-        return [
-            (rep, v, forest.parent[v], forest.depth[v])
-            for v in range(len(config))
-        ]
-
-    rows = [row for rows in _map_reps(work, reps, threads) for row in rows]
-    rows.sort(key=lambda r: (r[0], r[1]))
     lines = ["rep,vertex,parent,depth"]
-    for rep, v, p, d in rows:
-        lines.append(f"{rep},{v},{'' if p is None else p},{d}")
+    for rep in range(reps):
+        clocks = core.sample_clocks(config, root.indexed(rep).named("clocks"))
+        forest, _ = walk.breadth_first_forest(config, clocks, q)
+        for v, (p, d) in enumerate(zip(forest.parent, forest.depth)):
+            lines.append(f"{rep},{v},{'' if p is None else p},{d}")
     _write_lines(args.out, lines)
     return 0
 
@@ -148,7 +105,6 @@ def _cmd_surplus(args) -> int:
     config, settings = _load_config(args)
     seed = _seed(args, settings)
     reps = int(_pick(args, settings, "reps", "reps", required=False) or 1)
-    threads = _resolve_threads(args, settings)
     root = core.RngStream(seed)
 
     if args.static:
@@ -176,7 +132,7 @@ def _cmd_surplus(args) -> int:
             g = surplus.dynamic_surplus(traj, sub, q_max=q_max, variant=variant)
             return _graph_rows(rep, g)
 
-    rows = [row for rows in _map_reps(work, reps, threads) for row in rows]
+    rows = [row for rep in range(reps) for row in work(rep)]
     rows.sort(key=lambda r: (r[0], r[1], _KIND_ORDER[r[2]], r[3], r[4]))
     lines = ["rep,time,kind,source,target"]
     for rep, t, kind, s_v, t_v in rows:
@@ -233,12 +189,8 @@ def _cmd_verify(args) -> int:
 def _cmd_limit(args) -> int:
     settings: dict = {}
     if args.config:
-        _cfg, payload = (None, {})
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except FileNotFoundError:
-            raise ValueError(f"config file not found: {args.config}")
+        with open(args.config, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
         settings = payload.get("limit", {})
         if "seed" in payload and args.seed is None:
             args.seed = int(payload["seed"])
@@ -328,10 +280,13 @@ def _cmd_bench(args) -> int:
     q = 1.0 / n
 
     def timed(fn):
-        tracemalloc.start()
+        # tracing slows the run several-fold: time an untraced pass, then
+        # take the peak from a second, traced pass
         t0 = time.perf_counter()
         counts = fn()
         elapsed = time.perf_counter() - t0
+        tracemalloc.start()
+        fn()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         return counts, elapsed, peak
@@ -409,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--q-max", dest="q_max", type=float)
     p.add_argument("--reps", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -417,7 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--q", type=float)
     p.add_argument("--reps", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_forest)
 
@@ -428,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-max", dest="q_max", type=float)
     p.add_argument("--variant", choices=("simple", "multigraph"))
     p.add_argument("--reps", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_surplus)
 
@@ -480,7 +432,7 @@ def main(argv=None) -> int:
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # bad input, or an unreadable or unwritable file
         print(f"error: {e}", file=sys.stderr)
         return 2
 

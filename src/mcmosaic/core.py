@@ -23,6 +23,9 @@ __all__ = [
     "sample_clocks",
     "sigma",
     "load_config",
+    "find",
+    "union",
+    "groups",
 ]
 
 
@@ -140,6 +143,31 @@ def sample_clocks(config: WeightedConfig, rng: RngStream) -> ClockAssignment:
         bad = xi <= 0.0
         xi[bad] = gen.exponential(scale=scales[bad])
     return ClockAssignment.from_xi(xi)
+
+
+def find(parent: list[int], a: int) -> int:
+    """Root of ``a`` in the union-find array ``parent``, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def union(parent: list[int], a: int, b: int) -> bool:
+    """Hang a's root under b's root; False when they were already joined."""
+    ra, rb = find(parent, a), find(parent, b)
+    if ra == rb:
+        return False
+    parent[ra] = rb
+    return True
+
+
+def groups(parent: list[int]) -> frozenset[frozenset[int]]:
+    """Partition of 0..len(parent)-1 into the union-find sets."""
+    out: dict[int, set[int]] = {}
+    for v in range(len(parent)):
+        out.setdefault(find(parent, v), set()).add(v)
+    return frozenset(frozenset(g) for g in out.values())
 
 
 def load_config(source) -> tuple[WeightedConfig, dict]:

@@ -13,7 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .core import ClockAssignment, RngStream, WeightedConfig
+from .core import ClockAssignment, RngStream, WeightedConfig, groups, union
 
 __all__ = [
     "ComponentBlock",
@@ -192,23 +192,11 @@ class MonotoneForest:
 
     def components_at(self, q: float) -> frozenset[frozenset[int]]:
         parent = list(range(self.n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for child, par, t in self.edge_log:
             if t > q:
                 break
-            ra, rb = find(child), find(par)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[int, set[int]] = {}
-        for v in range(self.n):
-            groups.setdefault(find(v), set()).add(v)
-        return frozenset(frozenset(g) for g in groups.values())
+            union(parent, child, par)
+        return groups(parent)
 
 
 def build_monotone_forest(trajectory: Trajectory) -> MonotoneForest:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import RngStream
 from .stats import ks_distance
-from .walk import WalkPath, bulk_component_stats, decompose
+from .walk import bulk_component_stats, chunk_rows, component_stats, concat_stats
 
 __all__ = [
     "LimitParams",
@@ -330,95 +330,6 @@ def sample_limit_reference(
     return {"largest": largest, "second": second, "marks": marks}
 
 
-def _coupled_component_stats(n_values, t, reps, gen, want_areas):
-    """Finite-n statistics for the standard profile, coupled across n.
-
-    One shared matrix of Exp(1) draws per chunk; the sample for each n uses
-    its first n columns, so the three empirical laws ride on common noise
-    while every marginal stays exact.  The common noise cancels out of
-    distance differences, which is what makes the convergence ordering
-    resolvable at moderate replication counts.
-    """
-    n_max = max(n_values)
-    out = {
-        n: {
-            "largest": np.empty(reps),
-            "second": np.empty(reps),
-            "largest_area": np.empty(reps) if want_areas else None,
-        }
-        for n in n_values
-    }
-    chunk = max(1, int(2e7 // n_max))
-    done = 0
-    while done < reps:
-        rows = min(chunk, reps - done)
-        E = gen.exponential(size=(rows, n_max))
-        for n in n_values:
-            mass = n ** (-2.0 / 3.0)
-            q = t + 1.0 / (n * mass * mass)
-            xi = np.sort(E[:, :n], axis=1)
-            np.divide(xi, mass, out=xi)
-            tmat = xi / q
-            offsets = np.arange(1, n + 1, dtype=float) * mass
-            trough = np.empty_like(tmat)
-            trough[:, 0] = -tmat[:, 0]
-            trough[:, 1:] = offsets[:-1] - tmat[:, 1:]
-            run = np.minimum.accumulate(trough, axis=1)
-            is_root = np.empty(tmat.shape, dtype=bool)
-            is_root[:, 0] = True
-            is_root[:, 1:] = trough[:, 1:] < run[:, :-1]
-            slot = out[n]
-            for i in range(rows):
-                roots = np.flatnonzero(is_root[i])
-                bounds = np.append(roots, n)
-                sizes = np.diff(bounds) * mass
-                order = np.argsort(sizes)
-                slot["largest"][done + i] = sizes[order[-1]]
-                slot["second"][done + i] = sizes[order[-2]] if len(sizes) > 1 else 0.0
-                if want_areas:
-                    k = roots[order[-1]]
-                    k_end = bounds[order[-1] + 1]
-                    ti = tmat[i, k:k_end]
-                    cm_local = offsets[k:k_end] - (offsets[k - 1] if k else 0.0)
-                    start = ti[0]
-                    bvals = cm_local - (ti - start)
-                    seg = np.append(ti[1:], start + cm_local[-1]) - ti
-                    slot["largest_area"][done + i] = float(
-                        np.sum(bvals * seg - seg * seg / 2.0)
-                    )
-        done += rows
-    return out
-
-
-def _component_stats_generic(masses, q, gen, reps, want_areas):
-    # per-rep walk construction for non-uniform mass sequences
-    from .core import ClockAssignment, WeightedConfig
-    from .walk import area_under_reflection
-
-    config = WeightedConfig(tuple(masses))
-    m = config.as_array()
-    largest = np.zeros(reps)
-    second = np.zeros(reps)
-    areas = np.zeros(reps)
-    for r in range(reps):
-        xi = gen.exponential(1.0 / m)
-        xi = np.where(xi <= 0, np.finfo(float).tiny, xi)
-        clocks = ClockAssignment.from_xi(tuple(float(v) for v in xi))
-        path = WalkPath.from_clocks(config, clocks, q)
-        dec = decompose(path)
-        sizes = sorted((e.mass for e in dec.excursions), reverse=True)
-        largest[r] = sizes[0]
-        if len(sizes) > 1:
-            second[r] = sizes[1]
-        if want_areas:
-            big = max(dec.excursions, key=lambda e: e.mass)
-            areas[r] = area_under_reflection(path, big.start, big.end)
-    out = {"largest": largest, "second": second}
-    if want_areas:
-        out["largest_area"] = areas
-    return out
-
-
 def scaling_experiment(
     n_values,
     t: float,
@@ -444,7 +355,11 @@ def scaling_experiment(
     reference sharpens every comparison at no per-call cost.
 
     With ``couple`` (standard profile only), all n share one pool of unit
-    exponential draws; see _coupled_component_stats.
+    exponential draws per chunk of replications, the sample for each n using
+    its first n columns: the empirical laws ride on common noise while every
+    marginal stays exact, and the common noise cancels out of distance
+    differences, which makes the convergence ordering resolvable at moderate
+    replication counts.
     """
     params = LimitParams(kappa=1.0, tau=0.0, t=t, c=())
     if reference is not None:
@@ -459,9 +374,19 @@ def scaling_experiment(
         for n in n_values:
             if t + n ** (1.0 / 3.0) <= 0:
                 raise ValueError(f"horizon t + 1/sigma2 is not positive for n={n}")
-        shared = _coupled_component_stats(
-            n_values, t, reps, rng.named("scaling-coupled").generator(), include_marks
-        )
+        gen = rng.named("scaling-coupled").generator()
+        n_max = max(n_values)
+        parts = {n: [] for n in n_values}
+        for chunk in chunk_rows(reps, n_max):
+            pool = gen.exponential(size=(chunk, n_max))
+            for n in n_values:
+                mass = n ** (-2.0 / 3.0)
+                xi = np.sort(pool[:, :n], axis=1)
+                xi /= mass
+                xi /= t + 1.0 / (n * mass * mass)
+                cummass = np.arange(n + 1, dtype=float) * mass
+                parts[n].append(component_stats(xi, cummass, include_marks))
+        shared = {n: concat_stats(p) for n, p in parts.items()}
 
     rows = []
     prev = None
@@ -487,10 +412,10 @@ def scaling_experiment(
         gen = rng.named(f"scaling-{n}").generator()
         if shared is not None and masses is None:
             d = shared[n]
-        elif masses is None:
-            d = bulk_component_stats(n, mass, q, gen, reps, want_areas=include_marks)
         else:
-            d = _component_stats_generic(masses, q, gen, reps, include_marks)
+            d = bulk_component_stats(
+                n, mass if masses is None else masses, q, gen, reps, include_marks
+            )
         row = {
             "n": n,
             "sigma2": s2,

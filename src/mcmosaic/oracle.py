@@ -11,11 +11,12 @@ Guarded at n <= 200: quadratic in n and meant for validation, not scale.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, WeightedConfig
+from .core import RngStream, WeightedConfig, find, groups, union
 from .surplus import GraphEdge, LabeledGraph
 
 __all__ = [
@@ -84,22 +85,10 @@ def exact_partition_law(n: int, p: float) -> dict[tuple[int, ...], float]:
         k = mask.bit_count()
         weight = p**k * (1.0 - p) ** (len(pairs) - k)
         parent = list(range(n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for b, (i, j) in enumerate(pairs):
             if mask >> b & 1:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-        sizes: dict[int, int] = {}
-        for v in range(n):
-            r = find(v)
-            sizes[r] = sizes.get(r, 0) + 1
+                union(parent, i, j)
+        sizes = Counter(find(parent, v) for v in range(n))
         key = tuple(sorted(sizes.values(), reverse=True))
         law[key] = law.get(key, 0.0) + weight
     return law
@@ -115,23 +104,11 @@ class OracleTrajectory:
 
     def partition_at(self, q: float) -> frozenset[frozenset[int]]:
         parent = list(range(self.n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for t, i, j in self.mergers:
             if t > q:
                 break
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        groups: dict[int, set[int]] = {}
-        for v in range(self.n):
-            groups.setdefault(find(v), set()).add(v)
-        return frozenset(frozenset(g) for g in groups.values())
+            union(parent, i, j)
+        return groups(parent)
 
     def first_merger_time(self) -> float | None:
         return self.mergers[0][0] if self.mergers else None
@@ -155,21 +132,12 @@ def gillespie_trajectory(
     arrivals = []
     mergers = []
     parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for k in order:
         t = float(clocks[k])
         if t > q_max:
             break
         i, j = pairs[k]
         arrivals.append((t, i, j))
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+        if union(parent, i, j):
             mergers.append((t, i, j))
     return OracleTrajectory(n=n, arrivals=tuple(arrivals), mergers=tuple(mergers))

@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, groups, union
 from .dynamics import Trajectory
 from .walk import ExcursionDecomposition, Forest, WalkPath
 
@@ -121,45 +121,20 @@ class LabeledGraph:
     def partition(self) -> frozenset[frozenset[int]]:
         """Connected components induced by all edges (loops irrelevant)."""
         parent = list(range(self.n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for e in self.spanning + self.surplus:
-            ra, rb = find(e.source), find(e.target)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[int, set[int]] = {}
-        for v in range(self.n):
-            groups.setdefault(find(v), set()).add(v)
-        return frozenset(frozenset(g) for g in groups.values())
+            union(parent, e.source, e.target)
+        return groups(parent)
 
     def surplus_by_vertex_set(self) -> dict[frozenset[int], int]:
         """Surplus edge count (loops included) per spanning component."""
-        comp_of: dict[int, frozenset[int]] = {}
         parent = list(range(self.n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for e in self.spanning:
-            ra, rb = find(e.source), find(e.target)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[int, set[int]] = {}
-        for v in range(self.n):
-            groups.setdefault(find(v), set()).add(v)
-        for root, g in groups.items():
-            comp_of[root] = frozenset(g)
-        counts = {c: 0 for c in comp_of.values()}
+            union(parent, e.source, e.target)
+        comps = groups(parent)
+        comp_of = {v: c for c in comps for v in c}
+        counts = dict.fromkeys(comps, 0)
         for e in self.surplus:
-            counts[comp_of[find(e.source)]] += 1
+            counts[comp_of[e.source]] += 1
         return counts
 
 

@@ -172,22 +172,10 @@ def check_process_law(seed: int = 7, reps: int = 100_000) -> dict:
 
 def _edge_partition(graph: surplus.LabeledGraph, q: float) -> frozenset[frozenset[int]]:
     parent = list(range(graph.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for e in graph.spanning + graph.surplus:
         if e.time <= q:
-            ra, rb = find(e.source), find(e.target)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, set[int]] = {}
-    for v in range(graph.n):
-        groups.setdefault(find(v), set()).add(v)
-    return frozenset(frozenset(g) for g in groups.values())
+            core.union(parent, e.source, e.target)
+    return core.groups(parent)
 
 
 # -- criterion 3: arrival rate = q * parallelogram area ----------------------
@@ -499,28 +487,36 @@ def check_merge_rate(seed: int = 7, reps: int = 100_000) -> dict:
         # two-vertex side picks each vertex with prob 1/2
         cfg3 = core.WeightedConfig((1.0, 1.0, 1.0))
         m = 30_000
-        hits = 0
-        found = 0
+        merges = []  # (rank -> vertex, event) with a two-vertex side
         erng = rng.named("endpoints")
         for i in range(m):
             sub = erng.indexed(i)
             clocks = core.sample_clocks(cfg3, sub.named("clocks"))
             traj = dynamics.run_trajectory(cfg3, clocks, sub, q_max=1e9)
-            for ev in traj.events:
-                if len(ev.right) == 2:
-                    found += 1
-                    child = ev.edge[0]
-                    if child == traj.clocks.perm[ev.right.lo]:
-                        hits += 1
-                elif len(ev.left) == 2:
-                    found += 1
-                    parent = ev.edge[1]
-                    if parent == traj.clocks.perm[ev.left.lo]:
-                        hits += 1
+            merges += [
+                (clocks.perm, ev) for ev in traj.events if 2 in (len(ev.left), len(ev.right))
+            ]
+        found = len(merges)
         se3 = 3.0 * 0.5 / math.sqrt(found)
-        sampler_ok = abs(hits / found - 0.5) <= se3
-        # the broken chooser always takes the block's first vertex
-        broken_ok = abs(1.0 - 0.5) <= se3
+
+        def first_vertex_share(chooser) -> float:
+            hits = 0
+            for perm, ev in merges:
+                child, parent = chooser(perm, ev)
+                if len(ev.right) == 2:
+                    hits += child == perm[ev.right.lo]
+                else:
+                    hits += parent == perm[ev.left.lo]
+            return hits / found
+
+        freq = first_vertex_share(lambda perm, ev: ev.edge)
+        sampler_ok = abs(freq - 0.5) <= se3
+        # the same test on the edges a chooser taking each block's first
+        # vertex would have drawn over the same events
+        broken_freq = first_vertex_share(
+            lambda perm, ev: (perm[ev.right.lo], perm[ev.left.lo])
+        )
+        broken_ok = abs(broken_freq - 0.5) <= se3
 
         passed = (
             (not ks.rejects())
@@ -538,8 +534,9 @@ def check_merge_rate(seed: int = 7, reps: int = 100_000) -> dict:
                 "ks_p_value": float(ks.p_value),
                 "engine_agreements": agree,
                 "engine_checked": n_engine,
-                "endpoint_freq": hits / found,
+                "endpoint_freq": freq,
                 "endpoint_events": found,
+                "broken_endpoint_freq": broken_freq,
                 "broken_chooser_rejected": not broken_ok,
             },
         )
@@ -636,13 +633,6 @@ def check_determinism(seed: int = 7) -> dict:
             lambda o: ["simulate", "--config", str(cfg), "--q-max", "2.0", "--reps", "5", "--out", o],
         )
         run_twice(
-            "simulate-threads",
-            lambda o: [
-                "simulate", "--config", str(cfg), "--q-max", "2.0", "--reps", "5",
-                "--threads", "3", "--out", o,
-            ],
-        )
-        run_twice(
             "forest",
             lambda o: ["forest", "--config", str(cfg), "--q", "1.0", "--out", o],
         )
@@ -690,7 +680,6 @@ def check_determinism(seed: int = 7) -> dict:
             reports.append(data)
         details["bench"] = bool(reports) and reports[0] == reports[1]
 
-    # the threaded run must also match the serial bytes
     passed = all(details.values())
     return _result(10, "determinism", passed, details)
 

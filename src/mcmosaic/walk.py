@@ -28,6 +28,7 @@ __all__ = [
     "decompose",
     "breadth_first_forest",
     "area_under_reflection",
+    "component_stats",
     "bulk_component_stats",
 ]
 
@@ -291,61 +292,104 @@ def area_under_reflection(path: WalkPath, start: float, end: float) -> float:
     return math.fsum(pieces)
 
 
+# Size of one replications-by-n float64 block (32 MiB).  A chunk's working set
+# is a few such blocks, so peak memory no longer grows with the replication
+# count; chunking by rows leaves the draws unchanged.
+_CHUNK_BYTES = 1 << 25
+
+
+def chunk_rows(reps: int, n: int) -> list[int]:
+    """Row counts of successive chunks of ``reps`` rows of width ``n``."""
+    step = max(1, _CHUNK_BYTES // (8 * n))
+    return [min(step, reps - lo) for lo in range(0, reps, step)] or [0]
+
+
+def component_stats(
+    t: np.ndarray, cummass: np.ndarray, want_areas: bool = False
+) -> dict[str, np.ndarray]:
+    """Two largest component masses per replication, straight from the walk.
+
+    ``t`` holds sorted scaled clock times, one replication per row.
+    ``cummass`` holds the prefix masses in rank order after a leading 0
+    (length n + 1): one row per row of ``t``, or a single row for all rows,
+    which happens only when every mass is equal.  Block masses are then
+    counts times that mass, exactly.
+
+    New excursions start exactly at strict running minima of the pre-jump
+    troughs cummass[r] - t_r, which np.minimum.accumulate exposes in O(n).
+    With ``want_areas`` the largest component's excursion area is returned
+    too, as "largest_area".
+    """
+    rows, n = t.shape
+    trough = cummass[..., :-1] - t
+    run = np.minimum.accumulate(trough, axis=1)
+    is_root = np.empty(t.shape, dtype=bool)
+    is_root[:, 0] = True
+    np.less(trough[:, 1:], run[:, :-1], out=is_root[:, 1:])
+    del trough, run
+    mass = cummass[1] if cummass.ndim == 1 else None
+    cm = np.broadcast_to(cummass, (rows, n + 1))
+
+    largest = np.empty(rows)
+    second = np.empty(rows)
+    area = np.empty(rows)
+    for i in range(rows):
+        roots = np.flatnonzero(is_root[i])
+        bounds = np.append(roots, n)
+        sizes = np.diff(bounds) * mass if mass is not None else np.diff(cm[i, bounds])
+        order = np.argsort(sizes)
+        largest[i] = sizes[order[-1]]
+        second[i] = sizes[order[-2]] if len(sizes) > 1 else 0.0
+        if want_areas:
+            k = roots[order[-1]]
+            k_end = bounds[order[-1] + 1]  # one past the last rank
+            ti = t[i, k:k_end]
+            cm_local = cm[i, k + 1 : k_end + 1] - cm[i, k]
+            start = ti[0]
+            bvals = cm_local - (ti - start)  # B right after each jump
+            seg = np.append(ti[1:], start + cm_local[-1]) - ti
+            area[i] = float(np.sum(bvals * seg - seg * seg / 2.0))
+
+    result = {"largest": largest, "second": second}
+    if want_areas:
+        result["largest_area"] = area
+    return result
+
+
+def concat_stats(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Join component_stats results of successive chunks."""
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+
+
 def bulk_component_stats(
     n: int,
-    mass: float,
+    mass,
     q: float,
     gen: np.random.Generator,
     reps: int,
     want_areas: bool = False,
 ) -> dict[str, np.ndarray]:
-    """Vectorized component statistics for equal masses, many replications.
+    """Vectorized component statistics, many replications at once.
 
-    For each replication: sample n Exp(mass) clocks, scale by q, and read the
-    two largest component masses (and, optionally, the largest component's
-    excursion area) straight from the record structure of the pre-jump
-    troughs.  New excursions start exactly at strict running minima of
-    cummass[r-1] - t_r, which np.minimum.accumulate exposes in O(n).
+    ``mass`` is the common mass of all n vertices, or a sequence of n masses.
+    For each replication: sample n Exp(mass) clocks, scale by q, and hand
+    the rank-ordered times and prefix masses to component_stats.
     """
-    out_largest = np.empty(reps)
-    out_second = np.empty(reps)
-    out_area = np.empty(reps) if want_areas else None
-
-    chunk = max(1, min(reps, int(4e7 // max(n, 1))))
-    offsets = np.arange(1, n + 1, dtype=float) * mass  # cummass, 1-based
-    done = 0
-    while done < reps:
-        m = min(chunk, reps - done)
-        xi = gen.exponential(scale=1.0 / mass, size=(m, n))
-        xi.sort(axis=1)
-        t = xi / q
-        trough = np.empty_like(t)
-        trough[:, 0] = -t[:, 0]
-        trough[:, 1:] = offsets[:-1] - t[:, 1:]
-        run = np.minimum.accumulate(trough, axis=1)
-        is_root = np.empty(t.shape, dtype=bool)
-        is_root[:, 0] = True
-        is_root[:, 1:] = trough[:, 1:] < run[:, :-1]
-
-        for i in range(m):
-            roots = np.flatnonzero(is_root[i])
-            bounds = np.append(roots, n)
-            sizes = np.diff(bounds) * mass
-            order = np.argsort(sizes)
-            out_largest[done + i] = sizes[order[-1]]
-            out_second[done + i] = sizes[order[-2]] if len(sizes) > 1 else 0.0
-            if want_areas:
-                k = roots[order[-1]]
-                k_end = bounds[order[-1] + 1]  # one past the last rank
-                ti = t[i, k:k_end]
-                cm_local = offsets[k:k_end] - (offsets[k - 1] if k else 0.0)
-                start = ti[0]
-                bvals = cm_local - (ti - start)  # B right after each jump
-                seg = np.append(ti[1:], start + cm_local[-1]) - ti
-                out_area[done + i] = float(np.sum(bvals * seg - seg * seg / 2.0))
-        done += m
-
-    result = {"largest": out_largest, "second": out_second}
-    if want_areas:
-        result["largest_area"] = out_area
-    return result
+    equal = np.ndim(mass) == 0
+    m = float(mass) if equal else WeightedConfig(tuple(mass)).as_array()
+    if not equal and len(m) != n:
+        raise ValueError(f"need {n} masses, got {len(m)}")
+    cummass = np.arange(n + 1, dtype=float) * m if equal else None
+    parts = []
+    for chunk in chunk_rows(reps, n):
+        xi = gen.exponential(scale=1.0 / m, size=(chunk, n))
+        if equal:
+            xi.sort(axis=1)
+        else:
+            order = np.argsort(xi, axis=1, kind="stable")
+            xi = np.take_along_axis(xi, order, axis=1)
+            cummass = np.zeros((chunk, n + 1))
+            np.cumsum(m[order], axis=1, out=cummass[:, 1:])
+        xi /= q
+        parts.append(component_stats(xi, cummass, want_areas))
+    return concat_stats(parts)

@@ -46,13 +46,6 @@ def test_simulate_byte_identical(config_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_threads_canonical(config_file, tmp_path):
-    a, b = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    assert main(["simulate", "--config", config_file, "--out", str(a), "--threads", "1"]) == 0
-    assert main(["simulate", "--config", config_file, "--out", str(b), "--threads", "4"]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_seed_flag_overrides_config(config_file, tmp_path):
     a, b = tmp_path / "s11.csv", tmp_path / "s12.csv"
     assert main(["simulate", "--config", config_file, "--out", str(a)]) == 0
@@ -168,6 +161,24 @@ def test_bench_small(tmp_path):
 def test_missing_config_is_usage_error(tmp_path):
     rc = main(["simulate", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--q-max", "1", "--out"],
+        ["forest", "--q", "1", "--out"],
+        ["surplus", "--out"],
+        ["mosaic", "--q", "1", "--svg"],
+        ["limit", "--out"],
+    ],
+)
+def test_unreadable_config_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + [str(out), "--config", str(tmp_path / "nope.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nope.json" in err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_2():

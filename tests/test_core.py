@@ -5,14 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mcmosaic.core import (
     ClockAssignment,
     RngStream,
     WeightedConfig,
+    find,
+    groups,
     load_config,
     sample_clocks,
     sigma,
+    union,
 )
 
 
@@ -139,3 +144,46 @@ def test_load_config_from_mapping_leaves_input_alone():
 def test_load_config_requires_masses():
     with pytest.raises(ValueError):
         load_config({"seed": 3})
+
+
+# -- union-find ---------------------------------------------------------------
+
+
+def _bfs_partition(n, edges):
+    adj = {v: set() for v in range(n)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, parts = set(), set()
+    for v in range(n):
+        if v in seen:
+            continue
+        comp, frontier = {v}, [v]
+        while frontier:
+            nxt = [w for u in frontier for w in adj[u] if w not in comp]
+            comp.update(nxt)
+            frontier = nxt
+        seen |= comp
+        parts.add(frozenset(comp))
+    return frozenset(parts)
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+
+
+@given(edge_lists())
+def test_union_find_matches_bfs(case):
+    """Self-loops and repeated pairs included: the partition is the BFS one,
+    and union reports a merge exactly n - (number of components) times."""
+    n, edges = case
+    parent = list(range(n))
+    merges = sum(union(parent, a, b) for a, b in edges)
+    want = _bfs_partition(n, edges)
+    assert groups(parent) == want
+    assert merges == n - len(want)
+    for comp in want:
+        assert len({find(parent, v) for v in comp}) == 1

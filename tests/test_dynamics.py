@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.dynamics import (
@@ -207,3 +209,23 @@ def test_monotone_components_match_static_forest():
         for q in (0.1, 0.6, 1.3, 3.0):
             static, _ = breadth_first_forest(cfg, clocks, q)
             assert forest.components_at(q) == frozenset(static.components())
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=30),
+    st.integers(0, 2**32 - 1),
+    st.floats(-12.0, 30.0),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+)
+def test_monotone_components_equal_partition_at(exponents, seed, log_q_max, fractions):
+    """Masses over 1e-6..1e6, n from 1: the monotone forest and the block
+    log give the same partition at event times and at random levels."""
+    cfg = WeightedConfig(tuple(10.0**e for e in exponents))
+    clocks = sample_clocks(cfg, RngStream(seed).named("clocks"))
+    q_max = 10.0**log_q_max
+    traj = run_trajectory(cfg, clocks, RngStream(seed), q_max)
+    forest = build_monotone_forest(traj)
+    levels = [q_max * f for f in fractions] + [ev.time for ev in traj.events]
+    for q in levels:
+        assert forest.components_at(q) == traj.partition_at(q)

@@ -272,46 +272,34 @@ def test_scaling_experiment_shared_reference():
     assert "ks_marks" not in out["rows"][0]
 
 
-def test_scaling_experiment_coupling_reuses_noise():
-    """Coupled sampling still reproduces each marginal law: compare the
-    coupled largest-mass sample to a fresh uncoupled run of the same n."""
+def test_scaling_experiment_coupling_reuses_noise(monkeypatch):
+    """Coupled sampling still reproduces each marginal law: the coupled
+    largest-mass sample of one n sits within the two-sample noise band of
+    independent bulk samples of the same n."""
+    import mcmosaic.limit as limit_mod
     from mcmosaic.stats import ks_distance
-
-    rng1 = RngStream(14).named("cpl")
-    out1 = scaling_experiment(
-        (150, 400), 0.0, 2000, rng1, h=5e-3, limit_reps=200, couple=True
-    )
-    rng2 = RngStream(15).named("uncpl")
-    out2 = scaling_experiment(
-        (400,), 0.0, 2000, rng2, h=5e-3, limit_reps=200, couple=False
-    )
-    # both rows for n=400 sit near each other in distribution
-    # (distance between two 2000-rep samples of one law is small)
-    p = LimitParams(kappa=1.0)
-    ref = sample_limit_reference(p, RngStream(16).named("cmp"), h=5e-3, reps=2000)
-    d1 = ks_distance
-
-    # direct check at the sample level needs raw samples; use bulk stats
     from mcmosaic.walk import bulk_component_stats
+
+    samples = []
+
+    def spy(a, b):
+        samples.append(np.array(a))
+        return ks_distance(a, b)
+
+    monkeypatch.setattr(limit_mod, "ks_distance", spy)
+    scaling_experiment(
+        (150, 400), 0.0, 2000, RngStream(19).named("c"), h=5e-3, limit_reps=200,
+        include_marks=False, couple=True,
+    )
+    coupled = samples[2]  # per n: largest, then second
 
     n = 400
     mass = n ** (-2.0 / 3.0)
     q = n ** (1.0 / 3.0)
-    a = bulk_component_stats(
-        n, mass, q, RngStream(17).named("a").generator(), 2000, want_areas=False
-    )
-    b = bulk_component_stats(
-        n, mass, q, RngStream(18).named("b").generator(), 2000, want_areas=False
-    )
-    noise = d1(a["largest"], b["largest"])
-    from mcmosaic.limit import _coupled_component_stats
-
-    c = _coupled_component_stats(
-        (150, 400), 0.0, 2000, RngStream(19).named("c").generator(), False
-    )
-    d_ab = d1(c[400]["largest"], a["largest"])
-    # coupled marginal sits within ~the same two-sample noise band
-    assert d_ab < 3 * max(noise, 0.02)
+    a = bulk_component_stats(n, mass, q, RngStream(17).named("a").generator(), 2000)
+    b = bulk_component_stats(n, mass, q, RngStream(18).named("b").generator(), 2000)
+    noise = ks_distance(a["largest"], b["largest"])
+    assert ks_distance(coupled, a["largest"]) < 3 * max(noise, 0.02)
 
 
 def test_scaling_experiment_custom_sequences():

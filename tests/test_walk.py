@@ -286,6 +286,41 @@ def test_bulk_matches_direct_loop_exactly():
         assert min(abs(out["largest_area"][i] - a) for a in areas) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_bulk_unequal_masses_match_direct_loop(scale):
+    """Replay the bulk sampler's own draws for unequal masses through the
+    scalar pipeline; tolerances scale with the total mass."""
+    n, reps = 25, 200
+    masses = scale * RngStream(6).named("bulk-w-masses").generator().uniform(0.2, 3.0, n)
+    cfg = WeightedConfig(tuple(masses))
+    q = 1.5 / float(np.sum(masses**2))
+    total = cfg.total_mass
+    out = bulk_component_stats(
+        n, masses, q, RngStream(6).named("bulk-w").generator(), reps, want_areas=True
+    )
+
+    xi = RngStream(6).named("bulk-w").generator().exponential(1.0 / masses, size=(reps, n))
+    for i in range(reps):
+        path = WalkPath.from_clocks(cfg, ClockAssignment.from_xi(tuple(xi[i])), q)
+        excs = decompose(path).excursions
+        sizes = sorted((e.mass for e in excs), reverse=True)
+        assert out["largest"][i] == pytest.approx(sizes[0], rel=0, abs=1e-12 * total)
+        second = sizes[1] if len(sizes) > 1 else 0.0
+        assert out["second"][i] == pytest.approx(second, rel=0, abs=1e-12 * total)
+        areas = [
+            area_under_reflection(path, e.start, e.end)
+            for e in excs
+            if abs(e.mass - sizes[0]) <= 1e-12 * total
+        ]
+        assert min(abs(out["largest_area"][i] - a) for a in areas) <= 1e-12 * total**2
+
+
+def test_bulk_rejects_wrong_mass_count():
+    gen = RngStream(1).generator()
+    with pytest.raises(ValueError):
+        bulk_component_stats(3, (1.0, 2.0), 1.0, gen, 5)
+
+
 def test_bulk_law_agrees_with_scalar_sampling():
     """Independent streams, same law: largest-size histograms are homogeneous."""
     n, mass, q, reps = 25, 1.0, 0.05, 3000
