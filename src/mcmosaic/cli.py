@@ -1,4 +1,4 @@
-"""Command line interface: one executable, seven subcommands.
+"""Command line interface: one executable, six subcommands.
 
 All randomness flows from --seed (or the config's seed); repeated runs with
 the same arguments write byte-identical CSV/JSON/SVG files.  CSV floats use
@@ -9,14 +9,9 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import sys
-import time
-import tracemalloc
 
-import numpy as np
-
-from . import core, dynamics, mosaic, oracle, render, stats, surplus, verify, walk
+from . import core, dynamics, render, surplus, verify, walk
 from . import limit as limit_mod
 
 __all__ = ["main"]
@@ -232,119 +227,6 @@ def _cmd_limit(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    n = args.n
-    if n < 2:
-        raise ValueError("bench needs n >= 2")
-    reps = args.reps
-    seed = args.seed if args.seed is not None else 0
-    root = core.RngStream(seed).named("bench")
-
-    # equivalence gate on a shared small case before any timing
-    gate_n, gate_reps = 50, 1000
-    gate_cfg = core.WeightedConfig((1.0,) * gate_n)
-    gate_q = 1.0 / gate_n
-    counts_a = np.zeros(gate_n + 1, dtype=np.int64)
-    counts_b = np.zeros(gate_n + 1, dtype=np.int64)
-    for rep in range(gate_reps):
-        sub = root.named("gate-walk").indexed(rep)
-        clocks = core.sample_clocks(gate_cfg, sub.named("clocks"))
-        path = walk.WalkPath.from_clocks(gate_cfg, clocks, gate_q)
-        dec = walk.decompose(path)
-        largest = max(len(e.vertices) for e in dec.excursions)
-        counts_a[largest] += 1
-    for rep in range(gate_reps):
-        tr = oracle.gillespie_trajectory(
-            gate_cfg, root.named("gate-oracle").indexed(rep), gate_q
-        )
-        largest = max(len(c) for c in tr.partition_at(gate_q))
-        counts_b[largest] += 1
-    gate = stats.chi_square_homogeneity(counts_a, counts_b)
-    gate_ok = (not gate.inconclusive) and (not gate.rejects())
-
-    report = {
-        "n": n,
-        "reps": reps,
-        "q": 1.0 / n,
-        "gate": {
-            "n": gate_n,
-            "reps": gate_reps,
-            "passed": bool(gate_ok),
-            "statistic": float(gate.statistic),
-            "p_value": float(gate.p_value),
-        },
-        "engines": {},
-    }
-
-    config = core.WeightedConfig((1.0,) * n)
-    q = 1.0 / n
-
-    def timed(fn):
-        # tracing slows the run several-fold: time an untraced pass, then
-        # take the peak from a second, traced pass
-        t0 = time.perf_counter()
-        counts = fn()
-        elapsed = time.perf_counter() - t0
-        tracemalloc.start()
-        fn()
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        return counts, elapsed, peak
-
-    def run_walk():
-        out = []
-        for rep in range(reps):
-            sub = root.named("time-walk").indexed(rep)
-            clocks = core.sample_clocks(config, sub.named("clocks"))
-            traj = dynamics.run_trajectory(config, clocks, sub, q_max=q)
-            out.append(len(traj.events))
-        return out
-
-    counts, elapsed, peak = timed(run_walk)
-    report["engines"]["bfw-event"] = {
-        "event_counts": counts,
-        "wall_time_s": elapsed,
-        "peak_kb": peak / 1024.0,
-    }
-
-    if n > oracle.PAIR_ORACLE_MAX_N:
-        report["engines"]["gillespie"] = {
-            "skipped": f"n={n} exceeds the pairwise oracle guard "
-            f"({oracle.PAIR_ORACLE_MAX_N})"
-        }
-    else:
-
-        def run_gillespie():
-            out = []
-            for rep in range(reps):
-                tr = oracle.gillespie_trajectory(
-                    config, root.named("time-oracle").indexed(rep), q
-                )
-                out.append(len(tr.mergers))
-            return out
-
-        counts, elapsed, peak = timed(run_gillespie)
-        report["engines"]["gillespie"] = {
-            "event_counts": counts,
-            "wall_time_s": elapsed,
-            "peak_kb": peak / 1024.0,
-        }
-
-    if args.json:
-        _write_json(args.json, report)
-    print(
-        "bench gate:",
-        "pass" if gate_ok else "FAIL",
-        f"(p={gate.p_value:.4g})",
-    )
-    for name, eng in report["engines"].items():
-        if "skipped" in eng:
-            print(f"{name}: skipped ({eng['skipped']})")
-        else:
-            print(f"{name}: {eng['wall_time_s']:.3f}s, peak {eng['peak_kb']:.0f} KiB")
-    return 0 if gate_ok else 1
-
-
 # -- parser ------------------------------------------------------------------
 
 
@@ -412,13 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_limit)
-
-    p = sub.add_parser("bench", help="engine timing comparison")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--json")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -181,6 +181,41 @@ class ExcursionMarks:
     areas: np.ndarray
 
 
+def _excursion_intervals(b: np.ndarray, eps: float):
+    """Excursions of every row of ``b`` as index arrays (row, lo, hi).
+
+    A detection opens at an above-epsilon point whose gap from the previous
+    above-epsilon point of its row is at least 3 (the first one of a row
+    always opens), and closes at the two-below pair that follows its last
+    above-epsilon point.  Its ends then widen to the nearest exact zeros of
+    b: the last zero before the opening point and the first zero at or after
+    the closing pair, clipped to the row.  Detections sharing one widened
+    interval collapse into one.  Two zero columns padded onto each row make
+    the last excursion of a row close and separate it from the next row, so
+    one flattened pass serves every row.  Intervals come in row order, and
+    in time order within a row.
+    """
+    rows, n = b.shape
+    width = n + 2
+    flat = np.zeros((rows, width))
+    flat[:, :n] = b
+    flat = flat.ravel()
+    above = np.flatnonzero(flat > eps)
+    first = above[np.diff(above, prepend=-3) >= 3]
+    last = above[np.diff(above, append=flat.size + 2) >= 3]
+    zeros = np.flatnonzero(flat == 0.0)
+    k = np.searchsorted(zeros, first)
+    row = first // width
+    start = row * width
+    lo = np.where(k > 0, zeros[k - 1], 0)  # only row 0 can lack an earlier zero
+    hi = zeros[np.searchsorted(zeros, last + 1)]
+    lo = np.maximum(lo, start) - start
+    hi = np.minimum(hi - start, n - 1)
+    new = np.ones(row.size, dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return row[new], lo[new], hi[new]
+
+
 def excursions_and_marks(path: GridPath, rng) -> ExcursionMarks:
     """Excursions of the reflected path and Poisson(area) mark draws.
 
@@ -199,34 +234,10 @@ def excursions_and_marks(path: GridPath, rng) -> ExcursionMarks:
     gen = rng.named("limit-marks").generator() if isinstance(rng, RngStream) else rng
     b = path.b
     times = path.times
-    eps = path.epsilon
-    n = len(b)
-    below = b <= eps
-    two_below = (
-        np.flatnonzero(below[:-1] & below[1:]) if n > 1 else np.empty(0, dtype=int)
-    )
-    zeros = np.flatnonzero(b == 0.0)  # index 0 is always a zero
-    intervals: dict[tuple[int, int], None] = {}
-    i = 0
-    while i < n:
-        if below[i]:
-            i += 1
-            continue
-        start = i
-        k = np.searchsorted(two_below, start)
-        j = int(two_below[k]) if k < len(two_below) else n - 1
-        zl = int(zeros[np.searchsorted(zeros, start, side="right") - 1])
-        kr = np.searchsorted(zeros, j)
-        zr = int(zeros[kr]) if kr < len(zeros) else n - 1
-        intervals[(zl, zr)] = None
-        i = j + 1
-    if not intervals:
-        return ExcursionMarks(
-            np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)
-        )
-    len_arr = np.asarray([times[r] - times[l] for l, r in intervals])
+    _, lo, hi = _excursion_intervals(b[None, :], path.epsilon)
+    len_arr = times[hi] - times[lo]
     area_arr = np.asarray(
-        [float(_trapz(b[l : r + 1], times[l : r + 1])) for l, r in intervals]
+        [float(_trapz(b[l : r + 1], times[l : r + 1])) for l, r in zip(lo, hi)]
     )
     counts = gen.poisson(area_arr)
     order = np.argsort(-len_arr, kind="stable")
@@ -276,57 +287,54 @@ def sample_limit_reference(
     h: float,
     reps: int,
     horizon: float | None = None,
-    chunk: int = 1000,
 ) -> dict:
-    """Largest-excursion length and mark count over many limit paths.
+    """Largest and second excursion lengths, and the largest one's mark count,
+    over many limit paths.
 
-    Vectorized across paths for c = (); falls back to one path at a time
-    otherwise.  Paths with no excursion contribute length 0 and count 0.
+    Reads excursions a chunk of paths at a time for c = (), one path at a
+    time otherwise.  Marks are drawn once, one Poisson(area of the largest
+    excursion) per path.  Paths with no excursion contribute length 0 and
+    count 0.
     """
-    marks_gen = rng.named("limit-marks").generator()
     largest = np.zeros(reps)
     second = np.zeros(reps)
-    marks = np.zeros(reps, dtype=np.int64)
+    area = np.zeros(reps)
+
+    def read(r0: int, b: np.ndarray, times: np.ndarray, eps: float) -> None:
+        row, lo, hi = _excursion_intervals(b, eps)
+        length = times[hi] - times[lo]
+        # rows in order, longest first within a row, earliest first on ties
+        order = np.lexsort((-length, row))
+        row, lo, hi, length = row[order], lo[order], hi[order], length[order]
+        top = np.flatnonzero(np.diff(row, prepend=-1))
+        largest[r0 + row[top]] = length[top]
+        two = top[np.diff(np.append(top, row.size)) > 1]
+        second[r0 + row[two]] = length[two + 1]
+        cum = np.zeros(b.shape)
+        np.cumsum(np.diff(times) * (b[:, 1:] + b[:, :-1]) / 2.0, axis=1, out=cum[:, 1:])
+        area[r0 + row[top]] = cum[row[top], hi[top]] - cum[row[top], lo[top]]
+
     if params.c:
         for r in range(reps):
-            path = sample_limit_path(
-                params, rng.indexed(r), h, horizon
+            path = sample_limit_path(params, rng.indexed(r), h, horizon)
+            read(r, path.b[None, :], path.times, path.epsilon)
+    else:
+        S = params.default_horizon() if horizon is None else horizon
+        steps = int(math.ceil(S / h - 1e-9))
+        times = h * np.arange(steps + 1)
+        drift = (params.t - params.tau) * times - 0.5 * params.kappa * times * times
+        gen = rng.named("limit-brownian").generator()
+        scale = math.sqrt(params.kappa * h)
+        done = 0
+        for rows in chunk_rows(reps, steps + 1):
+            z = gen.standard_normal((rows, steps))
+            w = np.concatenate(
+                [np.zeros((rows, 1)), np.cumsum(scale * z, axis=1)], axis=1
             )
-            em = excursions_and_marks(path, marks_gen)
-            if em.lengths.size:
-                largest[r] = em.lengths[0]
-                marks[r] = em.counts[0]
-            if em.lengths.size > 1:
-                second[r] = em.lengths[1]
-        return {"largest": largest, "second": second, "marks": marks}
-
-    S = params.default_horizon() if horizon is None else horizon
-    steps = int(math.ceil(S / h - 1e-9))
-    times = h * np.arange(steps + 1)
-    drift = (params.t - params.tau) * times - 0.5 * params.kappa * times * times
-    eps = params.epsilon(h)
-    gen = rng.named("limit-brownian").generator()
-    scale = math.sqrt(params.kappa * h)
-    done = 0
-    while done < reps:
-        rows = min(chunk, reps - done)
-        z = gen.standard_normal((rows, steps))
-        w = np.concatenate(
-            [np.zeros((rows, 1)), np.cumsum(scale * z, axis=1)], axis=1
-        )
-        w += drift
-        b = w - np.minimum.accumulate(w, axis=1)
-        for r in range(rows):
-            path = GridPath(
-                h=h, kappa=params.kappa, epsilon=eps, times=times, w=w[r], b=b[r]
-            )
-            em = excursions_and_marks(path, marks_gen)
-            if em.lengths.size:
-                largest[done + r] = em.lengths[0]
-                marks[done + r] = em.counts[0]
-            if em.lengths.size > 1:
-                second[done + r] = em.lengths[1]
-        done += rows
+            w += drift
+            read(done, w - np.minimum.accumulate(w, axis=1), times, params.epsilon(h))
+            done += rows
+    marks = rng.named("limit-marks").generator().poisson(area)
     return {"largest": largest, "second": second, "marks": marks}
 
 
@@ -341,7 +349,6 @@ def scaling_experiment(
     include_marks: bool = True,
     sequences: dict | None = None,
     reference: dict | None = None,
-    couple: bool = True,
 ) -> dict:
     """Compare finite-n component laws at the critical horizon to the limit.
 
@@ -354,9 +361,9 @@ def scaling_experiment(
     finite-n side is the noisy one at usual sizes, so a single large shared
     reference sharpens every comparison at no per-call cost.
 
-    With ``couple`` (standard profile only), all n share one pool of unit
-    exponential draws per chunk of replications, the sample for each n using
-    its first n columns: the empirical laws ride on common noise while every
+    With the standard profile, all n share one pool of unit exponential
+    draws per chunk of replications, the sample for each n using its first n
+    columns: the empirical laws ride on common noise while every
     marginal stays exact, and the common noise cancels out of distance
     differences, which makes the convergence ordering resolvable at moderate
     replication counts.
@@ -370,7 +377,7 @@ def scaling_experiment(
         ref = sample_limit_reference(params, rng, h, lref)
 
     shared = None
-    if couple and not sequences:
+    if not sequences:
         for n in n_values:
             if t + n ** (1.0 / 3.0) <= 0:
                 raise ValueError(f"horizon t + 1/sigma2 is not positive for n={n}")

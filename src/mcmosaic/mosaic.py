@@ -122,7 +122,7 @@ def build_mosaic(trajectory: Trajectory, q: float) -> list[OrnamentedExcursion]:
     path = WalkPath.from_clocks(trajectory.config, trajectory.clocks, q)
     pos = path.jump_times
     sizes = path.jump_sizes
-    cm = path._cummass()
+    cm = path.cummass
 
     def mass_between(j: int, m: int) -> float:
         return cm[m] - (cm[j - 1] if j else 0.0)
@@ -171,6 +171,7 @@ def validate(excursion: OrnamentedExcursion) -> list[str]:
     """
     problems: list[str] = []
     lo = excursion.rank_lo
+    scale = math.fsum(excursion.masses)
 
     seen: dict[float, int] = {}
     for b in excursion.baselines:
@@ -201,7 +202,7 @@ def validate(excursion: OrnamentedExcursion) -> list[str]:
             )
         if excursion.positions is not None:
             anchor = excursion.positions[b.owner_rank - lo]
-            if abs(a0 - anchor) > 1e-9:
+            if abs(a0 - anchor) > 1e-9 * scale:
                 problems.append(
                     f"R2 (contiguous extent): baseline of rank {b.owner_rank} "
                     f"starts at {a0}, away from its jump at {anchor}"
@@ -349,12 +350,12 @@ def replay(excursion: OrnamentedExcursion) -> Trajectory:
     return trajectory
 
 
-def same_shape(
-    a: OrnamentedExcursion, b: OrnamentedExcursion, tol: float = 1e-12
-) -> bool:
-    """Geometric identity relative to each excursion's own start and floor."""
+def same_shape(a: OrnamentedExcursion, b: OrnamentedExcursion) -> bool:
+    """Geometric identity relative to each excursion's own start and floor,
+    to 1e-12 of the larger total mass."""
     if len(a) != len(b):
         return False
+    tol = 1e-12 * max(math.fsum(a.masses), math.fsum(b.masses))
     if any(abs(x - y) > tol for x, y in zip(a.masses, b.masses)):
         return False
     for ba, bb in zip(a.baselines, b.baselines):
@@ -434,7 +435,7 @@ def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
     path = WalkPath.from_clocks(trajectory.config, trajectory.clocks, q)
     pos = path.jump_times
     sizes = path.jump_sizes
-    cm = path._cummass()
+    cm = path.cummass
     n = len(path)
 
     blocks = trajectory.blocks_at(q)
@@ -443,7 +444,7 @@ def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
     for b in blocks:
         for r in b.ranks():
             root_of[r] = b.lo
-            block_ranks[r] = (b.lo, b.hi)
+            block_ranks[r] = (b.lo, b.hi, b.mass)
     # floor-relative baseline level of each rank
     level = []
     for j in range(n):
@@ -462,11 +463,11 @@ def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
         height = ev.left.mass * (1.0 - ev.time / q)
         for l in ev.right.ranks():
             top = running_top[l]
-            lo, hi = block_ranks[l]
+            lo, hi, mass = block_ranks[l]
             owner = min(
                 range(lo, hi + 1), key=lambda r: abs(level[r] - top)
             )
-            if abs(level[owner] - top) > 1e-9:
+            if abs(level[owner] - top) > 1e-9 * mass:
                 raise AssertionError(
                     f"no baseline at slice top level {top} for rank {l}"
                 )

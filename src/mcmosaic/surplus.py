@@ -73,7 +73,7 @@ def influence_region(
     if h == root:
         return InfluenceRegion(target_rank=h, candidates=())
     times = path.jump_times
-    cm = path._cummass()
+    cm = path.cummass
     window_end = times[root] + (cm[h - 1] - (cm[root - 1] if root else 0.0))
 
     target_v = path.perm[h]
@@ -182,7 +182,7 @@ def total_intensity(path: WalkPath, decomposition: ExcursionDecomposition, h: in
     root = exc.rank_lo
     if h == root:
         return 0.0
-    cm = path._cummass()
+    cm = path.cummass
     window_end = path.jump_times[root] + (cm[h - 1] - (cm[root - 1] if root else 0.0))
     return path.q * (path.eval_B(window_end) - path.jump_sizes[h])
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -60,32 +61,26 @@ class WalkPath:
     def __len__(self) -> int:
         return len(self.jump_times)
 
-    def _cummass(self) -> tuple[float, ...]:
-        # prefix sums of jump sizes; cached lazily on the instance
-        cached = self.__dict__.get("_cummass_cache")
-        if cached is None:
-            acc, out = 0.0, []
-            for s in self.jump_sizes:
-                acc += s
-                out.append(acc)
-            cached = tuple(out)
-            self.__dict__["_cummass_cache"] = cached
-        return cached
+    @cached_property
+    def cummass(self) -> tuple[float, ...]:
+        """Prefix sums of the jump sizes."""
+        acc, out = 0.0, []
+        for s in self.jump_sizes:
+            acc += s
+            out.append(acc)
+        return tuple(out)
 
-    def _trough_mins(self) -> tuple[float, ...]:
-        # running min over r of Z(t_r-), i.e. of cummass[r-1] - t_r, floored at 0
-        cached = self.__dict__.get("_trough_cache")
-        if cached is None:
-            cm = self._cummass()
-            best, out = 0.0, []
-            for r, t in enumerate(self.jump_times):
-                trough = (cm[r - 1] if r else 0.0) - t
-                if trough < best:
-                    best = trough
-                out.append(best)
-            cached = tuple(out)
-            self.__dict__["_trough_cache"] = cached
-        return cached
+    @cached_property
+    def trough_mins(self) -> tuple[float, ...]:
+        """Running min over r of Z(t_r-), i.e. of cummass[r-1] - t_r, floored at 0."""
+        cm = self.cummass
+        best, out = 0.0, []
+        for r, t in enumerate(self.jump_times):
+            trough = (cm[r - 1] if r else 0.0) - t
+            if trough < best:
+                best = trough
+            out.append(best)
+        return tuple(out)
 
     def eval_Z(self, s: float, left_limit: bool = False) -> float:
         """Walk value at s (right-continuous), or its left limit at s."""
@@ -95,7 +90,7 @@ class WalkPath:
             idx = bisect.bisect_left(self.jump_times, s)
         else:
             idx = bisect.bisect_right(self.jump_times, s)
-        carried = self._cummass()[idx - 1] if idx else 0.0
+        carried = self.cummass[idx - 1] if idx else 0.0
         return carried - s
 
     def running_min(self, s: float, left_limit: bool = False) -> float:
@@ -104,7 +99,7 @@ class WalkPath:
             idx = bisect.bisect_left(self.jump_times, s)
         else:
             idx = bisect.bisect_right(self.jump_times, s)
-        prior = self._trough_mins()[idx - 1] if idx else 0.0
+        prior = self.trough_mins[idx - 1] if idx else 0.0
         return min(prior, self.eval_Z(s, left_limit=left_limit))
 
     def eval_B(self, s: float, left_limit: bool = False) -> float:
@@ -147,7 +142,7 @@ def decompose(path: WalkPath) -> ExcursionDecomposition:
     pre-jump trough Z(t_r-) undershooting every earlier trough.
     """
     times = path.jump_times
-    cm = path._cummass()
+    cm = path.cummass
     n = len(path)
 
     roots = [0]

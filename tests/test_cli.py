@@ -148,16 +148,6 @@ def test_verify_single_suite(tmp_path):
     assert payload["criteria"][0]["name"] == "intensity"
 
 
-def test_bench_small(tmp_path):
-    report = tmp_path / "b.json"
-    rc = main(["bench", "--n", "40", "--reps", "2", "--seed", "1", "--json", str(report)])
-    assert rc == 0
-    payload = json.loads(report.read_text())
-    assert payload["gate"]["passed"] is True
-    assert "bfw-event" in payload["engines"]
-    assert "gillespie" in payload["engines"]
-
-
 def test_missing_config_is_usage_error(tmp_path):
     rc = main(["simulate", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
@@ -183,6 +173,10 @@ def test_unreadable_config_is_usage_error(argv, tmp_path, capsys):
 
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
+
+
+def test_bench_is_not_a_subcommand():
+    assert main(["bench", "--n", "40"]) == 2
 
 
 def test_bad_variant_rejected(config_file, tmp_path):

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import mcmosaic.limit as limit_mod
 from mcmosaic.core import RngStream
 from mcmosaic.limit import (
     GridPath,
     LimitParams,
+    _excursion_intervals,
     excursions_and_marks,
     hypothesis_report,
     sample_Vc,
@@ -179,6 +183,85 @@ def test_subepsilon_bump_is_dropped():
     assert em.lengths.size == 0
 
 
+def _loop_intervals(b, eps):
+    """The per-path reader the row reader replaced, kept as the reference:
+    scan for an above-epsilon point, close at the next two-below pair, widen
+    to the surrounding exact zeros, keep each widened interval once."""
+    n = len(b)
+    below = b <= eps
+    two_below = (
+        np.flatnonzero(below[:-1] & below[1:]) if n > 1 else np.empty(0, dtype=int)
+    )
+    zeros = np.flatnonzero(b == 0.0)
+    intervals: dict[tuple[int, int], None] = {}
+    i = 0
+    while i < n:
+        if below[i]:
+            i += 1
+            continue
+        start = i
+        k = np.searchsorted(two_below, start)
+        j = int(two_below[k]) if k < len(two_below) else n - 1
+        zl = int(zeros[np.searchsorted(zeros, start, side="right") - 1])
+        kr = np.searchsorted(zeros, j)
+        zr = int(zeros[kr]) if kr < len(zeros) else n - 1
+        intervals[(zl, zr)] = None
+        i = j + 1
+    return list(intervals)
+
+
+# b[0] = 0 as on every reflected path; 1.0 is epsilon itself (below), 0.5 a
+# sub-epsilon bump, 0.0 an exact zero inside or between excursions
+_levels = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5, 3.0])
+
+
+@st.composite
+def _rows(draw):
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 3))
+    return [[0.0] + draw(st.lists(_levels, min_size=n, max_size=n)) for _ in range(k)]
+
+
+@given(_rows())
+@example([[0.0, 0.5, 1.0, 0.5, 0.0]])  # all below
+@example([[0.0, 2.0, 0.0, 2.0, 0.5, 0.5, 0.0]])  # exact zero inside
+@example([[0.0, 0.5, 2.0, 0.5, 2.0], [0.0, 2.0, 2.0, 2.0, 2.0]])  # runs to the end
+@example([[0.0, 2.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 2.0]])
+def test_row_reader_matches_per_path_loop(rows):
+    b = np.asarray(rows)
+    row, lo, hi = _excursion_intervals(b, 1.0)
+    want = [(r, l, h) for r in range(len(b)) for l, h in _loop_intervals(b[r], 1.0)]
+    assert list(zip(row.tolist(), lo.tolist(), hi.tolist())) == want
+
+
+def test_reference_jump_branch_marks_the_largest_excursion():
+    """With jumps, path r of the reference is sample_limit_path(params,
+    rng.indexed(r), h): lengths replay exactly, and the marks average the
+    areas of the largest excursions."""
+    p = LimitParams(kappa=1.0, c=(0.8,))
+    rng = RngStream(8).named("rj-marks")
+    h, reps = 5e-3, 400
+    ref = sample_limit_reference(p, rng, h, reps)
+    areas = np.zeros(reps)
+    for r in range(reps):
+        em = excursions_and_marks(sample_limit_path(p, rng.indexed(r), h), rng)
+        if em.lengths.size:
+            assert ref["largest"][r] == em.lengths[0]
+            areas[r] = em.areas[0]
+        assert ref["second"][r] == (em.lengths[1] if em.lengths.size > 1 else 0.0)
+    se = math.sqrt(areas.mean() / reps)
+    assert abs(ref["marks"].mean() - areas.mean()) < 5 * se
+
+
+def test_reference_does_not_depend_on_chunking(monkeypatch):
+    p = LimitParams(kappa=1.0)
+    whole = sample_limit_reference(p, RngStream(3).named("chunks"), h=5e-3, reps=50)
+    monkeypatch.setattr(limit_mod, "chunk_rows", lambda reps, n: [7] * 7 + [1])
+    parts = sample_limit_reference(p, RngStream(3).named("chunks"), h=5e-3, reps=50)
+    for key in ("largest", "second", "marks"):
+        assert np.array_equal(whole[key], parts[key])
+
+
 def test_excursions_sorted_descending():
     p = LimitParams(kappa=1.0, t=1.0)
     for seed in range(10):
@@ -276,7 +359,6 @@ def test_scaling_experiment_coupling_reuses_noise(monkeypatch):
     """Coupled sampling still reproduces each marginal law: the coupled
     largest-mass sample of one n sits within the two-sample noise band of
     independent bulk samples of the same n."""
-    import mcmosaic.limit as limit_mod
     from mcmosaic.stats import ks_distance
     from mcmosaic.walk import bulk_component_stats
 
@@ -289,7 +371,7 @@ def test_scaling_experiment_coupling_reuses_noise(monkeypatch):
     monkeypatch.setattr(limit_mod, "ks_distance", spy)
     scaling_experiment(
         (150, 400), 0.0, 2000, RngStream(19).named("c"), h=5e-3, limit_reps=200,
-        include_marks=False, couple=True,
+        include_marks=False,
     )
     coupled = samples[2]  # per n: largest, then second
 

@@ -345,3 +345,58 @@ def test_slice_rejects_bad_q():
     traj, q = random_trajectory(3)
     with pytest.raises(ValueError):
         slice_decomposition(traj, q * 2.0)
+
+
+# -- tolerances scale with the masses -----------------------------------------
+
+
+def scaled_trajectory(seed, scale):
+    """random_trajectory's recipe with every mass times scale and q over
+    scale**2, so the walk is the same picture at another mass scale."""
+    gen = RngStream(seed).named("mos-scale").generator()
+    n = int(gen.integers(2, 11))
+    cfg = WeightedConfig(tuple(float(m) * scale for m in gen.uniform(0.5, 2.0, n)))
+    q = float(gen.uniform(0.2, 3.0)) / scale**2
+    clocks = sample_clocks(cfg, RngStream(seed).named("mos-scale").named("clocks"))
+    return run_trajectory(cfg, clocks, RngStream(seed), q), q
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e7])
+def test_mosaic_checks_hold_at_any_mass_scale(scale):
+    for seed in range(40):
+        traj, q = scaled_trajectory(seed, scale)
+        slice_decomposition(traj, q)  # raises if a slice top misses its baseline
+        for exc in build_mosaic(traj, q):
+            assert validate(exc) == []
+            rebuilt = build_mosaic(replay(exc), exc.q)
+            assert len(rebuilt) == 1 and same_shape(exc, rebuilt[0])
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e7])
+def test_same_shape_tolerance_is_relative(scale):
+    traj, q = scaled_trajectory(7, scale)
+    fx = build_mosaic(traj, q)[0]
+    other = dataclasses.replace(fx, masses=tuple(m * (1 + 1e-9) for m in fx.masses))
+    assert same_shape(fx, fx)
+    assert not same_shape(fx, other)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e7])
+def test_slice_top_moved_by_a_millionth_of_the_block_raises(scale):
+    """Shift the first of two absorptions of a rank so the height it leaves
+    behind is off by 1e-6 of the block mass: the next top misses."""
+    for seed in range(100):
+        traj, q = scaled_trajectory(seed, scale)
+        events = [ev for ev in traj.events if ev.time <= q]
+        for i, ev in enumerate(events):
+            if any(ev.right.lo in later.right.ranks() for later in events[i + 1 :]):
+                break
+        else:
+            continue
+        mass = next(b.mass for b in traj.blocks_at(q) if b.lo <= ev.right.lo <= b.hi)
+        moved = dataclasses.replace(ev, time=ev.time - 1e-6 * mass * q / ev.left.mass)
+        bad = dataclasses.replace(traj, events=tuple(events[:i] + [moved] + events[i + 1 :]))
+        with pytest.raises(AssertionError, match="no baseline at slice top level"):
+            slice_decomposition(bad, q)
+        return
+    pytest.fail("no rank absorbed twice")

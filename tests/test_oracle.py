@@ -149,3 +149,27 @@ def test_trajectory_first_merger_law():
     ]
     mean = float(np.mean(times))
     assert abs(mean - 1.0 / 3.0) < 5 * (1.0 / 3.0) / math.sqrt(len(times))
+
+
+def test_walk_largest_component_matches_oracle():
+    """Equivalence gate: the largest component read off the walk and the one
+    the pairwise-clock oracle builds have the same law, n = 50 unit masses at
+    q = 1/n, 1,000 replications per side."""
+    from mcmosaic.core import sample_clocks
+    from mcmosaic.stats import chi_square_homogeneity
+    from mcmosaic.walk import WalkPath, decompose
+
+    n, reps = 50, 1000
+    cfg = WeightedConfig((1.0,) * n)
+    q = 1.0 / n
+    root = RngStream(1).named("bench")
+    walk_counts = np.zeros(n + 1, dtype=np.int64)
+    oracle_counts = np.zeros(n + 1, dtype=np.int64)
+    for rep in range(reps):
+        clocks = sample_clocks(cfg, root.named("gate-walk").indexed(rep).named("clocks"))
+        dec = decompose(WalkPath.from_clocks(cfg, clocks, q))
+        walk_counts[max(len(e.vertices) for e in dec.excursions)] += 1
+        tr = gillespie_trajectory(cfg, root.named("gate-oracle").indexed(rep), q)
+        oracle_counts[max(len(c) for c in tr.partition_at(q))] += 1
+    res = chi_square_homogeneity(walk_counts, oracle_counts)
+    assert not res.inconclusive and not res.rejects(), res

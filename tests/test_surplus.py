@@ -58,7 +58,7 @@ def test_region_matches_window_scan():
     the end of the window that rank h itself fell into."""
     for seed in range(40):
         path, dec, forest = built(seed, n_max=14)
-        cm = path._cummass()
+        cm = path.cummass
         for e in dec.excursions:
             root = e.rank_lo
             for h in range(root + 1, e.rank_hi + 1):
