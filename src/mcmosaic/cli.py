@@ -184,9 +184,10 @@ def _cmd_verify(args) -> int:
 def _cmd_limit(args) -> int:
     settings: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = core.read_config(args.config)
         settings = payload.get("limit", {})
+        if not isinstance(settings, dict):
+            raise ValueError(f"config 'limit' must be a JSON object, got {settings!r}")
         if "seed" in payload and args.seed is None:
             args.seed = int(payload["seed"])
 

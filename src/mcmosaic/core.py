@@ -12,7 +12,8 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from numbers import Real
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "RngStream",
     "sample_clocks",
     "sigma",
+    "read_config",
     "load_config",
     "find",
     "union",
@@ -170,12 +172,8 @@ def groups(parent: list[int]) -> frozenset[frozenset[int]]:
     return frozenset(frozenset(g) for g in out.values())
 
 
-def load_config(source) -> tuple[WeightedConfig, dict]:
-    """Read a config mapping {"masses": [...], "seed": N, ...}.
-
-    ``source`` may be a path, a file object, or an already-parsed mapping.
-    Returns the config plus the remaining entries (seed, q, variant, ...).
-    """
+def read_config(source) -> dict:
+    """A config JSON object from a path, a file object, or a mapping (copied)."""
     if isinstance(source, dict):
         payload = dict(source)
     elif hasattr(source, "read"):
@@ -183,9 +181,23 @@ def load_config(source) -> tuple[WeightedConfig, dict]:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def load_config(source) -> tuple[WeightedConfig, dict]:
+    """Read a config mapping {"masses": [...], "seed": N, ...}.
+
+    ``source`` is as for :func:`read_config`.  Returns the config plus the
+    remaining entries (seed, q, variant, ...).
+    """
+    payload = read_config(source)
     if "masses" not in payload:
         raise ValueError("config requires a 'masses' entry")
     masses = payload.pop("masses")
-    if not isinstance(masses, Iterable):
-        raise ValueError("'masses' must be a sequence")
+    if not isinstance(masses, (list, tuple)) or not all(
+        isinstance(m, Real) and not isinstance(m, bool) for m in masses
+    ):
+        raise ValueError(f"'masses' must be a list of numbers, got {masses!r}")
     return WeightedConfig(tuple(masses)), payload

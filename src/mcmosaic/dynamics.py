@@ -2,16 +2,19 @@
 
 As q grows, scaled clocks slide left and adjacent excursions of the reflected
 walk merge: the block rooted at rank j absorbs the block led by rank k+1 at
-exactly q = (xi_(k+1) - xi_(j)) / mass(j..k).  The engine maintains a heap of
-candidate absorption times with lazy invalidation; each merger draws one
-mass-biased edge between the two blocks, giving a monotone (append-only)
-forest whose partition matches the static forest at every level.
+exactly q = (xi_(k+1) - xi_(j)) / mass(j..k).  One draw of clocks fixes every
+merger: the engine reads each rank's absorption time off the upper hull of
+the points (mass before the rank, its clock) in one sweep, then replays the
+mergers in time order.  Each merger draws one mass-biased edge between the
+two blocks, giving a monotone (append-only) forest whose partition matches
+the static forest at every level.
 """
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import ClockAssignment, RngStream, WeightedConfig, groups, union
 
@@ -20,9 +23,7 @@ __all__ = [
     "MergerEvent",
     "Trajectory",
     "MonotoneForest",
-    "merger_time",
     "run_trajectory",
-    "sample_merge_edge",
     "build_monotone_forest",
 ]
 
@@ -89,52 +90,22 @@ class Trajectory:
         )
 
 
-def merger_time(left: ComponentBlock, clocks: ClockAssignment) -> float | None:
-    """Exact q at which ``left`` absorbs the block led by rank left.hi + 1."""
-    nxt = left.hi + 1
-    if nxt >= len(clocks):
-        return None
-    xs = clocks.sorted_xi()
-    return (xs[nxt] - xs[left.lo]) / left.mass
-
-
-def sample_merge_edge(
-    left: ComponentBlock,
-    right: ComponentBlock,
-    config: WeightedConfig,
-    clocks: ClockAssignment,
-    gen,
-) -> tuple[int, int]:
-    """Draw the merger edge: child mass-biased in right, parent in left."""
-    perm = clocks.perm
-    child_rank = _mass_biased_rank(right, config, perm, gen)
-    parent_rank = _mass_biased_rank(left, config, perm, gen)
-    return perm[child_rank], perm[parent_rank]
-
-
-def _mass_biased_rank(block: ComponentBlock, config, perm, gen) -> int:
-    u = gen.random() * block.mass
-    acc = 0.0
-    for r in block.ranks():
-        acc += config.masses[perm[r]]
-        if u < acc:
-            return r
-    return block.hi  # guard against accumulated rounding at the top end
-
-
 def run_trajectory(
     config: WeightedConfig,
     clocks: ClockAssignment,
     rng: RngStream,
     q_max: float,
 ) -> Trajectory:
-    """All mergers with time <= q_max, strictly increasing event times.
+    """All mergers with time <= q_max, in time order.
 
-    Candidates are (time, left root, right root) triples; a popped candidate
-    is stale unless the left root still owns exactly the range ending just
-    before the right root and the right root is still a root.  Fresh
-    candidates computed after a merger are always strictly later than the
-    merger itself, so no cascade handling is needed.
+    Rank r is absorbed at q_r = min over i < r of slope(i, r), the slope
+    between the points (mass(0..i-1), xi_(i)) and (mass(0..r-1), xi_(r)).
+    The argmin lies on the upper hull of the points left of r, and a point
+    that falls below the hull never returns to it, so one sweep with a stack
+    gives every q_r.  Mergers then run in q_r order over a linked list of
+    live roots: rank r is absorbed by the nearest live root before it.  Each
+    merger draws its edge, child in the right block and then parent in the
+    left, mass-biased by bisection on the prefix masses.
     """
     if not (q_max > 0.0) or not math.isfinite(q_max):
         raise ValueError(f"q_max must be finite and > 0, got {q_max!r}")
@@ -142,35 +113,49 @@ def run_trajectory(
     gen = rng.named("merge-edges").generator()
     perm = clocks.perm
     sizes = [config.masses[v] for v in perm]
-
-    end = list(range(n))
-    mass = list(sizes)
-    is_root = [True] * n
-
-    heap: list[tuple[float, int, int]] = []
     xs = clocks.sorted_xi()
-    for j in range(n - 1):
-        t = (xs[j + 1] - xs[j]) / mass[j]
-        if t <= q_max:
-            heapq.heappush(heap, (t, j, j + 1))
 
+    # hull ranks; gaps[k] = mass(hull[k]..hull[k+1]-1), the last one up to
+    # r - 1; slopes[k] = slope(hull[k], hull[k+1])
+    hull, gaps, slopes = [0], [sizes[0]], []
+    absorbed: list[tuple[float, int]] = []
+    for r in range(1, n):
+        w = gaps[-1]
+        s = (xs[r] - xs[hull[-1]]) / w
+        while slopes and s >= slopes[-1]:
+            hull.pop()
+            slopes.pop()
+            gaps.pop()
+            w += gaps[-1]
+            s = (xs[r] - xs[hull[-1]]) / w
+        if s <= q_max:
+            absorbed.append((s, r))
+        gaps[-1] = w
+        slopes.append(s)
+        hull.append(r)
+        gaps.append(sizes[r])
+    absorbed.sort()
+
+    cum = list(accumulate(sizes, initial=0.0))
+    prev = list(range(-1, n))  # one past the end, so prev[n] is writable
+    nxt = list(range(1, n + 1))
+    mass = list(sizes)
     events: list[MergerEvent] = []
-    while heap:
-        t, j, r = heapq.heappop(heap)
-        if not (is_root[j] and is_root[r] and end[j] == r - 1):
-            continue
-        left = ComponentBlock(lo=j, hi=end[j], mass=mass[j])
-        right = ComponentBlock(lo=r, hi=end[r], mass=mass[r])
-        edge = sample_merge_edge(left, right, config, clocks, gen)
-        events.append(MergerEvent(time=t, left=left, right=right, edge=edge))
-        end[j] = end[r]
+    for _, r in absorbed:
+        j, e = prev[r], nxt[r]
+        child = bisect_right(cum, cum[r] + gen.random() * mass[r], r + 1, e) - 1
+        parent = bisect_right(cum, cum[j] + gen.random() * mass[j], j + 1, r) - 1
+        events.append(
+            MergerEvent(
+                time=(xs[r] - xs[j]) / mass[j],
+                left=ComponentBlock(lo=j, hi=r - 1, mass=mass[j]),
+                right=ComponentBlock(lo=r, hi=e - 1, mass=mass[r]),
+                edge=(perm[child], perm[parent]),
+            )
+        )
         mass[j] += mass[r]
-        is_root[r] = False
-        nxt = end[j] + 1
-        if nxt < n:
-            t2 = (xs[nxt] - xs[j]) / mass[j]
-            if t2 <= q_max:
-                heapq.heappush(heap, (t2, j, nxt))
+        nxt[j] = e
+        prev[e] = j
 
     return Trajectory(config=config, clocks=clocks, q_max=q_max, events=tuple(events))
 

@@ -56,7 +56,7 @@ class LimitParams:
         if any(cj < 0 or not math.isfinite(cj) for cj in self.c):
             raise ValueError("c entries must be finite and nonnegative")
         for prev, cur in zip(self.c, self.c[1:]):
-            if cur > prev + 1e-12:
+            if cur > prev * (1.0 + 1e-12):
                 raise ValueError("c must be nonincreasing")
 
     @property

@@ -19,6 +19,7 @@ gives a total order, and replay builds a merger trajectory realizing it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import ClockAssignment, RngStream, WeightedConfig
@@ -127,9 +128,14 @@ def build_mosaic(trajectory: Trajectory, q: float) -> list[OrnamentedExcursion]:
     def mass_between(j: int, m: int) -> float:
         return cm[m] - (cm[j - 1] if j else 0.0)
 
-    events = [ev for ev in trajectory.events if ev.time <= q]
+    blocks = trajectory.blocks_at(q)
+    starts = [b.lo for b in blocks]
+    mergers: list[list[MergerEvent]] = [[] for _ in blocks]
+    for ev in trajectory.events:
+        if ev.time <= q:
+            mergers[bisect_right(starts, ev.left.lo) - 1].append(ev)
     out = []
-    for block in trajectory.blocks_at(q):
+    for block, block_mergers in zip(blocks, mergers):
         lo, hi = block.lo, block.hi
         baselines = []
         for j in range(lo, hi + 1):
@@ -155,9 +161,7 @@ def build_mosaic(trajectory: Trajectory, q: float) -> list[OrnamentedExcursion]:
                 masses=tuple(sizes[lo : hi + 1]),
                 positions=tuple(pos[lo : hi + 1]),
                 baselines=tuple(baselines),
-                mergers=tuple(
-                    ev for ev in events if lo <= ev.left.lo and ev.right.hi <= hi
-                ),
+                mergers=tuple(block_mergers),
             )
         )
     return out
@@ -389,9 +393,8 @@ class Parallelogram:
     """One absorption's contribution to a rank's slice.
 
     Geometrically: the diagonal band of the source rank cut at the absorbed
-    root's baseline level, of the stated height.  top_owner is found by
-    matching top_level against actual baseline levels, so the identity
-    "top boundary = baseline of the absorbed block's root" stays testable.
+    root's baseline level, of the stated height.  top_owner is that root;
+    slice_decomposition checks that top_level lies on its baseline.
     """
 
     source_rank: int
@@ -438,13 +441,12 @@ def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
     cm = path.cummass
     n = len(path)
 
-    blocks = trajectory.blocks_at(q)
-    root_of = {}
-    block_ranks = {}
-    for b in blocks:
+    root_of = [0] * n
+    block_mass = [0.0] * n
+    for b in trajectory.blocks_at(q):
         for r in b.ranks():
             root_of[r] = b.lo
-            block_ranks[r] = (b.lo, b.hi, b.mass)
+            block_mass[r] = b.mass
     # floor-relative baseline level of each rank
     level = []
     for j in range(n):
@@ -461,13 +463,10 @@ def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
         if ev.time > q:
             continue
         height = ev.left.mass * (1.0 - ev.time / q)
+        owner = ev.right.lo
         for l in ev.right.ranks():
             top = running_top[l]
-            lo, hi, mass = block_ranks[l]
-            owner = min(
-                range(lo, hi + 1), key=lambda r: abs(level[r] - top)
-            )
-            if abs(level[owner] - top) > 1e-9 * mass:
+            if abs(level[owner] - top) > 1e-9 * block_mass[owner]:
                 raise AssertionError(
                     f"no baseline at slice top level {top} for rank {l}"
                 )

@@ -1,7 +1,10 @@
 """Command line interface end to end through main()."""
 
+import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 from mcmosaic.cli import main
@@ -171,6 +174,26 @@ def test_unreadable_config_is_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["simulate", "--q-max", "1", "--out"], 5),
+        (["simulate", "--q-max", "1", "--out"], {"masses": "123"}),
+        (["simulate", "--q-max", "1", "--out"], {"masses": {"1": 2.0}}),
+        (["forest", "--q", "1", "--out"], {"masses": [True, 1.0]}),
+        (["limit", "--reps", "2", "--out"], 5),
+        (["limit", "--reps", "2", "--out"], {"limit": 5}),
+    ],
+)
+def test_malformed_config_is_usage_error(argv, payload, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(argv + [str(out), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
 
@@ -192,3 +215,56 @@ def test_bad_variant_rejected(config_file, tmp_path):
         ]
     )
     assert rc == 2
+
+
+_PINNED_SHA256 = {
+    "simulate": (
+        "755d16316a6edb6828e585e69ad874de"
+        "f7702b7c7d042d0e3b8b34ef894cf36d"
+    ),
+    "surplus": (
+        "f9da439dc183e830fbb2a9f2d973f507"
+        "f6ca55aae40721ed6a102680f3ee915d"
+    ),
+    "surplus-multigraph": (
+        "bf7f888814d95ac171ddf01ec8b39630"
+        "85c40a52a6df37ada65709b9523d7a98"
+    ),
+    "surplus-static": (
+        "5118742a6f1a0bc1a383284c3308f210"
+        "1adc3324fec83a0ef7289343fd5f8197"
+    ),
+    "mosaic-shade": (
+        "146bd26e28d97146159e6007feab2e8f"
+        "a228c23309f91dabc8473f5b4981fb59"
+    ),
+}
+
+
+def test_seeded_outputs_are_pinned(tmp_path):
+    """Seeded output bytes stay fixed across refactors.
+
+    200 masses from ``np.random.default_rng(3).uniform(0.5, 2, 200)``;
+    ``simulate`` runs to full coalescence, the others at q = 2 / sigma2.
+    The digests were recorded with numpy 2.4.6; a deliberate change of the
+    draws updates them and says so in CHANGES.md.
+    """
+    masses = [float(m) for m in np.random.default_rng(3).uniform(0.5, 2.0, 200)]
+    q = 2.0 / math.fsum(m * m for m in masses)
+    cfg = tmp_path / "pinned.json"
+    cfg.write_text(
+        json.dumps({"masses": masses, "seed": 5, "q": q, "q_max": q, "reps": 2})
+    )
+    runs = {
+        "simulate": ["simulate", "--q-max", "1e6", "--reps", "3", "--out"],
+        "surplus": ["surplus", "--out"],
+        "surplus-multigraph": ["surplus", "--variant", "multigraph", "--out"],
+        "surplus-static": ["surplus", "--static", "--out"],
+        "mosaic-shade": ["mosaic", "--shade", "--svg"],
+    }
+    got = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + [str(out), "--config", str(cfg)]) == 0
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == _PINNED_SHA256

@@ -146,6 +146,20 @@ def test_load_config_requires_masses():
         load_config({"seed": 3})
 
 
+@pytest.mark.parametrize("masses", ["123", {"1": 2.0}, [True, 1.0], [1.0, False]])
+def test_load_config_rejects_masses_that_are_not_a_list_of_numbers(masses):
+    with pytest.raises(ValueError, match="'masses' must be a list of numbers"):
+        load_config({"masses": masses})
+
+
+@pytest.mark.parametrize("payload", ["5", "[1.0, 2.0]", '"masses"', "null"])
+def test_load_config_requires_an_object(payload, tmp_path):
+    p = tmp_path / "conf.json"
+    p.write_text(payload)
+    with pytest.raises(ValueError, match="config must be a JSON object"):
+        load_config(p)
+
+
 # -- union-find ---------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Merger engine: event times, block bookkeeping, and the append-only forest."""
 
+import heapq
 import math
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.dynamics import (
     ComponentBlock,
+    MergerEvent,
     MonotoneForest,
     build_monotone_forest,
-    merger_time,
     run_trajectory,
 )
 from mcmosaic.walk import breadth_first_forest, decompose, WalkPath
@@ -30,14 +31,6 @@ def test_block_helpers():
     b = ComponentBlock(lo=2, hi=4, mass=3.0)
     assert len(b) == 3
     assert list(b.ranks()) == [2, 3, 4]
-
-
-def test_merger_time_formula():
-    clocks = ClockAssignment.from_xi((0.2, 0.9, 0.5))
-    # sorted clocks: 0.2, 0.5, 0.9
-    left = ComponentBlock(lo=0, hi=1, mass=2.5)
-    assert merger_time(left, clocks) == pytest.approx((0.9 - 0.2) / 2.5)
-    assert merger_time(ComponentBlock(lo=0, hi=2, mass=1.0), clocks) is None
 
 
 def test_run_trajectory_validates_q():
@@ -96,15 +89,105 @@ def test_engine_matches_quadratic_reference():
             assert g[0] == pytest.approx(w[0], rel=1e-12)
 
 
+def heap_events(cfg, clocks, rng, q_max):
+    """The earlier heap engine, kept as the reference for the sweep.
+
+    Candidates are (time, left root, right root) triples; a popped candidate
+    is stale unless the left root still owns exactly the range ending just
+    before the right root and the right root is still a root.  Each merger
+    walks both blocks to draw its edge.
+    """
+    n = len(cfg)
+    gen = rng.named("merge-edges").generator()
+    perm = clocks.perm
+    xs = clocks.sorted_xi()
+    end = list(range(n))
+    mass = [cfg.masses[v] for v in perm]
+    is_root = [True] * n
+
+    def mass_biased_rank(block):
+        u = gen.random() * block.mass
+        acc = 0.0
+        for r in block.ranks():
+            acc += cfg.masses[perm[r]]
+            if u < acc:
+                return r
+        return block.hi
+
+    heap = []
+    for j in range(n - 1):
+        t = (xs[j + 1] - xs[j]) / mass[j]
+        if t <= q_max:
+            heapq.heappush(heap, (t, j, j + 1))
+    events = []
+    while heap:
+        t, j, r = heapq.heappop(heap)
+        if not (is_root[j] and is_root[r] and end[j] == r - 1):
+            continue
+        left = ComponentBlock(lo=j, hi=end[j], mass=mass[j])
+        right = ComponentBlock(lo=r, hi=end[r], mass=mass[r])
+        child = mass_biased_rank(right)
+        parent = mass_biased_rank(left)
+        events.append(MergerEvent(t, left, right, (perm[child], perm[parent])))
+        end[j] = end[r]
+        mass[j] += mass[r]
+        is_root[r] = False
+        if end[j] + 1 < n:
+            t2 = (xs[end[j] + 1] - xs[j]) / mass[j]
+            if t2 <= q_max:
+                heapq.heappush(heap, (t2, j, end[j] + 1))
+    return events
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=8),
+    st.floats(-12.0, 12.0),
+)
+def test_sweep_matches_heap_engine(exponents, equal, seed, ties, log_q):
+    """Masses log-uniform over 1e-6..1e6 (or all equal), n from 1, tied
+    clocks, q_max up to 1e12 / (smallest mass)**2 and at an event time: the
+    sweep logs exactly the heap engine's events and edges, and agrees with
+    the quadratic reference.
+
+    Ties copy one drawn clock onto another, so simultaneous mergers happen
+    at time 0.  Clocks with exact rational relations can also tie two
+    mergers at a positive time; both engines then order them by rounding,
+    not always alike, and such ties have probability zero.
+    """
+    masses = [10.0 ** exponents[0]] * len(exponents) if equal else [10.0**e for e in exponents]
+    cfg = WeightedConfig(tuple(masses))
+    xi = list(sample_clocks(cfg, RngStream(seed).named("clocks")).xi)
+    for a, b in ties:
+        xi[a % len(xi)] = xi[b % len(xi)]
+    clocks = ClockAssignment.from_xi(xi)
+    q_max = 10.0**log_q / min(masses) ** 2
+    want = heap_events(cfg, clocks, RngStream(seed), q_max)
+    assert list(run_trajectory(cfg, clocks, RngStream(seed), q_max).events) == want
+    ref = reference_events(cfg, clocks, q_max)
+    assert [(ev.left.lo, ev.right.lo) for ev in want] == [w[1:] for w in ref]
+    for ev, w in zip(want, ref):
+        assert ev.time == pytest.approx(w[0], rel=1e-12)
+    positive = [ev.time for ev in want if ev.time > 0.0]
+    if positive:
+        q_mid = positive[len(positive) // 2]
+        got = run_trajectory(cfg, clocks, RngStream(seed), q_mid).events
+        assert list(got) == heap_events(cfg, clocks, RngStream(seed), q_mid)
+
+
 def test_event_blocks_are_consistent():
     for seed in range(30):
         cfg, clocks = random_instance(seed)
         traj = run_trajectory(cfg, clocks, RngStream(seed), 1e9)
+        xs = clocks.sorted_xi()
         for ev in traj.events:
             assert ev.left.hi + 1 == ev.right.lo
-            # the logged time reproduces the closed-form absorption time
+            # the logged time is the absorption time of the right block's root
             assert ev.time == pytest.approx(
-                merger_time(ev.left, clocks), rel=1e-12
+                (xs[ev.right.lo] - xs[ev.left.lo]) / ev.left.mass, rel=1e-12
             )
             child, parent = ev.edge
             right_vs = {clocks.perm[r] for r in ev.right.ranks()}

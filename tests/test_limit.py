@@ -33,6 +33,13 @@ def test_params_validation():
     assert not p.approximate
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+def test_params_order_check_is_relative(scale):
+    LimitParams(kappa=1.0, c=(2.0 * scale, scale, scale, 0.0))
+    with pytest.raises(ValueError, match="nonincreasing"):
+        LimitParams(kappa=1.0, c=(2.0 * scale, scale, scale * (1.0 + 1e-6)))
+
+
 def test_kappa_zero_is_approximate_and_needs_horizon():
     p = LimitParams(kappa=0.0, c=(1.0,))
     assert p.approximate
