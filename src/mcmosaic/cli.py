@@ -38,12 +38,33 @@ def _load_config(args) -> tuple[core.WeightedConfig, dict]:
     return core.load_config(args.config)
 
 
-def _pick(args, settings: dict, flag: str, key: str, required: bool = True):
-    v = getattr(args, flag, None)
+def _pick(args, settings: dict, key: str, required: bool = True):
+    v = getattr(args, key, None)
     if v is None:
         v = settings.get(key)
     if v is None and required:
-        raise ValueError(f"missing --{flag.replace('_', '-')} (or config {key!r})")
+        raise ValueError(f"missing --{key.replace('_', '-')} (or config {key!r})")
+    return v
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _level(args, settings: dict, key: str) -> float:
+    """q or q_max: a finite number > 0 (bools are not numbers here)."""
+    v = _pick(args, settings, key)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v <= sys.float_info.max:
+        raise ValueError(f"{key} must be a finite number > 0, got {v!r}")
+    return float(v)
+
+
+def _reps(args, settings: dict) -> int:
+    v = _pick(args, settings, "reps", required=False)
+    if v is None:
+        return 1
+    if not _is_int(v) or v < 1:
+        raise ValueError(f"reps must be an integer >= 1, got {v!r}")
     return v
 
 
@@ -51,7 +72,9 @@ def _seed(args, settings: dict) -> int:
     v = getattr(args, "seed", None)
     if v is None:
         v = settings.get("seed", 0)
-    return int(v)
+    if not _is_int(v):
+        raise ValueError(f"seed must be an integer, got {v!r}")
+    return v
 
 
 # -- subcommands -------------------------------------------------------------
@@ -60,8 +83,8 @@ def _seed(args, settings: dict) -> int:
 def _cmd_simulate(args) -> int:
     config, settings = _load_config(args)
     seed = _seed(args, settings)
-    q_max = float(_pick(args, settings, "q_max", "q_max"))
-    reps = int(_pick(args, settings, "reps", "reps", required=False) or 1)
+    q_max = _level(args, settings, "q_max")
+    reps = _reps(args, settings)
     root = core.RngStream(seed)
     lines = ["rep,event,time,left_lo,left_hi,left_mass,right_lo,right_hi,right_mass,child,parent"]
     for rep in range(reps):
@@ -80,8 +103,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_forest(args) -> int:
     config, settings = _load_config(args)
     seed = _seed(args, settings)
-    q = float(_pick(args, settings, "q", "q"))
-    reps = int(_pick(args, settings, "reps", "reps", required=False) or 1)
+    q = _level(args, settings, "q")
+    reps = _reps(args, settings)
     root = core.RngStream(seed)
     lines = ["rep,vertex,parent,depth"]
     for rep in range(reps):
@@ -99,11 +122,11 @@ _KIND_ORDER = {"span": 0, "simple": 1, "multi": 1, "loop": 2}
 def _cmd_surplus(args) -> int:
     config, settings = _load_config(args)
     seed = _seed(args, settings)
-    reps = int(_pick(args, settings, "reps", "reps", required=False) or 1)
+    reps = _reps(args, settings)
     root = core.RngStream(seed)
 
     if args.static:
-        q = float(_pick(args, settings, "q", "q"))
+        q = _level(args, settings, "q")
 
         def work(rep: int):
             sub = root.indexed(rep)
@@ -115,8 +138,8 @@ def _cmd_surplus(args) -> int:
             return _graph_rows(rep, g)
 
     else:
-        q_max = float(_pick(args, settings, "q_max", "q_max"))
-        variant = _pick(args, settings, "variant", "variant", required=False) or "simple"
+        q_max = _level(args, settings, "q_max")
+        variant = _pick(args, settings, "variant", required=False) or "simple"
         if variant not in ("simple", "multigraph"):
             raise ValueError(f"unknown variant {variant!r}")
 
@@ -143,7 +166,7 @@ def _graph_rows(rep: int, g: surplus.LabeledGraph) -> list[tuple]:
 def _cmd_mosaic(args) -> int:
     config, settings = _load_config(args)
     seed = _seed(args, settings)
-    q = float(_pick(args, settings, "q", "q"))
+    q = _level(args, settings, "q")
     root = core.RngStream(seed)
     clocks = core.sample_clocks(config, root.named("clocks"))
     traj = dynamics.run_trajectory(config, clocks, root, q_max=q)
@@ -182,14 +205,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    settings: dict = {}
-    if args.config:
-        payload = core.read_config(args.config)
-        settings = payload.get("limit", {})
-        if not isinstance(settings, dict):
-            raise ValueError(f"config 'limit' must be a JSON object, got {settings!r}")
-        if "seed" in payload and args.seed is None:
-            args.seed = int(payload["seed"])
+    payload = core.read_config(args.config) if args.config else {}
+    settings = payload.get("limit", {})
+    if not isinstance(settings, dict):
+        raise ValueError(f"config 'limit' must be a JSON object, got {settings!r}")
 
     def opt(flag, key, default=None):
         v = getattr(args, flag, None)
@@ -209,7 +228,7 @@ def _cmd_limit(args) -> int:
     horizon = opt("horizon", "horizon")
     horizon = float(horizon) if horizon is not None else None
     reps = int(args.reps)
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args, payload)
 
     params = limit_mod.LimitParams(kappa=kappa, tau=tau, t=t, c=c)
     root = core.RngStream(seed)

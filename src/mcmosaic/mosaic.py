@@ -137,11 +137,17 @@ def build_mosaic(trajectory: Trajectory, q: float) -> list[OrnamentedExcursion]:
     out = []
     for block, block_mergers in zip(blocks, mergers):
         lo, hi = block.lo, block.hi
+        # reach sets are laminar (R3), so the open baselines form a stack:
+        # rank i ends the reach of every baseline its pre-jump trough undershoots
+        reach = [hi] * (hi - lo + 1)
+        stack = [lo]
+        for i in range(lo + 1, hi + 1):
+            while stack and pos[i] - pos[stack[-1]] > mass_between(stack[-1], i - 1):
+                reach[stack.pop() - lo] = i - 1
+            stack.append(i)
         baselines = []
         for j in range(lo, hi + 1):
-            m = j
-            while m < hi and pos[m + 1] - pos[j] <= mass_between(j, m):
-                m += 1
+            m = reach[j - lo]
             baselines.append(
                 Baseline(
                     owner_rank=j,

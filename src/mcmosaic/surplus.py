@@ -9,20 +9,24 @@ Dynamic: every merger activates one Poisson arrival process per vertex of the
 absorbed block, pointed at the absorbing block; arrivals pick a mass-biased
 target and create a surplus edge.  The simple variant drops duplicates and
 loops; the multigraph variant keeps everything and adds per-vertex loop
-processes running from time 0 at rate mass**2 / 2.
+processes running from time 0 at rate mass**2 / 2.  One process table
+(``_process_table``) lists the processes, and the dynamic graph draws from it
+in bulk: one Poisson draw for the total arrival count, then one uniform call
+each for the arrivals' processes, times and targets.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Literal
 
 import numpy as np
 
 from .core import RngStream, groups, union
 from .dynamics import Trajectory
-from .walk import ExcursionDecomposition, Forest, WalkPath
+from .walk import Excursion, ExcursionDecomposition, Forest, WalkPath
 
 __all__ = [
     "InfluenceRegion",
@@ -69,29 +73,36 @@ def influence_region(
     next one.
     """
     exc = decomposition.excursion_of_rank(h)
-    root = exc.rank_lo
-    if h == root:
+    if h == exc.rank_lo:
         return InfluenceRegion(target_rank=h, candidates=())
-    times = path.jump_times
-    cm = path.cummass
-    window_end = times[root] + (cm[h - 1] - (cm[root - 1] if root else 0.0))
-
-    target_v = path.perm[h]
-    depth_h = forest.depth[target_v]
-    out = []
-    l = h + 1
-    while l <= exc.rank_hi and times[l] <= window_end:
-        v = path.perm[l]
-        d = forest.depth[v]
-        if d == depth_h:
-            case = "same_generation"
-        elif d == depth_h + 1:
-            case = "next_generation"
-        else:  # breadth-first listing admits no other depth in the window
-            raise AssertionError(f"unexpected generation gap at rank {l}")
-        out.append((l, case))
-        l += 1
+    perm, depth = path.perm, forest.depth
+    depth_h = depth[perm[h]]
+    out = [
+        (l, _generation(depth[perm[l]] - depth_h, l))
+        for l in range(h + 1, _region_end(path, exc, h))
+    ]
     return InfluenceRegion(target_rank=h, candidates=tuple(out))
+
+
+def _window_end(path: WalkPath, exc: Excursion, h: int) -> float:
+    """End of the listening window that non-root rank h fell into."""
+    cm = path.cummass
+    root = exc.rank_lo
+    return path.jump_times[root] + (cm[h - 1] - (cm[root - 1] if root else 0.0))
+
+
+def _region_end(path: WalkPath, exc: Excursion, h: int) -> int:
+    """One past the last candidate of rank h: the jump times are sorted."""
+    return bisect_right(path.jump_times, _window_end(path, exc, h), h + 1, exc.rank_hi + 1)
+
+
+def _generation(gap: int, l: int) -> str:
+    if gap == 0:
+        return "same_generation"
+    if gap == 1:
+        return "next_generation"
+    # breadth-first listing admits no other depth in the window
+    raise AssertionError(f"unexpected generation gap at rank {l}")
 
 
 @dataclass(frozen=True)
@@ -151,24 +162,28 @@ def static_surplus(
     """
     q = path.q
     gen = rng.named("static-surplus").generator()
-    n = len(path)
+    sizes, perm, depth = path.jump_sizes, path.perm, forest.depth
     spanning = tuple(
         GraphEdge(source=v, target=p, time=q, kind="span") for v, p in forest.edges()
     )
-    extra = []
+    pairs: list[tuple[int, int]] = []  # (candidate rank, target rank)
+    probs: list[float] = []
     for exc in decomposition.excursions:
         for h in range(exc.rank_lo + 1, exc.rank_hi + 1):
-            region = influence_region(path, decomposition, forest, h)
-            m_h = path.jump_sizes[h]
-            for l, _case in region.candidates:
-                p_edge = -math.expm1(-q * m_h * path.jump_sizes[l])
-                if gen.random() < p_edge:
-                    extra.append(
-                        GraphEdge(
-                            source=path.perm[l], target=path.perm[h], time=q, kind="simple"
-                        )
-                    )
-    return LabeledGraph(n=n, spanning=spanning, surplus=tuple(extra))
+            m_h = sizes[h]
+            depth_h = depth[perm[h]]
+            for l in range(h + 1, _region_end(path, exc, h)):
+                _generation(depth[perm[l]] - depth_h, l)  # raises on a generation gap
+                pairs.append((l, h))
+                probs.append(-math.expm1(-q * m_h * sizes[l]))
+    # one draw per candidate, in candidate order: the same stream as scalar draws
+    coins = gen.random(len(probs)).tolist()
+    extra = tuple(
+        GraphEdge(source=perm[l], target=perm[h], time=q, kind="simple")
+        for (l, h), p_edge, u in zip(pairs, probs, coins)
+        if u < p_edge
+    )
+    return LabeledGraph(n=len(path), spanning=spanning, surplus=extra)
 
 
 def total_intensity(path: WalkPath, decomposition: ExcursionDecomposition, h: int) -> float:
@@ -179,12 +194,9 @@ def total_intensity(path: WalkPath, decomposition: ExcursionDecomposition, h: in
     counts the target's jump plus every candidate jump and nothing else.
     """
     exc = decomposition.excursion_of_rank(h)
-    root = exc.rank_lo
-    if h == root:
+    if h == exc.rank_lo:
         return 0.0
-    cm = path.cummass
-    window_end = path.jump_times[root] + (cm[h - 1] - (cm[root - 1] if root else 0.0))
-    return path.q * (path.eval_B(window_end) - path.jump_sizes[h])
+    return path.q * (path.eval_B(_window_end(path, exc, h)) - path.jump_sizes[h])
 
 
 @dataclass(frozen=True)
@@ -204,6 +216,37 @@ class ZetaProcess:
     target_mass: float
 
 
+def _process_table(
+    trajectory: Trajectory, q_max: float, include_loops: bool
+) -> tuple[list[int], list[int], list[int], list[float], list[float], list[float]]:
+    """Every arrival process activated by time q_max, as parallel lists.
+
+    Returns (l, j, k, activation, rate, target_mass) in activation order:
+    the loop processes first (if included) in rank order, then each merger's
+    processes, right-block ranks ascending.
+    """
+    perm = trajectory.clocks.perm
+    masses = trajectory.config.masses
+    sizes = [masses[v] for v in perm]
+    loops = len(sizes) if include_loops else 0
+    ls, js, ks = list(range(loops)), list(range(loops)), list(range(loops))
+    acts = [0.0] * loops
+    rates = [m * m / 2.0 for m in sizes[:loops]]
+    tmass = sizes[:loops]
+    for ev in trajectory.events:
+        if ev.time > q_max:
+            break
+        right = ev.right.ranks()
+        xi_left, w = ev.left.mass, len(right)
+        ls.extend(right)
+        js.extend([ev.left.lo] * w)
+        ks.extend([ev.left.hi] * w)
+        acts.extend([ev.time] * w)
+        rates.extend([sizes[l] * xi_left for l in right])
+        tmass.extend([xi_left] * w)
+    return ls, js, ks, acts, rates, tmass
+
+
 def activated_processes(
     trajectory: Trajectory, q_max: float, include_loops: bool
 ) -> tuple[ZetaProcess, ...]:
@@ -213,32 +256,7 @@ def activated_processes(
     process per right-block vertex l, at rate mass(l) * mass(j..k).  Loop
     processes (multigraph only) exist from time 0 at rate mass(l)**2 / 2.
     """
-    perm = trajectory.clocks.perm
-    masses = trajectory.config.masses
-    out: list[ZetaProcess] = []
-    if include_loops:
-        for rank in range(len(trajectory.config)):
-            m = masses[perm[rank]]
-            out.append(
-                ZetaProcess(l=rank, j=rank, k=rank, activation=0.0, rate=m * m / 2.0, target_mass=m)
-            )
-    for ev in trajectory.events:
-        if ev.time > q_max:
-            break
-        xi_left = ev.left.mass
-        for l in ev.right.ranks():
-            m_l = masses[perm[l]]
-            out.append(
-                ZetaProcess(
-                    l=l,
-                    j=ev.left.lo,
-                    k=ev.left.hi,
-                    activation=ev.time,
-                    rate=m_l * xi_left,
-                    target_mass=xi_left,
-                )
-            )
-    return tuple(out)
+    return tuple(map(ZetaProcess, *_process_table(trajectory, q_max, include_loops)))
 
 
 def dynamic_surplus(
@@ -249,9 +267,17 @@ def dynamic_surplus(
 ) -> LabeledGraph:
     """Surplus edges from the activated arrival processes up to q_max.
 
-    Arrivals across all processes are merged chronologically with the
-    spanning-edge log so that the simple variant's duplicate check sees
-    exactly the edges present at each arrival time.
+    Independent Poisson processes are one Poisson process of the summed
+    intensity whose arrivals pick their process in proportion to its
+    intensity, so the ``"dynamic-surplus-<variant>"`` stream draws, in this
+    order: the total arrival count (one Poisson draw), then one uniform per
+    arrival for its process (bisection on the cumulative intensities), one
+    per arrival for its time (uniform on [activation, q_max]) and one per
+    arrival for its target, each set in one call.  A target is one bisection
+    on the rank-order prefix masses inside the absorbing block, as in the
+    engine's edge draw.  Arrivals across all processes are merged
+    chronologically with the spanning-edge log so that the simple variant's
+    duplicate check sees exactly the edges present at each arrival time.
     """
     if variant not in ("simple", "multigraph"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -260,26 +286,26 @@ def dynamic_surplus(
     gen = rng.named(f"dynamic-surplus-{variant}").generator()
     perm = trajectory.clocks.perm
     masses = trajectory.config.masses
-    procs = activated_processes(trajectory, q_max, include_loops=(variant == "multigraph"))
+    ls, js, ks, acts, rates, tmass = _process_table(
+        trajectory, q_max, include_loops=(variant == "multigraph")
+    )
+    spans = [q_max - a for a in acts]
+    # process i owns [cum_lam[i], cum_lam[i + 1]) of the summed intensity
+    cum_lam = list(accumulate((r * s for r, s in zip(rates, spans)), initial=0.0))
+    total = int(gen.poisson(cum_lam[-1]))
 
     arrivals: list[tuple[float, int, int]] = []  # (time, source rank, target rank)
-    for z in procs:
-        lam = z.rate * (q_max - z.activation)
-        if lam <= 0.0:
-            continue
-        count = gen.poisson(lam)
-        if count == 0:
-            continue
-        times = z.activation + (q_max - z.activation) * gen.random(count)
-        if z.j == z.k:
-            targets = np.full(count, z.j)
-        else:
-            block = [masses[perm[r]] for r in range(z.j, z.k + 1)]
-            probs = np.asarray(block) / z.target_mass
-            targets = z.j + gen.choice(len(block), size=count, p=probs)
-        for t, tgt in zip(times, targets):
-            arrivals.append((float(t), z.l, int(tgt)))
-    arrivals.sort()
+    if total:
+        which = gen.random(total).tolist()
+        times = gen.random(total).tolist()
+        picks = gen.random(total).tolist()
+        cum = list(accumulate((masses[v] for v in perm), initial=0.0))
+        for u, t, p in zip(which, times, picks):
+            i = bisect_right(cum_lam, u * cum_lam[-1], 1, len(acts)) - 1
+            j = js[i]
+            tgt = bisect_right(cum, cum[j] + p * tmass[i], j + 1, ks[i] + 1) - 1
+            arrivals.append((acts[i] + spans[i] * t, ls[i], tgt))
+        arrivals.sort()
 
     span_log = [(ev.time, ev.edge[0], ev.edge[1]) for ev in trajectory.events if ev.time <= q_max]
     spanning = tuple(
@@ -322,17 +348,14 @@ class SurplusCountSampler:
     def __init__(self, trajectory: Trajectory, q_max: float):
         self.trajectory = trajectory
         self.q_max = q_max
-        procs = activated_processes(trajectory, q_max, include_loops=True)
+        ls, _, _, acts, rates, _ = _process_table(trajectory, q_max, include_loops=True)
         blocks = trajectory.blocks_at(q_max)
-        owner = {}
-        for ci, b in enumerate(blocks):
-            for r in b.ranks():
-                owner[r] = ci
         self.components = [
             frozenset(trajectory.clocks.perm[r] for r in b.ranks()) for b in blocks
         ]
-        self.lam = np.asarray([z.rate * (q_max - z.activation) for z in procs])
-        self.group = np.asarray([owner[z.l] for z in procs], dtype=int)
+        self.lam = np.asarray(rates) * (q_max - np.asarray(acts))
+        starts = np.asarray([b.lo for b in blocks])
+        self.group = np.searchsorted(starts, ls, side="right") - 1
         self.n_components = len(blocks)
 
     def expected_by_component(self) -> np.ndarray:

@@ -127,11 +127,16 @@ class ExcursionDecomposition:
     def carried_masses(self) -> tuple[float, ...]:
         return tuple(e.mass for e in self.excursions)
 
+    @cached_property
+    def _rank_starts(self) -> list[int]:
+        """First rank of each excursion, ascending."""
+        return [e.rank_lo for e in self.excursions]
+
     def excursion_of_rank(self, rank: int) -> Excursion:
-        for e in self.excursions:
-            if e.rank_lo <= rank <= e.rank_hi:
-                return e
-        raise ValueError(f"rank {rank} outside walk")
+        i = bisect.bisect_right(self._rank_starts, rank) - 1
+        if i < 0 or rank > self.excursions[i].rank_hi:
+            raise ValueError(f"rank {rank} outside walk")
+        return self.excursions[i]
 
 
 def decompose(path: WalkPath) -> ExcursionDecomposition:

@@ -194,6 +194,48 @@ def test_malformed_config_is_usage_error(argv, payload, tmp_path, capsys):
     assert not out.exists()
 
 
+_SCALARS = {"masses": [1.0, 1.5, 0.75], "seed": 1, "q": 1, "q_max": 2, "reps": 2}
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["simulate", "--out"], {"seed": 1.7, "q_max": True, "reps": "2"}),
+        (["simulate", "--out"], {"seed": True}),
+        (["simulate", "--out"], {"seed": "3"}),
+        (["simulate", "--out"], {"q_max": "1"}),
+        (["simulate", "--out"], {"q_max": float("nan")}),
+        (["simulate", "--out"], {"reps": 0}),
+        (["simulate", "--out"], {"reps": 1.5}),
+        (["forest", "--out"], {"q": True}),
+        (["forest", "--out"], {"reps": False}),
+        (["surplus", "--static", "--out"], {"q": [1.0]}),
+        (["surplus", "--out"], {"q_max": float("inf")}),
+        (["mosaic", "--svg"], {"q": "0.5"}),
+        (["mosaic", "--svg"], {"q": 10**400}),
+        (["limit", "--reps", "2", "--out"], {"seed": 2.5}),
+    ],
+)
+def test_config_scalars_are_type_checked(argv, bad, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_SCALARS, **bad}))
+    out = tmp_path / "out"
+    assert main(argv + [str(out), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--out"], ["forest", "--out"], ["surplus", "--static", "--out"],
+     ["mosaic", "--svg"], ["limit", "--reps", "2", "--out"]],
+)
+def test_config_scalars_accept_plain_ints(argv, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_SCALARS))
+    assert main(argv + [str(tmp_path / "out"), "--config", str(cfg)]) == 0
+
+
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
 
@@ -222,13 +264,17 @@ _PINNED_SHA256 = {
         "755d16316a6edb6828e585e69ad874de"
         "f7702b7c7d042d0e3b8b34ef894cf36d"
     ),
+    "forest": (
+        "3d06966b013748b2026a7c1bf160bd19"
+        "36caf39334d8cf16f897c17835c72763"
+    ),
     "surplus": (
-        "f9da439dc183e830fbb2a9f2d973f507"
-        "f6ca55aae40721ed6a102680f3ee915d"
+        "6aeb9e7410e8ebff752b48f9845361f3"
+        "180a27b783016592f51d4dfd695d4ff5"
     ),
     "surplus-multigraph": (
-        "bf7f888814d95ac171ddf01ec8b39630"
-        "85c40a52a6df37ada65709b9523d7a98"
+        "df327dd174ff8d4a446a4e865d66a4fb"
+        "dfff56d3b789a9899ef188a948dafb08"
     ),
     "surplus-static": (
         "5118742a6f1a0bc1a383284c3308f210"
@@ -238,6 +284,10 @@ _PINNED_SHA256 = {
         "146bd26e28d97146159e6007feab2e8f"
         "a228c23309f91dabc8473f5b4981fb59"
     ),
+    "limit": (
+        "6a5a68adf7f923af6164ed18d92eb478"
+        "c039c2c98be1625b5149b4edfea6758e"
+    ),
 }
 
 
@@ -245,9 +295,13 @@ def test_seeded_outputs_are_pinned(tmp_path):
     """Seeded output bytes stay fixed across refactors.
 
     200 masses from ``np.random.default_rng(3).uniform(0.5, 2, 200)``;
-    ``simulate`` runs to full coalescence, the others at q = 2 / sigma2.
+    ``simulate`` runs to full coalescence, ``limit`` takes 20 paths at
+    h = 0.005 with the config's seed, the others run at q = 2 / sigma2.
     The digests were recorded with numpy 2.4.6; a deliberate change of the
-    draws updates them and says so in CHANGES.md.
+    draws updates them and says so in CHANGES.md.  ``surplus`` and
+    ``surplus-multigraph`` were re-recorded when the dynamic surplus began
+    to draw in bulk (one Poisson total, then every arrival's process, time
+    and target, each set in one call); the other digests did not change.
     """
     masses = [float(m) for m in np.random.default_rng(3).uniform(0.5, 2.0, 200)]
     q = 2.0 / math.fsum(m * m for m in masses)
@@ -257,10 +311,12 @@ def test_seeded_outputs_are_pinned(tmp_path):
     )
     runs = {
         "simulate": ["simulate", "--q-max", "1e6", "--reps", "3", "--out"],
+        "forest": ["forest", "--out"],
         "surplus": ["surplus", "--out"],
         "surplus-multigraph": ["surplus", "--variant", "multigraph", "--out"],
         "surplus-static": ["surplus", "--static", "--out"],
         "mosaic-shade": ["mosaic", "--shade", "--svg"],
+        "limit": ["limit", "--reps", "20", "--h", "0.005", "--out"],
     }
     got = {}
     for name, argv in runs.items():

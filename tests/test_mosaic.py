@@ -4,8 +4,10 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcmosaic.core import RngStream, WeightedConfig, sample_clocks
+from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.dynamics import run_trajectory
 from mcmosaic.mosaic import (
     OrnamentedExcursion,
@@ -400,3 +402,52 @@ def test_slice_top_moved_by_a_millionth_of_the_block_raises(scale):
             slice_decomposition(bad, q)
         return
     pytest.fail("no rank absorbed twice")
+
+
+# -- reach ends against the per-baseline walk ---------------------------------
+
+
+def reference_reach_ends(path, lo, hi):
+    """Last rank each baseline of block lo..hi reaches, one walk per baseline."""
+    pos, cm = path.jump_times, path.cummass
+
+    def mass_between(j, m):
+        return cm[m] - (cm[j - 1] if j else 0.0)
+
+    ends = []
+    for j in range(lo, hi + 1):
+        m = j
+        while m < hi and pos[m + 1] - pos[j] <= mass_between(j, m):
+            m += 1
+        ends.append(m)
+    return ends
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=6),
+    st.floats(-3.0, 12.0),
+    st.floats(0.0, 1.0),
+)
+def test_reach_stack_matches_per_baseline_walk(exponents, equal, seed, ties, log_q, fraction):
+    """Masses log-uniform over 1e-6..1e6 (or all equal), n from 1, tied
+    clocks, q from 1e-3 to 1e12 over sigma2 or at a positive event time: every
+    baseline's reach ends where the per-baseline walk ends it."""
+    masses = [10.0 ** exponents[0]] * len(exponents) if equal else [10.0**e for e in exponents]
+    cfg = WeightedConfig(tuple(masses))
+    xi = list(sample_clocks(cfg, RngStream(seed).named("clocks")).xi)
+    for a, b in ties:
+        xi[a % len(xi)] = xi[b % len(xi)]
+    clocks = ClockAssignment.from_xi(xi)
+    q = 10.0**log_q / math.fsum(m * m for m in masses)
+    traj = run_trajectory(cfg, clocks, RngStream(seed), q)
+    positive = [ev.time for ev in traj.events if ev.time > 0.0]  # ties merge at 0
+    if fraction > 0.5 and positive:
+        q = positive[int((fraction - 0.5) * 2 * (len(positive) - 1))]
+    path = WalkPath.from_clocks(cfg, clocks, q)
+    for exc in build_mosaic(traj, q):
+        got = [b.covers[-1] if b.covers else b.owner_rank for b in exc.baselines]
+        assert got == reference_reach_ends(path, exc.rank_lo, exc.rank_hi)

@@ -5,13 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcmosaic.core import RngStream, WeightedConfig, sample_clocks
+from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.dynamics import run_trajectory
 from mcmosaic.oracle import gillespie_graph
-from mcmosaic.stats import chi_square, chi_square_homogeneity
+from mcmosaic.stats import chi_square, chi_square_homogeneity, ks_test, poisson_mean_test
 from mcmosaic.surplus import (
+    GraphEdge,
     SurplusCountSampler,
+    ZetaProcess,
     activated_processes,
     dynamic_surplus,
     influence_region,
@@ -88,6 +92,22 @@ def test_region_generation_cases():
                     else:
                         assert case == "next_generation"
                         assert d_l == d_h + 1
+
+
+def test_region_includes_a_candidate_at_the_window_end():
+    """Windows are half-open (a, b]: a jump exactly at the end of rank 1's
+    window is its candidate, in the bisection as in the linear scan."""
+    cfg = WeightedConfig((1.0, 1.0, 1.0))
+    clocks = ClockAssignment.from_xi((1.0, 1.5, 2.0))
+    path = WalkPath.from_clocks(cfg, clocks, 1.0)
+    dec = decompose(path)
+    forest, _ = breadth_first_forest(cfg, clocks, 1.0)
+    region = influence_region(path, dec, forest, 1)
+    assert region.candidates == ((2, "same_generation"),)
+    assert region.candidates == reference_candidates(path, dec, forest, 1)
+    for seed in range(20):
+        got = static_surplus(path, dec, forest, RngStream(seed)).surplus
+        assert got == reference_static_surplus(path, dec, forest, RngStream(seed))
 
 
 def test_total_intensity_identity():
@@ -350,3 +370,183 @@ def test_counts_independent_across_components():
                     continue
                 r = float(np.corrcoef(ca, cb)[0, 1])
                 assert abs(r) < 5.0 / math.sqrt(reps)
+
+
+# -- bulk draws against the per-candidate and per-process loops ---------------
+# The references below are the loops the bulk code replaced: a linear window
+# scan with one scalar draw per candidate, and one ZetaProcess per event and
+# right-block rank.  Where the stream is kept the results must be identical.
+
+
+def reference_candidates(path, dec, forest, h):
+    exc = next(e for e in dec.excursions if e.rank_lo <= h <= e.rank_hi)
+    root = exc.rank_lo
+    if h == root:
+        return ()
+    times, cm = path.jump_times, path.cummass
+    window_end = times[root] + (cm[h - 1] - (cm[root - 1] if root else 0.0))
+    depth_h = forest.depth[path.perm[h]]
+    out = []
+    l = h + 1
+    while l <= exc.rank_hi and times[l] <= window_end:
+        d = forest.depth[path.perm[l]]
+        if d == depth_h:
+            out.append((l, "same_generation"))
+        elif d == depth_h + 1:
+            out.append((l, "next_generation"))
+        else:
+            raise AssertionError(f"unexpected generation gap at rank {l}")
+        l += 1
+    return tuple(out)
+
+
+def reference_static_surplus(path, dec, forest, rng):
+    q = path.q
+    gen = rng.named("static-surplus").generator()
+    extra = []
+    for exc in dec.excursions:
+        for h in range(exc.rank_lo + 1, exc.rank_hi + 1):
+            m_h = path.jump_sizes[h]
+            for l, _case in reference_candidates(path, dec, forest, h):
+                p_edge = -math.expm1(-q * m_h * path.jump_sizes[l])
+                if gen.random() < p_edge:
+                    extra.append(
+                        GraphEdge(source=path.perm[l], target=path.perm[h], time=q, kind="simple")
+                    )
+    return tuple(extra)
+
+
+def reference_processes(traj, q_max, include_loops):
+    perm, masses = traj.clocks.perm, traj.config.masses
+    out = []
+    if include_loops:
+        for rank in range(len(traj.config)):
+            m = masses[perm[rank]]
+            out.append(ZetaProcess(rank, rank, rank, 0.0, m * m / 2.0, m))
+    for ev in traj.events:
+        if ev.time > q_max:
+            break
+        for l in ev.right.ranks():
+            out.append(
+                ZetaProcess(
+                    l, ev.left.lo, ev.left.hi, ev.time,
+                    masses[perm[l]] * ev.left.mass, ev.left.mass,
+                )
+            )
+    return tuple(out)
+
+
+def reference_sampler_arrays(traj, q_max):
+    procs = reference_processes(traj, q_max, include_loops=True)
+    owner = {r: ci for ci, b in enumerate(traj.blocks_at(q_max)) for r in b.ranks()}
+    lam = np.asarray([z.rate * (q_max - z.activation) for z in procs])
+    group = np.asarray([owner[z.l] for z in procs], dtype=int)
+    return lam, group
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AssertionError as e:
+        return ("AssertionError", str(e))
+
+
+def domain_instance(exponents, equal, seed, ties):
+    """Masses log-uniform over the exponents' range (or all equal), n from 1,
+    and ties made by copying one drawn clock onto another."""
+    masses = [10.0 ** exponents[0]] * len(exponents) if equal else [10.0**e for e in exponents]
+    cfg = WeightedConfig(tuple(masses))
+    xi = list(sample_clocks(cfg, RngStream(seed).named("clocks")).xi)
+    for a, b in ties:
+        xi[a % len(xi)] = xi[b % len(xi)]
+    return cfg, ClockAssignment.from_xi(xi)
+
+
+_DOMAIN = (
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=6),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(*_DOMAIN, st.floats(-3.0, 12.0))
+def test_static_surplus_matches_per_candidate_loop(exponents, equal, seed, ties, log_q):
+    """q from 1e-3 to 1e12 over sigma2: regions, excursion lookup and the
+    static graph equal the per-candidate loop's, draw for draw."""
+    cfg, clocks = domain_instance(exponents, equal, seed, ties)
+    q = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
+    path = WalkPath.from_clocks(cfg, clocks, q)
+    dec = decompose(path)
+    forest, _ = breadth_first_forest(cfg, clocks, q)
+    for h in range(len(path)):
+        want = next(e for e in dec.excursions if e.rank_lo <= h <= e.rank_hi)
+        assert dec.excursion_of_rank(h) is want
+        region = _outcome(lambda: influence_region(path, dec, forest, h).candidates)
+        assert region == _outcome(reference_candidates, path, dec, forest, h)
+    with pytest.raises(ValueError):
+        dec.excursion_of_rank(len(path))
+    got = _outcome(lambda: static_surplus(path, dec, forest, RngStream(seed)).surplus)
+    assert got == _outcome(reference_static_surplus, path, dec, forest, RngStream(seed))
+
+
+@settings(deadline=None, max_examples=150)
+@given(*_DOMAIN, st.floats(-3.0, 12.0), st.floats(0.0, 1.0), st.booleans())
+def test_process_table_matches_per_event_loop(
+    exponents, equal, seed, ties, log_q, fraction, at_event
+):
+    """The process list and the sampler's lam/group arrays equal the
+    per-event loop's exactly, at random levels and at event times."""
+    cfg, clocks = domain_instance(exponents, equal, seed, ties)
+    q_max = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
+    traj = run_trajectory(cfg, clocks, RngStream(seed), q_max)
+    q = q_max * fraction if fraction > 0.0 else q_max
+    if at_event and traj.events:
+        q = traj.events[int(fraction * (len(traj.events) - 1))].time
+    for loops in (False, True):
+        assert activated_processes(traj, q, loops) == reference_processes(traj, q, loops)
+    sampler = SurplusCountSampler(traj, q)
+    lam, group = reference_sampler_arrays(traj, q)
+    assert np.array_equal(sampler.lam, lam)
+    assert np.array_equal(sampler.group, group)
+
+
+def _law_trajectory():
+    """Ranks 1 and 2 join rank 0 early; rank 3 is absorbed by block 0..2
+    (masses 0.5, 1, 2) at (10 - 0.1) / 3.5, so its process aims at three
+    targets of unequal mass."""
+    cfg = WeightedConfig((0.5, 1.0, 2.0, 1.5))
+    clocks = ClockAssignment.from_xi((0.1, 0.2, 0.3, 10.0))
+    traj = run_trajectory(cfg, clocks, RngStream(0), 5.0)
+    assert [(ev.left.lo, ev.left.hi, ev.right.lo) for ev in traj.events][-1] == (0, 2, 3)
+    return traj
+
+
+def test_bulk_draws_follow_the_process_law():
+    """Multigraph arrivals of the process from rank 3: targets mass-biased
+    (chi-square), times uniform on [activation, q_max] (KS), and its count
+    Poisson with its own intensity; the total surplus count is Poisson with
+    the summed intensities."""
+    traj = _law_trajectory()
+    q_max, activation = 5.0, traj.events[-1].time
+    root = RngStream(19).named("bulk-law")
+    targets = [0, 0, 0]
+    times, totals, from_3 = [], [], []
+    for k in range(3000):
+        g = dynamic_surplus(traj, root.indexed(k), q_max, variant="multigraph")
+        totals.append(len(g.surplus))
+        mine = [e for e in g.surplus if e.source == 3 and e.kind == "multi"]
+        from_3.append(len(mine))
+        for e in mine:
+            targets[e.target] += 1
+            times.append(e.time)
+    res = chi_square(targets, [0.5 / 3.5, 1.0 / 3.5, 2.0 / 3.5])
+    assert not res.rejects(), f"targets not mass-biased: p={res.p_value:.5f}"
+    ks = ks_test(times, lambda t: np.clip((t - activation) / (q_max - activation), 0.0, 1.0))
+    assert not ks.rejects(), f"arrival times not uniform: p={ks.p_value:.5f}"
+    moments = poisson_mean_test(from_3, 1.5 * 3.5 * (q_max - activation))
+    assert moments.passed, moments
+    lam = float(SurplusCountSampler(traj, q_max).expected_by_component().sum())
+    moments = poisson_mean_test(totals, lam)
+    assert moments.passed, moments
