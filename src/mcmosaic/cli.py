@@ -51,12 +51,21 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _level(args, settings: dict, key: str) -> float:
-    """q or q_max: a finite number > 0 (bools are not numbers here)."""
-    v = _pick(args, settings, key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v <= sys.float_info.max:
-        raise ValueError(f"{key} must be a finite number > 0, got {v!r}")
+def _real(key: str, v, positive: bool = False) -> float:
+    """A finite number, > 0 if positive (bools are not numbers here)."""
+    big = sys.float_info.max
+    if (
+        isinstance(v, bool)
+        or not isinstance(v, (int, float))
+        or not (0 < v <= big if positive else -big <= v <= big)
+    ):
+        raise ValueError(f"{key} must be a finite number{' > 0' if positive else ''}, got {v!r}")
     return float(v)
+
+
+def _level(args, settings: dict, key: str) -> float:
+    """q or q_max: a finite number > 0."""
+    return _real(key, _pick(args, settings, key), positive=True)
 
 
 def _reps(args, settings: dict) -> int:
@@ -210,24 +219,26 @@ def _cmd_limit(args) -> int:
     if not isinstance(settings, dict):
         raise ValueError(f"config 'limit' must be a JSON object, got {settings!r}")
 
-    def opt(flag, key, default=None):
-        v = getattr(args, flag, None)
-        if v is None:
-            v = settings.get(key, default)
-        return v
+    def opt(key, default=None):
+        v = getattr(args, key, None)
+        return settings.get(key, default) if v is None else v
 
-    kappa = float(opt("kappa", "kappa", 1.0))
-    tau = float(opt("tau", "tau", 0.0))
-    t = float(opt("t", "t", 0.0))
-    c_raw = opt("c", "c", ())
-    if isinstance(c_raw, str):
-        c = tuple(float(x) for x in c_raw.split(",") if x.strip())
+    kappa = _real("kappa", opt("kappa", 1.0))
+    tau = _real("tau", opt("tau", 0.0))
+    t = _real("t", opt("t", 0.0))
+    if args.c is not None:  # the flag is comma-separated; the config gives a list
+        c_raw = [float(x) for x in args.c.split(",") if x.strip()]
     else:
-        c = tuple(float(x) for x in c_raw)
-    h = float(opt("h", "h", 1e-3))
-    horizon = opt("horizon", "horizon")
-    horizon = float(horizon) if horizon is not None else None
-    reps = int(args.reps)
+        c_raw = settings.get("c", [])
+        if not isinstance(c_raw, list):
+            raise ValueError(f"config c must be a list of numbers, got {c_raw!r}")
+    c = tuple(_real("c entry", x) for x in c_raw)
+    h = _real("h", opt("h", 1e-3), positive=True)
+    horizon = opt("horizon")
+    horizon = None if horizon is None else _real("horizon", horizon, positive=True)
+    if args.reps < 1:
+        raise ValueError(f"reps must be an integer >= 1, got {args.reps!r}")
+    reps = args.reps
     seed = _seed(args, payload)
 
     params = limit_mod.LimitParams(kappa=kappa, tau=tau, t=t, c=c)

@@ -6,6 +6,8 @@ rank's baseline (gray) sits at the walk value just before that rank's jump
 and extends right for the total mass of the maximal run of ranks it absorbs
 at the current horizon.  Baselines are stored with their reach set
 ("covers"): the later ranks whose diagonal jump lines the baseline meets.
+A built reach set is the interval range(owner + 1, end + 1), so only its
+end is stored.
 
 Structural rules checked by validate:
   R1  no two baselines of an excursion share a level;
@@ -15,12 +17,21 @@ Structural rules checked by validate:
 The reach sets order the ranks (owner above everything it reaches); the
 cover tree of that order plus a generation-major, index-descending tiebreak
 gives a total order, and replay builds a merger trajectory realizing it.
+Gap-free reach sets are intervals and laminar intervals nest, so R3 and the
+cover tree are one stack pass over the (owner, end) pairs.
+
+_RankGeometry is the one pass from the walk and the event log at a horizon
+to per-rank geometry: blocks, reach ends, levels and parallelogram rows.
+build_mosaic and slice_decomposition wrap its rows in dataclasses; the SVG
+renderer reads the rows directly.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import ClockAssignment, RngStream, WeightedConfig
 from .dynamics import MergerEvent, Trajectory, run_trajectory
@@ -48,7 +59,9 @@ class Baseline:
     level is the raw walk value just before the owner's jump; pieces are the
     horizontal extent segments (a well-formed baseline has exactly one).
     Either geometric field may be None in hand-built combinatorial fixtures.
-    covers lists the ranks whose jump diagonals the baseline reaches.
+    covers lists the ranks whose jump diagonals the baseline reaches: a
+    built baseline stores range(owner_rank + 1, end + 1), i.e. its reach
+    end, and a hand-built one any sorted tuple of ranks.
     """
 
     owner_rank: int
@@ -56,7 +69,7 @@ class Baseline:
     status: str  # "active" | "gray"
     level: float | None
     pieces: tuple[tuple[float, float], ...] | None
-    covers: tuple[int, ...]
+    covers: Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -116,57 +129,146 @@ class OrnamentedExcursion:
         )
 
 
+class _RankGeometry:
+    """Per-rank geometry of the walk at horizon q; every list is indexed by rank.
+
+    The one place where baselines, levels, reach ends and parallelograms are
+    computed: build_mosaic, slice_decomposition and render.render_svg read
+    it, and each part is computed on first use.
+    """
+
+    def __init__(self, trajectory: Trajectory, q: float):
+        if not 0.0 < q <= trajectory.q_max:
+            raise ValueError(f"q={q} outside (0, {trajectory.q_max}]")
+        self.trajectory = trajectory
+        self.q = q
+        self.path = WalkPath.from_clocks(trajectory.config, trajectory.clocks, q)
+        self.pos = self.path.jump_times
+        self.sizes = self.path.jump_sizes
+        self.cm = self.path.cummass
+        self.mass_before = (0.0,) + self.cm[:-1]  # cm[j - 1], and 0.0 at rank 0
+        self.blocks = trajectory.blocks_at(q)
+        self.root: list[int] = []
+        for b in self.blocks:
+            self.root += [b.lo] * (b.hi - b.lo + 1)
+
+    @cached_property
+    def level(self) -> list[float]:
+        """Raw walk value just before each jump (Baseline.level)."""
+        return [m - p for m, p in zip(self.mass_before, self.pos)]
+
+    @cached_property
+    def relative_level(self) -> list[float]:
+        """Baseline level above its excursion's floor, as drawn: the level
+        minus the root's level."""
+        level = self.level
+        return [level[j] - level[a] for j, a in enumerate(self.root)]
+
+    @cached_property
+    def base_level(self) -> list[float]:
+        """Floor-relative baseline level of each rank's slice (Slice.base_level).
+        The same quantity as relative_level, summed in another order, so
+        the two can differ in the last bits."""
+        mb, pos = self.mass_before, self.pos
+        return [mb[j] - mb[a] - (pos[j] - pos[a]) for j, a in enumerate(self.root)]
+
+    @cached_property
+    def reach(self) -> list[int]:
+        """Last rank each baseline reaches."""
+        pos, cm, mb = self.pos, self.cm, self.mass_before
+        reach = list(range(len(pos)))
+        for b in self.blocks:
+            # reach sets are laminar (R3), so the open baselines form a stack:
+            # rank i ends the reach of every baseline its pre-jump trough undershoots
+            stack = [b.lo]
+            for i in range(b.lo + 1, b.hi + 1):
+                while stack and pos[i] - pos[stack[-1]] > cm[i - 1] - mb[stack[-1]]:
+                    reach[stack.pop()] = i - 1
+                stack.append(i)
+            for j in stack:
+                reach[j] = b.hi
+        return reach
+
+    @cached_property
+    def extent_end(self) -> list[float]:
+        """Right end of each baseline: its jump plus the mass it reaches."""
+        pos, cm, mb = self.pos, self.cm, self.mass_before
+        return [pos[j] + (cm[m] - mb[j]) for j, m in enumerate(self.reach)]
+
+    @cached_property
+    def block_end(self) -> list[float]:
+        """Where each block's excursion returns to its floor, per block."""
+        pos, sizes = self.pos, self.sizes
+        return [pos[b.lo] + math.fsum(sizes[b.lo : b.hi + 1]) for b in self.blocks]
+
+    @cached_property
+    def intercepts(self) -> tuple[list[float], list[float]]:
+        """z+s values of each rank's diagonal band boundaries, floor-relative."""
+        pos, cm, mb, root = self.pos, self.cm, self.mass_before, self.root
+        return (
+            [pos[a] + mb[l] - mb[a] for l, a in enumerate(root)],
+            [pos[a] + cm[l] - mb[a] for l, a in enumerate(root)],
+        )
+
+    @cached_property
+    def parallelograms(self) -> list[list[tuple[MergerEvent, float, float]]]:
+        """(event, top level, height) of each absorption of each rank's block,
+        in activation order.  Each top must lie on the absorbed root's
+        baseline, to 1e-9 of its block's mass (AssertionError otherwise)."""
+        q, level, root = self.q, self.base_level, self.root
+        mass = {b.lo: b.mass for b in self.blocks}
+        running_top = list(level)
+        rows: list[list[tuple[MergerEvent, float, float]]] = [[] for _ in level]
+        for ev in self.trajectory.events:
+            if ev.time > q:
+                continue
+            height = ev.left.mass * (1.0 - ev.time / q)
+            owner = ev.right.lo
+            tol = 1e-9 * mass[root[owner]]
+            for l in range(owner, ev.right.hi + 1):
+                top = running_top[l]
+                if abs(level[owner] - top) > tol:
+                    raise AssertionError(
+                        f"no baseline at slice top level {top} for rank {l}"
+                    )
+                rows[l].append((ev, top, height))
+                running_top[l] = top - height
+        return rows
+
+
 def build_mosaic(trajectory: Trajectory, q: float) -> list[OrnamentedExcursion]:
     """One ornamented excursion per component of the walk at horizon q."""
-    if not 0.0 < q <= trajectory.q_max:
-        raise ValueError(f"q={q} outside (0, {trajectory.q_max}]")
-    path = WalkPath.from_clocks(trajectory.config, trajectory.clocks, q)
-    pos = path.jump_times
-    sizes = path.jump_sizes
-    cm = path.cummass
-
-    def mass_between(j: int, m: int) -> float:
-        return cm[m] - (cm[j - 1] if j else 0.0)
-
-    blocks = trajectory.blocks_at(q)
-    starts = [b.lo for b in blocks]
-    mergers: list[list[MergerEvent]] = [[] for _ in blocks]
+    g = _RankGeometry(trajectory, q)
+    pos, sizes, perm = g.pos, g.sizes, g.path.perm
+    level, reach, extent_end = g.level, g.reach, g.extent_end
+    starts = [b.lo for b in g.blocks]
+    mergers: list[list[MergerEvent]] = [[] for _ in g.blocks]
     for ev in trajectory.events:
         if ev.time <= q:
             mergers[bisect_right(starts, ev.left.lo) - 1].append(ev)
     out = []
-    for block, block_mergers in zip(blocks, mergers):
+    for block, block_mergers in zip(g.blocks, mergers):
         lo, hi = block.lo, block.hi
-        # reach sets are laminar (R3), so the open baselines form a stack:
-        # rank i ends the reach of every baseline its pre-jump trough undershoots
-        reach = [hi] * (hi - lo + 1)
-        stack = [lo]
-        for i in range(lo + 1, hi + 1):
-            while stack and pos[i] - pos[stack[-1]] > mass_between(stack[-1], i - 1):
-                reach[stack.pop() - lo] = i - 1
-            stack.append(i)
-        baselines = []
-        for j in range(lo, hi + 1):
-            m = reach[j - lo]
-            baselines.append(
-                Baseline(
-                    owner_rank=j,
-                    owner_vertex=path.perm[j],
-                    status="active" if j == lo else "gray",
-                    level=(cm[j - 1] if j else 0.0) - pos[j],
-                    pieces=((pos[j], pos[j] + mass_between(j, m)),),
-                    covers=tuple(range(j + 1, m + 1)),
-                )
+        baselines = tuple(
+            Baseline(
+                owner_rank=j,
+                owner_vertex=perm[j],
+                status="active" if j == lo else "gray",
+                level=level[j],
+                pieces=((pos[j], extent_end[j]),),
+                covers=range(j + 1, reach[j] + 1),
             )
+            for j in range(lo, hi + 1)
+        )
         out.append(
             OrnamentedExcursion(
                 q=q,
                 rank_lo=lo,
                 rank_hi=hi,
-                vertices=tuple(path.perm[lo : hi + 1]),
+                vertices=tuple(perm[lo : hi + 1]),
                 masses=tuple(sizes[lo : hi + 1]),
                 positions=tuple(pos[lo : hi + 1]),
-                baselines=tuple(baselines),
+                baselines=baselines,
                 mergers=tuple(block_mergers),
             )
         )
@@ -218,33 +320,53 @@ def validate(excursion: OrnamentedExcursion) -> list[str]:
                     f"starts at {a0}, away from its jump at {anchor}"
                 )
 
-    cover = {b.owner_rank: frozenset(b.covers) for b in excursion.baselines}
+    ends: dict[int, int] = {}
+    intervals = True
     for b in excursion.baselines:
-        if not b.covers:
+        end = _reach_end(b)
+        if end is not None:
+            ends[b.owner_rank] = end
             continue
-        top = max(b.covers)
-        want = set(range(b.owner_rank + 1, top + 1))
-        missing = sorted(want - set(b.covers))
+        intervals = False
+        reach = set(b.covers)
+        top = max(reach)
+        missing = sorted(set(range(b.owner_rank + 1, top + 1)) - reach)
         if missing:
             problems.append(
                 f"R3 (gap-free reach): baseline of rank {b.owner_rank} reaches "
                 f"rank {top} but skips {missing}"
             )
-    ranks = sorted(cover)
-    for i, j in enumerate(ranks):
-        for k in ranks[i + 1 :]:
-            if k in cover[j]:
-                if not cover[k] <= cover[j]:
-                    extra = sorted(cover[k] - cover[j])
-                    problems.append(
-                        f"R3 (laminar reach): rank {j} reaches rank {k} but "
-                        f"not {extra}, which rank {k} reaches"
-                    )
-            elif cover[j] & ({k} | cover[k]):
-                problems.append(
-                    f"R3 (laminar reach): reach sets of ranks {j} and {k} interleave"
-                )
+        else:
+            problems.append(
+                f"R3 (gap-free reach): baseline of rank {b.owner_rank} reaches "
+                f"ranks {sorted(r for r in reach if r <= b.owner_rank)} at or before itself"
+            )
+    if not intervals:
+        return problems  # laminarity is checked on intervals only
+    # intervals nest iff each rank's reach ends inside the innermost open
+    # interval that holds it; the open intervals form a stack
+    stack: list[int] = []
+    for k in sorted(ends):
+        while stack and ends[stack[-1]] < k:
+            stack.pop()
+        if stack and ends[k] > ends[stack[-1]]:
+            j = stack[-1]
+            problems.append(
+                f"R3 (laminar reach): rank {j} reaches rank {k} but not "
+                f"{list(range(ends[j] + 1, ends[k] + 1))}, which rank {k} reaches"
+            )
+        stack.append(k)
     return problems
+
+
+def _reach_end(b: Baseline) -> int | None:
+    """Last rank of b's reach if it is the interval owner+1..end (the owner
+    itself if empty); None for any other set of ranks."""
+    j, c = b.owner_rank, b.covers
+    if isinstance(c, range):  # constant time: ranges compare by start, step, length
+        return j + len(c) if c == range(j + 1, j + 1 + len(c)) else None
+    reach = set(c)
+    return j + len(reach) if reach == set(range(j + 1, j + 1 + len(reach))) else None
 
 
 @dataclass(frozen=True)
@@ -263,24 +385,32 @@ class HasseOrders:
     vertex_sequence: tuple[int, ...]
 
     def parent_of(self, rank: int) -> int:
-        return dict(self.parents)[rank]
+        # parents lists ranks root+1, root+2, ... in order
+        i = rank - self.root_rank - 1
+        if not 0 <= i < len(self.parents):
+            raise KeyError(rank)
+        return self.parents[i][1]
 
     def coalescence_order(self) -> tuple[int, ...]:
         return tuple(reversed(self.sequence))
 
 
 def _hasse(excursion: OrnamentedExcursion) -> tuple[dict[int, int], dict[int, int]]:
-    # parent = innermost earlier baseline reaching the rank
+    """Parent (innermost earlier baseline reaching the rank) and generation
+    of every rank; the covers must be laminar intervals (validate)."""
     lo, hi = excursion.rank_lo, excursion.rank_hi
-    cover = {b.owner_rank: frozenset(b.covers) for b in excursion.baselines}
+    ends = {b.owner_rank: _reach_end(b) for b in excursion.baselines}
     parent: dict[int, int] = {}
     gen = {lo: 0}
+    stack = [lo]
     for r in range(lo + 1, hi + 1):
-        holders = [j for j in range(lo, r) if r in cover.get(j, ())]
-        if not holders:
+        while stack and ends.get(stack[-1], stack[-1]) < r:
+            stack.pop()
+        if not stack:
             raise ValueError(f"rank {r} is reached by no earlier baseline")
-        parent[r] = max(holders)
+        parent[r] = stack[-1]
         gen[r] = gen[parent[r]] + 1
+        stack.append(r)
     return parent, gen
 
 
@@ -336,9 +466,10 @@ def _sequence_positions(excursion: OrnamentedExcursion) -> tuple[float, ...]:
 def replay(excursion: OrnamentedExcursion) -> Trajectory:
     """Merger trajectory whose mosaic at q reproduces the excursion.
 
-    With geometry present the jump positions are reused verbatim, so levels
-    and extents come back exactly.  Without geometry, positions are
-    synthesized so that blocks merge in the reversed total order.
+    With geometry present the jump positions are reused as clocks
+    q * position, so they come back up to one rounding (same_shape's
+    tolerance).  Without geometry, positions are synthesized so that blocks
+    merge in the reversed total order.
     """
     problems = validate(excursion)
     if problems:
@@ -361,19 +492,23 @@ def replay(excursion: OrnamentedExcursion) -> Trajectory:
 
 
 def same_shape(a: OrnamentedExcursion, b: OrnamentedExcursion) -> bool:
-    """Geometric identity relative to each excursion's own start and floor,
-    to 1e-12 of the larger total mass."""
+    """Geometric identity relative to each excursion's own start and floor.
+
+    Masses agree to 1e-12 of the larger total mass; levels, extents and
+    positions to 1e-12 of the largest of those values in either excursion,
+    since each carries the rounding of its own size (a level includes the
+    mass of every earlier excursion, a position the clock's scale).
+    """
     if len(a) != len(b):
         return False
-    tol = 1e-12 * max(math.fsum(a.masses), math.fsum(b.masses))
-    if any(abs(x - y) > tol for x, y in zip(a.masses, b.masses)):
+    mass = max(math.fsum(a.masses), math.fsum(b.masses))
+    if any(abs(x - y) > 1e-12 * mass for x, y in zip(a.masses, b.masses)):
         return False
+    tol = 1e-12 * max(mass, _magnitude(a), _magnitude(b))
     for ba, bb in zip(a.baselines, b.baselines):
         if ba.status != bb.status:
             return False
-        local_a = tuple(r - a.rank_lo for r in ba.covers)
-        local_b = tuple(r - b.rank_lo for r in bb.covers)
-        if local_a != local_b:
+        if _local_covers(ba, a.rank_lo) != _local_covers(bb, b.rank_lo):
             return False
         if ba.level is not None and bb.level is not None:
             if abs((ba.level - a.floor) - (bb.level - b.floor)) > tol:
@@ -392,6 +527,29 @@ def same_shape(a: OrnamentedExcursion, b: OrnamentedExcursion) -> bool:
             if abs((x - pa) - (y - pb)) > tol:
                 return False
     return True
+
+
+def _magnitude(e: OrnamentedExcursion) -> float:
+    """Largest absolute position, level or extent end of e (0.0 if none)."""
+    values = [abs(x) for x in e.positions or ()]
+    for b in e.baselines:
+        if b.level is not None:
+            values.append(abs(b.level))
+        values += [abs(x) for piece in b.pieces or () for x in piece]
+    return max(values, default=0.0)
+
+
+def _local_covers(b: Baseline, lo: int) -> range | tuple[int, ...]:
+    """b's reach shifted to the excursion start.  A run of consecutive ranks
+    becomes a range, so two built baselines compare in constant time and a
+    tuple compares equal to the range with the same elements."""
+    c = b.covers
+    if not (isinstance(c, range) and c.step == 1):
+        run = range(c[0], c[0] + len(c)) if len(c) else range(0)
+        if tuple(c) != tuple(run):
+            return tuple(r - lo for r in c)
+        c = run
+    return range(c.start - lo, c.stop - lo)
 
 
 @dataclass(frozen=True)
@@ -439,44 +597,20 @@ class Slice:
 
 def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
     """All per-rank slices of every excursion of the walk at horizon q."""
-    if not 0.0 < q <= trajectory.q_max:
-        raise ValueError(f"q={q} outside (0, {trajectory.q_max}]")
-    path = WalkPath.from_clocks(trajectory.config, trajectory.clocks, q)
-    pos = path.jump_times
-    sizes = path.jump_sizes
-    cm = path.cummass
-    n = len(path)
-
-    root_of = [0] * n
-    block_mass = [0.0] * n
-    for b in trajectory.blocks_at(q):
-        for r in b.ranks():
-            root_of[r] = b.lo
-            block_mass[r] = b.mass
-    # floor-relative baseline level of each rank
-    level = []
-    for j in range(n):
-        a = root_of[j]
-        level.append(
-            (cm[j - 1] if j else 0.0)
-            - (cm[a - 1] if a else 0.0)
-            - (pos[j] - pos[a])
-        )
-
-    running_top = list(level)
-    paras: dict[int, list[Parallelogram]] = {l: [] for l in range(n)}
-    for ev in trajectory.events:
-        if ev.time > q:
-            continue
-        height = ev.left.mass * (1.0 - ev.time / q)
-        owner = ev.right.lo
-        for l in ev.right.ranks():
-            top = running_top[l]
-            if abs(level[owner] - top) > 1e-9 * block_mass[owner]:
-                raise AssertionError(
-                    f"no baseline at slice top level {top} for rank {l}"
-                )
-            paras[l].append(
+    g = _RankGeometry(trajectory, q)
+    pos, sizes, perm = g.pos, g.sizes, g.path.perm
+    base_level, (intercept_lo, intercept_hi) = g.base_level, g.intercepts
+    return [
+        Slice(
+            owner_rank=l,
+            owner_vertex=perm[l],
+            position=pos[l],
+            base_mass=sizes[l],
+            base_level=base_level[l],
+            triangle_area=sizes[l] * sizes[l] / 2.0,
+            intercept_lo=intercept_lo[l],
+            intercept_hi=intercept_hi[l],
+            parallelograms=tuple([
                 Parallelogram(
                     source_rank=l,
                     left_lo=ev.left.lo,
@@ -486,26 +620,10 @@ def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
                     height=height,
                     area=height * sizes[l],
                     top_level=top,
-                    top_owner=owner,
+                    top_owner=ev.right.lo,
                 )
-            )
-            running_top[l] = top - height
-
-    out = []
-    for l in range(n):
-        a = root_of[l]
-        base = cm[a - 1] if a else 0.0
-        out.append(
-            Slice(
-                owner_rank=l,
-                owner_vertex=path.perm[l],
-                position=pos[l],
-                base_mass=sizes[l],
-                base_level=level[l],
-                triangle_area=sizes[l] * sizes[l] / 2.0,
-                intercept_lo=pos[a] + (cm[l - 1] if l else 0.0) - base,
-                intercept_hi=pos[a] + cm[l] - base,
-                parallelograms=tuple(paras[l]),
-            )
+                for ev, top, height in rows
+            ]),
         )
-    return out
+        for l, rows in enumerate(g.parallelograms)
+    ]

@@ -4,14 +4,13 @@ Output depends only on the trajectory, horizon, and options: shapes are
 emitted in rank order, coordinates are rounded to 2 decimals in the file
 (layout only, the underlying geometry is exact), and the viewport scaling
 is fixed by the data bounding box.  No timestamps, ids, or random styling.
+The drawing reads the per-rank geometry of the mosaic pass directly; each
+shape is one %-template filled with its pixel coordinates.
 """
 from __future__ import annotations
 
-import math
-
 from .dynamics import Trajectory
-from .mosaic import build_mosaic, slice_decomposition
-from .walk import WalkPath
+from .mosaic import _RankGeometry
 
 __all__ = ["render_svg", "save_svg"]
 
@@ -21,30 +20,14 @@ _WALK = "#222222"
 _DASH = "#c05020"
 _FILLS = ("#4c9be8", "#e8a14c", "#5cb85c", "#b07cc6", "#d9534f", "#7fcdcd")
 
-
-def _fmt(v: float) -> str:
-    # avoid "-0.00" so equal geometry gives equal bytes
-    s = f"{v:.2f}"
-    return "0.00" if s == "-0.00" else s
-
-
-class _Canvas:
-    def __init__(self, width, height, margin, xmax, ymax):
-        self.width = width
-        self.height = height
-        self.margin = margin
-        self.sx = (width - 2 * margin) / xmax if xmax > 0 else 1.0
-        self.sy = (height - 2 * margin) / ymax if ymax > 0 else 1.0
-
-    def pt(self, x, y):
-        px = self.margin + x * self.sx
-        py = self.height - self.margin - y * self.sy
-        return f"{_fmt(px)},{_fmt(py)}"
-
-    def xy(self, x, y):
-        px = self.margin + x * self.sx
-        py = self.height - self.margin - y * self.sy
-        return _fmt(px), _fmt(py)
+_SHADE = 'fill="%s" fill-opacity="0.3" stroke="none"/>'
+_TRIANGLE = '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" ' + _SHADE
+_BAND = '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f %.2f,%.2f" ' + _SHADE
+_LINE = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+_DASH_LINE = _LINE + f'stroke="{_DASH}" stroke-width="1" stroke-dasharray="5,4"/>'
+_BASELINE = _LINE + 'stroke="%s" stroke-width="2"/>'
+_POINT = "%.2f,%.2f"
+_POLYLINE = f'<polyline points="%s" fill="none" stroke="{_WALK}" stroke-width="1.5"/>'
 
 
 def render_svg(
@@ -62,103 +45,67 @@ def render_svg(
     shade_slices, per-rank slice regions (triangle plus absorption bands)
     are filled from a fixed palette.
     """
-    path = WalkPath.from_clocks(trajectory.config, trajectory.clocks, q)
-    excursions = build_mosaic(trajectory, q)
-    pos = path.jump_times
-    sizes = path.jump_sizes
-
-    # floor-relative walk values just before each jump
-    before = {}
-    span_end = 0.0
-    ymax = 0.0
-    for exc in excursions:
-        floor = exc.floor
-        for j in range(exc.rank_lo, exc.rank_hi + 1):
-            b = exc.baselines[j - exc.rank_lo]
-            before[j] = b.level - floor
-            ymax = max(ymax, before[j] + sizes[j])
-        span_end = max(span_end, exc.positions[0] + math.fsum(exc.masses))
+    g = _RankGeometry(trajectory, q)
+    pos, sizes, before = g.pos, g.sizes, g.relative_level  # walk just before each jump
+    tops = [b + s for b, s in zip(before, sizes)]
+    span_end = max([0.0] + g.block_end)
+    ymax = max([0.0] + tops)
     xmax = span_end * 1.04 if span_end > 0 else 1.0
     ymax = ymax * 1.08 if ymax > 0 else 1.0
 
+    # pixel x is margin + x * sx, pixel y is y0 - y * sy
     margin = 30
-    cv = _Canvas(width, height, margin, xmax, ymax)
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+    sx = (width - 2 * margin) / xmax if xmax > 0 else 1.0
+    sy = (height - 2 * margin) / ymax if ymax > 0 else 1.0
+    y0 = height - margin
+    floor_y = y0 - 0.0 * sy
+    body = []
 
     if shade_slices:
-        for i, sl in enumerate(slice_decomposition(trajectory, q)):
-            fill = _FILLS[i % len(_FILLS)]
-            tri = [
-                (sl.position, sl.base_level),
-                (sl.position, sl.base_level + sl.base_mass),
-                (sl.position + sl.base_mass, sl.base_level),
-            ]
-            pts = " ".join(cv.pt(x, y) for x, y in tri)
-            out.append(
-                f'<polygon points="{pts}" fill="{fill}" fill-opacity="0.3" '
-                f'stroke="none"/>'
-            )
-            for para in sl.parallelograms:
-                top = para.top_level
-                bot = top - para.height
-                corners = [
-                    (sl.intercept_lo - top, top),
-                    (sl.intercept_hi - top, top),
-                    (sl.intercept_hi - bot, bot),
-                    (sl.intercept_lo - bot, bot),
-                ]
-                pts = " ".join(cv.pt(x, y) for x, y in corners)
-                out.append(
-                    f'<polygon points="{pts}" fill="{fill}" '
-                    f'fill-opacity="0.3" stroke="none"/>'
-                )
+        base = g.base_level
+        intercept_lo, intercept_hi = g.intercepts
+        for l, rows in enumerate(g.parallelograms):
+            fill = _FILLS[l % len(_FILLS)]
+            x, y, m = pos[l], base[l], sizes[l]
+            px, py = margin + x * sx, y0 - y * sy
+            body.append(_TRIANGLE % (px, py, px, y0 - (y + m) * sy, margin + (x + m) * sx, py, fill))
+            a, b = intercept_lo[l], intercept_hi[l]
+            for _ev, top, h in rows:
+                bot = top - h
+                pt, pb = y0 - top * sy, y0 - bot * sy
+                body.append(_BAND % (
+                    margin + (a - top) * sx, pt, margin + (b - top) * sx, pt,
+                    margin + (b - bot) * sx, pb, margin + (a - bot) * sx, pb, fill,
+                ))
 
     # hypotenuse dashes: jump diagonal extended to the floor
-    for j in range(len(path)):
-        top = before[j] + sizes[j]
-        x0, y0 = pos[j], top
-        x1, y1 = pos[j] + top, 0.0
-        ax, ay = cv.xy(x0, y0)
-        bx, by = cv.xy(x1, y1)
-        out.append(
-            f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
-            f'stroke="{_DASH}" stroke-width="1" stroke-dasharray="5,4"/>'
-        )
+    for x, t in zip(pos, tops):
+        body.append(_DASH_LINE % (margin + x * sx, y0 - t * sy, margin + (x + t) * sx, floor_y))
 
-    for exc in excursions:
-        floor = exc.floor
-        for b in exc.baselines:
-            (a0, a1) = b.pieces[0]
-            lvl = b.level - floor
-            color = _ACTIVE if b.status == "active" else _GRAY
-            ax, ay = cv.xy(a0, lvl)
-            bx, by = cv.xy(a1, lvl)
-            out.append(
-                f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
+    extent_end, root = g.extent_end, g.root
+    for j, (x, y) in enumerate(zip(pos, before)):
+        py = y0 - y * sy
+        color = _ACTIVE if root[j] == j else _GRAY
+        body.append(_BASELINE % (margin + x * sx, py, margin + extent_end[j] * sx, py, color))
 
     # reflected walk polyline, flat at 0 between excursions
-    walk_pts = [(0.0, 0.0)]
-    for exc in excursions:
-        for j in range(exc.rank_lo, exc.rank_hi + 1):
-            walk_pts.append((pos[j], before[j]))
-            walk_pts.append((pos[j], before[j] + sizes[j]))
-        end = exc.positions[0] + math.fsum(exc.masses)
-        walk_pts.append((end, 0.0))
-    walk_pts.append((xmax, 0.0))
-    pts = " ".join(cv.pt(x, y) for x, y in walk_pts)
-    out.append(
-        f'<polyline points="{pts}" fill="none" stroke="{_WALK}" '
-        f'stroke-width="1.5"/>'
-    )
+    walk = [margin + 0.0 * sx, floor_y]
+    for block, end in zip(g.blocks, g.block_end):
+        for j in block.ranks():
+            px = margin + pos[j] * sx
+            walk += (px, y0 - before[j] * sy, px, y0 - tops[j] * sy)
+        walk += (margin + end * sx, floor_y)
+    walk += (margin + xmax * sx, floor_y)
+    body.append(_POLYLINE % (" ".join([_POINT] * (len(walk) // 2)) % tuple(walk)))
 
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    # avoid "-0.00" so equal geometry gives equal bytes
+    shapes = "\n".join(body).replace("-0.00", "0.00")
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">\n'
+        f'<rect width="{width}" height="{height}" fill="white"/>\n'
+        f"{shapes}\n</svg>\n"
+    )
 
 
 def save_svg(text: str, path) -> None:

@@ -324,3 +324,85 @@ def test_seeded_outputs_are_pinned(tmp_path):
         assert main(argv + [str(out), "--config", str(cfg)]) == 0
         got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == _PINNED_SHA256
+
+
+@pytest.mark.parametrize(
+    "limit_cfg",
+    [
+        {"kappa": "2", "h": True, "c": "0.5"},
+        {"kappa": "2"},
+        {"tau": True},
+        {"t": float("nan")},
+        {"h": True},
+        {"h": "0.01"},
+        {"horizon": False},
+        {"horizon": float("inf")},
+        {"c": "0.5"},
+        {"c": [True]},
+        {"c": [0.5, "0.2"]},
+        {"c": 0.5},
+    ],
+)
+def test_limit_config_values_are_checked(limit_cfg, tmp_path, capsys):
+    """The config's limit entry follows the q/q_max rules: non-bool finite
+    numbers, h and horizon > 0, c a list of numbers."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"limit": limit_cfg}))
+    out = tmp_path / "out"
+    assert main(["limit", "--reps", "2", "--out", str(out), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--c", "nan"], ["--h", "inf"], ["--reps", "0"]])
+def test_limit_flag_values_are_checked(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["limit", "--reps", "2", "--out", str(out)] + argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_limit_config_accepts_numbers(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    limit_cfg = {"kappa": 2, "tau": 0, "t": -0.5, "h": 0.01, "c": [1, 0.5], "horizon": 3}
+    cfg.write_text(json.dumps({"seed": 4, "limit": limit_cfg}))
+    out = tmp_path / "out"
+    assert main(["limit", "--reps", "2", "--out", str(out), "--config", str(cfg)]) == 0
+    # the same run from flags, where c is comma-separated
+    flags = ["--kappa", "2", "--tau", "0", "--t", "-0.5", "--h", "0.01", "--c", "1,0.5",
+             "--horizon", "3", "--seed", "4"]
+    out2 = tmp_path / "out2"
+    assert main(["limit", "--reps", "2", "--out", str(out2)] + flags) == 0
+    assert out.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--out"],
+        ["forest", "--out"],
+        ["surplus", "--out"],
+        ["surplus", "--variant", "multigraph", "--out"],
+        ["surplus", "--static", "--out"],
+        ["mosaic", "--shade", "--svg"],
+        ["limit", "--reps", "2", "--h", "0.01", "--out"],
+    ],
+)
+def test_every_subcommand_runs_on_one_vertex(argv, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"masses": [1.25], "seed": 3, "q": 1.5, "q_max": 1.5, "reps": 2}))
+    out = tmp_path / "out"
+    assert main(argv + [str(out), "--config", str(cfg)]) == 0
+    text = out.read_text()
+    if argv[0] == "simulate":
+        assert text.splitlines() == ["rep,event,time,left_lo,left_hi,left_mass,right_lo,"
+                                     "right_hi,right_mass,child,parent"]
+    elif argv[0] == "forest":
+        assert text.splitlines()[1:] == ["0,0,,0", "1,0,,0"]
+    elif argv[0] == "surplus":
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert all(r[2] == "loop" and r[3] == r[4] == "0" for r in rows)
+    elif argv[0] == "mosaic":
+        assert text.count("stroke-dasharray") == 1 and text.count("<polygon") == 1
+    else:
+        assert text.startswith("source,rep,rank,excursion_length,mark_count\n")

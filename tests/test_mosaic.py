@@ -4,13 +4,14 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.dynamics import run_trajectory
 from mcmosaic.mosaic import (
     OrnamentedExcursion,
+    _hasse,
     build_mosaic,
     orders,
     replay,
@@ -92,7 +93,7 @@ def test_build_extent_is_sub_excursion_reach():
                 while m < fx.rank_hi and pos[m + 1] - pos[j] <= acc:
                     m += 1
                     acc += sizes[m]
-                assert b.covers == tuple(range(j + 1, m + 1))
+                assert tuple(b.covers) == tuple(range(j + 1, m + 1))
                 (a0, a1) = b.pieces[0]
                 assert a0 == pos[j]
                 assert a1 == pytest.approx(pos[j] + acc, rel=1e-12)
@@ -232,10 +233,8 @@ def test_replay_combinatorial_reproduces_covers():
         traj = replay(fx)
         rebuilt = build_mosaic(traj, fx.q)
         assert len(rebuilt) == 1
-        got = {
-            b.owner_rank: b.covers for b in rebuilt[0].baselines
-        }
-        want_cover = {b.owner_rank: b.covers for b in fx.baselines}
+        got = {b.owner_rank: tuple(b.covers) for b in rebuilt[0].baselines}
+        want_cover = {b.owner_rank: tuple(b.covers) for b in fx.baselines}
         assert got == want_cover
 
 
@@ -258,6 +257,25 @@ def test_same_shape_detects_mass_change():
     other = dataclasses.replace(fx, masses=tuple(m * 1.01 for m in fx.masses))
     assert not same_shape(fx, other)
     assert same_shape(fx, fx)
+
+
+def test_same_shape_compares_reach_sets_as_sequences():
+    """A reach shifted by one rank differs; the same ranks as a tuple match."""
+    fx = next(
+        f for seed in range(50) for f in build_mosaic(*random_trajectory(seed))
+        if len(f) >= 3 and f.baselines[1].covers
+    )
+    b = fx.baselines[1]
+    for covers, same in (
+        (range(b.covers.start + 1, b.covers.stop + 1), False),
+        (tuple(b.covers), True),
+        (tuple(b.covers) + (fx.rank_hi + 1,), False),
+    ):
+        other = dataclasses.replace(
+            fx, baselines=(fx.baselines[0], dataclasses.replace(b, covers=covers)) + fx.baselines[2:]
+        )
+        assert same_shape(fx, other) is same
+        assert same_shape(other, fx) is same
 
 
 # -- slices -------------------------------------------------------------------
@@ -451,3 +469,205 @@ def test_reach_stack_matches_per_baseline_walk(exponents, equal, seed, ties, log
     for exc in build_mosaic(traj, q):
         got = [b.covers[-1] if b.covers else b.owner_rank for b in exc.baselines]
         assert got == reference_reach_ends(path, exc.rank_lo, exc.rank_hi)
+
+
+# -- interval reach sets against the pairwise set checks ----------------------
+
+
+def pairwise_r3(excursion):
+    """R3 as it was checked on reach sets: gap-free per baseline, then
+    laminar over every pair of ranks."""
+    problems = []
+    cover = {b.owner_rank: frozenset(b.covers) for b in excursion.baselines}
+    for b in excursion.baselines:
+        if not b.covers:
+            continue
+        top = max(b.covers)
+        missing = sorted(set(range(b.owner_rank + 1, top + 1)) - set(b.covers))
+        if missing:
+            problems.append(
+                f"R3 (gap-free reach): baseline of rank {b.owner_rank} reaches "
+                f"rank {top} but skips {missing}"
+            )
+    ranks = sorted(cover)
+    for i, j in enumerate(ranks):
+        for k in ranks[i + 1 :]:
+            if k in cover[j]:
+                if not cover[k] <= cover[j]:
+                    extra = sorted(cover[k] - cover[j])
+                    problems.append(
+                        f"R3 (laminar reach): rank {j} reaches rank {k} but "
+                        f"not {extra}, which rank {k} reaches"
+                    )
+            elif cover[j] & ({k} | cover[k]):
+                problems.append(
+                    f"R3 (laminar reach): reach sets of ranks {j} and {k} interleave"
+                )
+    return problems
+
+
+def pairwise_hasse(excursion):
+    """Parent of each rank as the largest earlier rank whose set holds it."""
+    lo, hi = excursion.rank_lo, excursion.rank_hi
+    cover = {b.owner_rank: frozenset(b.covers) for b in excursion.baselines}
+    parent, gen = {}, {lo: 0}
+    for r in range(lo + 1, hi + 1):
+        holders = [j for j in range(lo, r) if r in cover.get(j, ())]
+        if not holders:
+            raise ValueError(f"rank {r} is reached by no earlier baseline")
+        parent[r] = max(holders)
+        gen[r] = gen[parent[r]] + 1
+    return parent, gen
+
+
+def _rule(message):
+    return message.split(":")[0]
+
+
+@st.composite
+def cover_fixtures(draw):
+    """Random laminar interval covers on n ranks, then optional breakage:
+    gaps, ranks added out of order (interleaving), ends pushed past the
+    enclosing interval (containment), ends past the last rank."""
+    n = draw(st.integers(1, 12))
+    ends = {0: draw(st.integers(0, n - 1)) if draw(st.booleans()) else n - 1}
+    stack = [0]
+    for r in range(1, n):
+        while stack and ends[stack[-1]] < r:
+            stack.pop()
+        limit = ends[stack[-1]] if stack else n - 1
+        ends[r] = r + draw(st.integers(0, limit - r)) if limit >= r else r
+        stack.append(r)
+    covers = {r: set(range(r + 1, e + 1)) for r, e in ends.items()}
+    for kind, r, k in draw(st.lists(
+        st.tuples(st.sampled_from(["gap", "add", "extend"]), st.integers(0, 11), st.integers(0, 13)),
+        max_size=3,
+    )):
+        r %= n
+        if kind == "gap" and covers[r]:
+            covers[r].discard(sorted(covers[r])[k % len(covers[r])])
+        elif kind == "add":
+            covers[r].add(r + 1 + k % (n + 1))
+        elif kind == "extend":
+            covers[r] |= set(range(r + 1, r + 2 + k % (n + 1)))
+    return OrnamentedExcursion.from_covers((1.0,) * n, {r: tuple(c) for r, c in covers.items()})
+
+
+@settings(deadline=None, max_examples=2000)
+@given(cover_fixtures())
+def test_interval_checks_match_pairwise_sets(fx):
+    """validate flags exactly the covers the pairwise check flags, with a
+    subset of its messages (all of its rule names when every cover is an
+    interval); orders and _hasse equal the pairwise ones on valid covers."""
+    got, want = validate(fx), pairwise_r3(fx)
+    assert bool(got) == bool(want)
+    assert set(got) <= set(want)
+    gap = "R3 (gap-free reach)"
+    assert (gap in map(_rule, got)) == (gap in map(_rule, want))
+    if gap not in map(_rule, want):
+        assert set(map(_rule, got)) == set(map(_rule, want))
+    if want:
+        with pytest.raises(ValueError):
+            orders(fx)
+        return
+    try:
+        ref = pairwise_hasse(fx)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            _hasse(fx)
+        with pytest.raises(ValueError, match=str(e)):
+            orders(fx)
+        return
+    assert _hasse(fx) == ref
+    parent, gen = ref
+    od = orders(fx)
+    assert od.parents == tuple(sorted(parent.items()))
+    assert od.generations == tuple(sorted(gen.items()))
+    assert od.sequence == tuple(sorted(parent, key=lambda r: (gen[r], -r)))
+    assert all(od.parent_of(r) == p for r, p in parent.items())
+
+
+def test_parent_of_rejects_ranks_without_a_parent():
+    od = orders(OrnamentedExcursion.from_covers(UNIT4, {1: (2, 3), 2: (3,)}))
+    for rank in (-1, 0, 4):
+        with pytest.raises(KeyError):
+            od.parent_of(rank)
+
+
+def test_validate_rejects_a_reach_at_or_before_its_owner():
+    """A baseline meets only later ranks' diagonals; the set check let a
+    reach back to earlier ranks through when it had no gap."""
+    fx = OrnamentedExcursion.from_covers((1.0, 1.0, 1.0), {2: (1,)})
+    assert pairwise_r3(fx) == []
+    assert [_rule(p) for p in validate(fx)] == ["R3 (gap-free reach)"]
+
+
+def test_built_covers_are_ranges():
+    traj, q = random_trajectory(3)
+    for fx in build_mosaic(traj, q):
+        for b in fx.baselines:
+            assert isinstance(b.covers, range) and b.covers.start == b.owner_rank + 1
+
+
+def spread_instance(exponents, equal, seed, ties, log_q):
+    """Masses 10**exponents (or all equal to the first), clocks tied as
+    listed, q = 10**log_q / sigma2."""
+    masses = [10.0 ** exponents[0]] * len(exponents) if equal else [10.0**e for e in exponents]
+    cfg = WeightedConfig(tuple(masses))
+    xi = list(sample_clocks(cfg, RngStream(seed).named("clocks")).xi)
+    for a, b in ties:
+        xi[a % len(xi)] = xi[b % len(xi)]
+    clocks = ClockAssignment.from_xi(xi)
+    q = 10.0**log_q / math.fsum(m * m for m in masses)
+    return cfg, clocks, run_trajectory(cfg, clocks, RngStream(seed), q), q
+
+
+def round_trips(traj, q):
+    for exc in build_mosaic(traj, q):
+        assert validate(exc) == []
+        rebuilt = build_mosaic(replay(exc), exc.q)
+        assert len(rebuilt) == 1
+        assert same_shape(exc, rebuilt[0])
+        assert [tuple(b.covers) for b in rebuilt[0].baselines] == [
+            tuple(r - exc.rank_lo for r in b.covers) for b in exc.baselines
+        ]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=30),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=4),
+    st.floats(-3.0, 12.0),
+)
+def test_build_replay_build_round_trip(exponents, equal, seed, ties, log_q):
+    """Masses log-uniform over 1e-6..1e6 (or all equal), n from 1, tied
+    clocks, q from 1e-3 to 1e12 over sigma2: every built excursion is valid
+    and replays to itself.  Two float limits are left out here and pinned
+    by the xfail tests below: a jump below the rounding of its own
+    position, and q exactly at a merger time."""
+    cfg, clocks, traj, q = spread_instance(exponents, equal, seed, ties, log_q)
+    path = WalkPath.from_clocks(cfg, clocks, q)
+    assume(all(x + m > x for x, m in zip(path.jump_times, path.jump_sizes)))
+    assume(all(ev.time != q for ev in traj.events))
+    round_trips(traj, q)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a jump of mass 1e-4 at position 2.2e12 is below the position's rounding: "
+    "its baseline has zero width in floats and validate reports R2"
+))
+def test_round_trip_of_a_jump_below_its_position_rounding():
+    _cfg, _clocks, traj, q = spread_instance([5.0, -4.0], False, 0, [], 0.0)
+    round_trips(traj, q)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "q equal to a merger time: the replayed clocks q * position differ from "
+    "the drawn ones by rounding, the merger lands after q and the excursion splits"
+))
+def test_round_trip_at_a_merger_time():
+    exponents = [0.0, 0.0, 6.0, 0.0, 0.0, 5.796875]
+    _cfg, _clocks, traj, _q = spread_instance(exponents, False, 1705423, [], 0.0)
+    round_trips(traj, max(ev.time for ev in traj.events))

@@ -1,10 +1,17 @@
 """SVG emitter: structure and byte determinism."""
 
+import math
 import re
 
-from mcmosaic.core import RngStream, WeightedConfig, sample_clocks
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.dynamics import run_trajectory
+from mcmosaic.mosaic import build_mosaic, slice_decomposition
 from mcmosaic.render import render_svg, save_svg
+from mcmosaic.walk import WalkPath
 
 
 def _traj(seed=2, n=5, q=3.0):
@@ -71,3 +78,156 @@ def test_save_svg_round_trip(tmp_path):
     out = tmp_path / "walk.svg"
     save_svg(svg, out)
     assert out.read_text() == svg
+
+
+# -- the object-based render, kept as the byte reference -----------------------
+
+
+def _fmt(v):
+    s = f"{v:.2f}"
+    return "0.00" if s == "-0.00" else s
+
+
+def reference_render_svg(trajectory, q, *, shade_slices=False, width=900, height=420, fmt=_fmt):
+    """The renderer as it was before it read the mosaic pass directly: it
+    rebuilds the mosaic and slice objects and formats one coordinate at a
+    time.  fmt formats one coordinate."""
+    path = WalkPath.from_clocks(trajectory.config, trajectory.clocks, q)
+    excursions = build_mosaic(trajectory, q)
+    pos = path.jump_times
+    sizes = path.jump_sizes
+
+    before = {}
+    span_end = 0.0
+    ymax = 0.0
+    for exc in excursions:
+        floor = exc.floor
+        for j in range(exc.rank_lo, exc.rank_hi + 1):
+            b = exc.baselines[j - exc.rank_lo]
+            before[j] = b.level - floor
+            ymax = max(ymax, before[j] + sizes[j])
+        span_end = max(span_end, exc.positions[0] + math.fsum(exc.masses))
+    xmax = span_end * 1.04 if span_end > 0 else 1.0
+    ymax = ymax * 1.08 if ymax > 0 else 1.0
+
+    margin = 30
+    sx = (width - 2 * margin) / xmax if xmax > 0 else 1.0
+    sy = (height - 2 * margin) / ymax if ymax > 0 else 1.0
+
+    def xy(x, y):
+        return fmt(margin + x * sx), fmt(height - margin - y * sy)
+
+    def pt(x, y):
+        return ",".join(xy(x, y))
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    fills = ("#4c9be8", "#e8a14c", "#5cb85c", "#b07cc6", "#d9534f", "#7fcdcd")
+    if shade_slices:
+        for i, sl in enumerate(slice_decomposition(trajectory, q)):
+            fill = fills[i % len(fills)]
+            tri = [
+                (sl.position, sl.base_level),
+                (sl.position, sl.base_level + sl.base_mass),
+                (sl.position + sl.base_mass, sl.base_level),
+            ]
+            pts = " ".join(pt(x, y) for x, y in tri)
+            out.append(f'<polygon points="{pts}" fill="{fill}" fill-opacity="0.3" stroke="none"/>')
+            for para in sl.parallelograms:
+                top = para.top_level
+                bot = top - para.height
+                corners = [
+                    (sl.intercept_lo - top, top),
+                    (sl.intercept_hi - top, top),
+                    (sl.intercept_hi - bot, bot),
+                    (sl.intercept_lo - bot, bot),
+                ]
+                pts = " ".join(pt(x, y) for x, y in corners)
+                out.append(
+                    f'<polygon points="{pts}" fill="{fill}" fill-opacity="0.3" stroke="none"/>'
+                )
+    for j in range(len(path)):
+        top = before[j] + sizes[j]
+        ax, ay = xy(pos[j], top)
+        bx, by = xy(pos[j] + top, 0.0)
+        out.append(
+            f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
+            f'stroke="#c05020" stroke-width="1" stroke-dasharray="5,4"/>'
+        )
+    for exc in excursions:
+        floor = exc.floor
+        for b in exc.baselines:
+            (a0, a1) = b.pieces[0]
+            lvl = b.level - floor
+            color = "#1f77b4" if b.status == "active" else "#8a8a8a"
+            ax, ay = xy(a0, lvl)
+            bx, by = xy(a1, lvl)
+            out.append(
+                f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" stroke="{color}" stroke-width="2"/>'
+            )
+    walk_pts = [(0.0, 0.0)]
+    for exc in excursions:
+        for j in range(exc.rank_lo, exc.rank_hi + 1):
+            walk_pts.append((pos[j], before[j]))
+            walk_pts.append((pos[j], before[j] + sizes[j]))
+        walk_pts.append((exc.positions[0] + math.fsum(exc.masses), 0.0))
+    walk_pts.append((xmax, 0.0))
+    pts = " ".join(pt(x, y) for x, y in walk_pts)
+    out.append(f'<polyline points="{pts}" fill="none" stroke="#222222" stroke-width="1.5"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=30),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=4),
+    st.floats(-3.0, 12.0),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.sampled_from([(900, 420), (300, 200), (61, 61), (60, 60), (13, 7), (1, 1), (0, 0)]),
+)
+def test_render_matches_object_reference(exponents, equal, seed, ties, log_q, fraction, shade, size):
+    """Masses log-uniform over 1e-6..1e6 (or all equal), n from 1, tied
+    clocks, q from 1e-3 to 1e12 over sigma2 or at a positive event time,
+    shading on and off, small canvases: the bytes equal the reference's."""
+    masses = [10.0 ** exponents[0]] * len(exponents) if equal else [10.0**e for e in exponents]
+    cfg = WeightedConfig(tuple(masses))
+    xi = list(sample_clocks(cfg, RngStream(seed).named("clocks")).xi)
+    for a, b in ties:
+        xi[a % len(xi)] = xi[b % len(xi)]
+    clocks = ClockAssignment.from_xi(xi)
+    q = 10.0**log_q / math.fsum(m * m for m in masses)
+    traj = run_trajectory(cfg, clocks, RngStream(seed), q)
+    positive = [ev.time for ev in traj.events if ev.time > 0.0]
+    if fraction > 0.5 and positive:
+        q = positive[int((fraction - 0.5) * 2 * (len(positive) - 1))]
+    width, height = size
+    got = render_svg(traj, q, shade_slices=shade, width=width, height=height)
+    assert got == reference_render_svg(traj, q, shade_slices=shade, width=width, height=height)
+
+
+def test_coordinates_in_the_negative_rounding_band_print_as_zero():
+    """At width 13 some pixel coordinates of this walk fall in (-0.005, 0):
+    plain 2-decimal formatting prints them as -0.00, the file as 0.00."""
+    t = _traj(5)
+    raw = reference_render_svg(t, 3.0, shade_slices=True, width=13, fmt=lambda v: f"{v:.2f}")
+    assert raw.count("-0.00") == 3
+    svg = render_svg(t, 3.0, shade_slices=True, width=13)
+    assert "-0.00" not in svg
+    assert svg == raw.replace("-0.00", "0.00")
+    assert svg == reference_render_svg(t, 3.0, shade_slices=True, width=13)
+
+
+@pytest.mark.parametrize("shade", [False, True])
+def test_render_rejects_q_outside_the_horizon(shade):
+    t = _traj(2, q=3.0)
+    for q in (0.0, -1.0, 3.0 * (1 + 1e-12), float("nan")):
+        with pytest.raises(ValueError):
+            render_svg(t, q, shade_slices=shade)
+    render_svg(t, 3.0, shade_slices=shade)  # the horizon itself is inside
