@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .core import ClockAssignment, RngStream, WeightedConfig, groups, union
 
@@ -66,28 +66,33 @@ class Trajectory:
     q_max: float
     events: tuple[MergerEvent, ...]
 
-    def blocks_at(self, q: float) -> list[ComponentBlock]:
-        """Component blocks after all events with time <= q."""
+    def _replay(self, q: float) -> tuple[list[int], list[int], list[float]]:
+        """Starts, ends and masses of the blocks after the events up to the
+        first one with time > q, masses summed in log order."""
         n = len(self.config)
-        sorted_sizes = [self.config.masses[v] for v in self.clocks.perm]
+        masses = self.config.masses
         end = list(range(n))
-        mass = list(sorted_sizes)
-        start_of: dict[int, int] = {r: r for r in range(n)}
+        mass = [masses[v] for v in self.clocks.perm]
+        live = [True] * n
         for ev in self.events:
             if ev.time > q:
                 break
-            j = ev.left.lo
+            j, r = ev.left.lo, ev.right.lo
             end[j] = ev.right.hi
-            mass[j] += mass[ev.right.lo]
-            start_of.pop(ev.right.lo)
-        return [ComponentBlock(lo=j, hi=end[j], mass=mass[j]) for j in sorted(start_of)]
+            mass[j] += mass[r]
+            live[r] = False
+        starts = list(compress(range(n), live))
+        return starts, [end[j] for j in starts], [mass[j] for j in starts]
+
+    def blocks_at(self, q: float) -> list[ComponentBlock]:
+        """Component blocks after all events with time <= q."""
+        return list(map(ComponentBlock, *self._replay(q)))
 
     def partition_at(self, q: float) -> frozenset[frozenset[int]]:
         """Vertex partition (labels, not ranks) after events with time <= q."""
         perm = self.clocks.perm
-        return frozenset(
-            frozenset(perm[r] for r in b.ranks()) for b in self.blocks_at(q)
-        )
+        starts, ends, _ = self._replay(q)
+        return frozenset(frozenset(perm[lo : hi + 1]) for lo, hi in zip(starts, ends))
 
 
 def run_trajectory(
@@ -141,10 +146,12 @@ def run_trajectory(
     nxt = list(range(1, n + 1))
     mass = list(sizes)
     events: list[MergerEvent] = []
-    for _, r in absorbed:
+    # child then parent per event: the same doubles as scalar draws
+    draws = iter(gen.random(2 * len(absorbed)).tolist() if absorbed else ())
+    for (_, r), u_child, u_parent in zip(absorbed, draws, draws):
         j, e = prev[r], nxt[r]
-        child = bisect_right(cum, cum[r] + gen.random() * mass[r], r + 1, e) - 1
-        parent = bisect_right(cum, cum[j] + gen.random() * mass[j], j + 1, r) - 1
+        child = bisect_right(cum, cum[r] + u_child * mass[r], r + 1, e) - 1
+        parent = bisect_right(cum, cum[j] + u_parent * mass[j], j + 1, r) - 1
         events.append(
             MergerEvent(
                 time=(xs[r] - xs[j]) / mass[j],

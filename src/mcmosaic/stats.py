@@ -168,9 +168,24 @@ def ks_test(sample, cdf) -> KsResult:
 
 
 def ks_distance(sample_a, sample_b) -> float:
-    """Two-sample sup-distance between empirical distribution functions."""
-    res = _sps.ks_2samp(np.asarray(sample_a), np.asarray(sample_b))
-    return float(res.statistic)
+    """Two-sample sup-distance between empirical distribution functions.
+
+    Equal to ``scipy.stats.ks_2samp(a, b).statistic`` without its p-value:
+    in its default mode, up to 10,000 points a side, scipy rounds the
+    distance to the nearest multiple of 1 / lcm(n_a, n_b), and so does this.
+    """
+    a = np.sort(np.asarray(sample_a, dtype=float))
+    b = np.sort(np.asarray(sample_b, dtype=float))
+    n_a, n_b = a.size, b.size
+    if not (n_a and n_b):
+        raise ValueError("empty sample")
+    both = np.concatenate([a, b])
+    diff = np.searchsorted(a, both, side="right") / n_a - np.searchsorted(b, both, side="right") / n_b
+    d = float(np.abs(diff).max())
+    if max(n_a, n_b) <= 10_000:
+        lcm = n_a // math.gcd(n_a, n_b) * n_b
+        d = round(d * lcm) / lcm
+    return d
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,20 @@ Dynamic: every merger activates one Poisson arrival process per vertex of the
 absorbed block, pointed at the absorbing block; arrivals pick a mass-biased
 target and create a surplus edge.  The simple variant drops duplicates and
 loops; the multigraph variant keeps everything and adds per-vertex loop
-processes running from time 0 at rate mass**2 / 2.  One process table
-(``_process_table``) lists the processes, and the dynamic graph draws from it
-in bulk: one Poisson draw for the total arrival count, then one uniform call
-each for the arrivals' processes, times and targets.
+processes running from time 0 at rate mass**2 / 2.  Independent Poisson
+processes superpose: the dynamic graph draws one Poisson total over the
+process table (``_process_table``) and then one uniform call each for the
+arrivals' processes, times and targets, and the count sampler draws one
+Poisson count per component from its summed intensity, q times the area
+under the reflected walk (the augmented multiplicative coalescent).
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, takewhile
 from typing import Literal
 
 import numpy as np
@@ -216,6 +219,11 @@ class ZetaProcess:
     target_mass: float
 
 
+def _check_horizon(trajectory: Trajectory, q_max: float) -> None:
+    if q_max > trajectory.q_max:
+        raise ValueError("q_max exceeds the trajectory horizon")
+
+
 def _process_table(
     trajectory: Trajectory, q_max: float, include_loops: bool
 ) -> tuple[list[int], list[int], list[int], list[float], list[float], list[float]]:
@@ -256,6 +264,7 @@ def activated_processes(
     process per right-block vertex l, at rate mass(l) * mass(j..k).  Loop
     processes (multigraph only) exist from time 0 at rate mass(l)**2 / 2.
     """
+    _check_horizon(trajectory, q_max)
     return tuple(map(ZetaProcess, *_process_table(trajectory, q_max, include_loops)))
 
 
@@ -281,8 +290,7 @@ def dynamic_surplus(
     """
     if variant not in ("simple", "multigraph"):
         raise ValueError(f"unknown variant {variant!r}")
-    if q_max > trajectory.q_max:
-        raise ValueError("q_max exceeds the trajectory horizon")
+    _check_horizon(trajectory, q_max)
     gen = rng.named(f"dynamic-surplus-{variant}").generator()
     perm = trajectory.clocks.perm
     masses = trajectory.config.masses
@@ -339,37 +347,53 @@ def dynamic_surplus(
 class SurplusCountSampler:
     """Batched multigraph surplus counts, grouped by component at q_max.
 
-    Precomputes the activated processes of a fixed trajectory once; each
-    batch then draws the per-process Poisson counts in bulk and sums them by
-    component.  The count law matches dynamic_surplus's multigraph variant
-    exactly (targets do not affect counts).
+    Given the trajectory, a component's count is a sum of independent
+    Poisson counts, one per activated process inside it, so it is one
+    Poisson variable whose mean is the summed intensity: q_max * m**2 / 2
+    per loop, plus left.mass * right.mass * (q_max - time) per merger inside
+    the component.  That mean equals q_max times the area under the
+    reflected walk over the component's excursion.  Each batch is one
+    Poisson draw per (rep, component).  The count law matches
+    dynamic_surplus's multigraph variant exactly (targets do not affect
+    counts).  ``lam`` and ``group`` give the per-process intensities and
+    their component indices, computed on first access.
     """
 
     def __init__(self, trajectory: Trajectory, q_max: float):
+        _check_horizon(trajectory, q_max)
         self.trajectory = trajectory
         self.q_max = q_max
-        ls, _, _, acts, rates, _ = _process_table(trajectory, q_max, include_loops=True)
+        perm = trajectory.clocks.perm
+        masses = trajectory.config.masses
         blocks = trajectory.blocks_at(q_max)
-        self.components = [
-            frozenset(trajectory.clocks.perm[r] for r in b.ranks()) for b in blocks
-        ]
-        self.lam = np.asarray(rates) * (q_max - np.asarray(acts))
-        starts = np.asarray([b.lo for b in blocks])
-        self.group = np.searchsorted(starts, ls, side="right") - 1
+        self.components = [frozenset(perm[b.lo : b.hi + 1]) for b in blocks]
         self.n_components = len(blocks)
+        self._starts = [b.lo for b in blocks]
+        sizes = np.asarray([masses[v] for v in perm])
+        events = list(takewhile(lambda ev: ev.time <= q_max, trajectory.events))
+        merged = np.bincount(
+            np.searchsorted(self._starts, [ev.left.lo for ev in events], side="right") - 1,
+            weights=[ev.left.mass * ev.right.mass * (q_max - ev.time) for ev in events],
+            minlength=self.n_components,
+        )
+        self._lam_by_component = np.add.reduceat(sizes * sizes / 2.0 * q_max, self._starts) + merged
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """Intensity of each activated process, in activation order."""
+        _, _, _, acts, rates, _ = _process_table(self.trajectory, self.q_max, include_loops=True)
+        return np.asarray(rates) * (self.q_max - np.asarray(acts))
+
+    @cached_property
+    def group(self) -> np.ndarray:
+        """Component index of each activated process's source rank."""
+        ls = _process_table(self.trajectory, self.q_max, include_loops=True)[0]
+        return np.searchsorted(self._starts, ls, side="right") - 1
 
     def expected_by_component(self) -> np.ndarray:
-        out = np.zeros(self.n_components)
-        np.add.at(out, self.group, self.lam)
-        return out
+        return self._lam_by_component.copy()
 
     def counts(self, rng: RngStream, reps: int) -> np.ndarray:
         """(reps, n_components) matrix of total surplus counts."""
         gen = rng.named("surplus-counts").generator()
-        raw = gen.poisson(lam=self.lam, size=(reps, len(self.lam)))
-        out = np.zeros((reps, self.n_components), dtype=np.int64)
-        for ci in range(self.n_components):
-            mask = self.group == ci
-            if mask.any():
-                out[:, ci] = raw[:, mask].sum(axis=1)
-        return out
+        return gen.poisson(lam=self._lam_by_component, size=(reps, self.n_components))

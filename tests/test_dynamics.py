@@ -1,5 +1,6 @@
 """Merger engine: event times, block bookkeeping, and the append-only forest."""
 
+import dataclasses
 import heapq
 import math
 
@@ -312,3 +313,109 @@ def test_monotone_components_equal_partition_at(exponents, seed, log_q_max, frac
     levels = [q_max * f for f in fractions] + [ev.time for ev in traj.events]
     for q in levels:
         assert forest.components_at(q) == traj.partition_at(q)
+
+
+# -- the shared replay against the dict-based one it replaced ----------------
+
+
+def reference_blocks_at(traj, q):
+    """The earlier replay: a dict of live starts, popped per event, sorted."""
+    n = len(traj.config)
+    end = list(range(n))
+    mass = [traj.config.masses[v] for v in traj.clocks.perm]
+    start_of = {r: r for r in range(n)}
+    for ev in traj.events:
+        if ev.time > q:
+            break
+        j = ev.left.lo
+        end[j] = ev.right.hi
+        mass[j] += mass[ev.right.lo]
+        start_of.pop(ev.right.lo)
+    return [ComponentBlock(lo=j, hi=end[j], mass=mass[j]) for j in sorted(start_of)]
+
+
+def reference_partition_at(traj, q):
+    perm = traj.clocks.perm
+    return frozenset(
+        frozenset(perm[r] for r in b.ranks()) for b in reference_blocks_at(traj, q)
+    )
+
+
+def domain_trajectory(exponents, equal, seed, ties, log_q):
+    """Masses log-uniform over 1e-6..1e6 (or all equal), n from 1, tied
+    clocks, q_max up to 1e12 / (smallest mass)**2."""
+    masses = [10.0 ** exponents[0]] * len(exponents) if equal else [10.0**e for e in exponents]
+    cfg = WeightedConfig(tuple(masses))
+    xi = list(sample_clocks(cfg, RngStream(seed).named("clocks")).xi)
+    for a, b in ties:
+        xi[a % len(xi)] = xi[b % len(xi)]
+    clocks = ClockAssignment.from_xi(xi)
+    return run_trajectory(cfg, clocks, RngStream(seed), 10.0**log_q / min(masses) ** 2)
+
+
+def replay_levels(traj):
+    """Below the first event, at every event time, between events, at q_max."""
+    times = [ev.time for ev in traj.events]
+    between = [(a + b) / 2.0 for a, b in zip(times, times[1:])]
+    first = times[0] / 2.0 if times else traj.q_max / 2.0
+    return [0.0, first, *times, *between, traj.q_max]
+
+
+_REPLAY_DOMAIN = (
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=8),
+    st.floats(-12.0, 12.0),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(*_REPLAY_DOMAIN, st.integers(0, 2**16))
+def test_replay_matches_dict_reference(exponents, equal, seed, ties, log_q, pick):
+    """blocks_at (lo, hi and mass exactly) and partition_at equal the
+    dict-based replay, also on a log whose times are not sorted."""
+    traj = domain_trajectory(exponents, equal, seed, ties, log_q)
+    for q in replay_levels(traj):
+        assert traj.blocks_at(q) == reference_blocks_at(traj, q)
+        assert traj.partition_at(q) == reference_partition_at(traj, q)
+    if len(traj.events) < 2:
+        return
+    # lift one event above the later ones: the prefix stops there
+    i = pick % (len(traj.events) - 1)
+    events = list(traj.events)
+    events[i] = dataclasses.replace(events[i], time=2.0 * events[-1].time + 1.0)
+    unsorted = dataclasses.replace(traj, events=tuple(events))
+    for q in [events[i - 1].time if i else 0.0, events[-1].time, events[i].time]:
+        assert unsorted.blocks_at(q) == reference_blocks_at(unsorted, q)
+        assert unsorted.partition_at(q) == reference_partition_at(unsorted, q)
+
+
+def off_merger_levels(traj):
+    """Geometric midpoints between distinct positive event times, one level
+    below the first positive event and one between the last and q_max.  At
+    a merger time the engine and the walk round differently, so levels
+    within 1e-9 (relative) of an event are left out."""
+    times = sorted({ev.time for ev in traj.events if ev.time > 0.0})
+    points = [times[0] / 2.0] if times else [traj.q_max / 2.0]
+    points += [math.sqrt(a * b) for a, b in zip(times, times[1:])]
+    if times:
+        points.append(math.sqrt(times[-1] * traj.q_max))
+    return [q for q in points if all(abs(q - t) > 1e-9 * t for t in times)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(*_REPLAY_DOMAIN[:4], st.floats(-12.0, 30.0))
+def test_walk_partition_equals_replay_off_merger_times(exponents, equal, seed, ties, log_q):
+    """Masses over 1e-6..1e6, n from 1, tied clocks, q_max up to 1e30 over
+    the smallest mass squared: the walk's excursions and breadth-first
+    forest give the partition of partition_at and components_at."""
+    traj = domain_trajectory(exponents, equal, seed, ties, log_q)
+    forest = build_monotone_forest(traj)
+    for q in off_merger_levels(traj):
+        want = traj.partition_at(q)
+        path = WalkPath.from_clocks(traj.config, traj.clocks, q)
+        assert frozenset(frozenset(e.vertices) for e in decompose(path).excursions) == want
+        static, _ = breadth_first_forest(traj.config, traj.clocks, q)
+        assert frozenset(static.components()) == want
+        assert forest.components_at(q) == want

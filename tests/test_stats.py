@@ -103,6 +103,29 @@ def test_ks_distance_two_sample():
     assert ks_distance(a, a) == 0.0
 
 
+def _ks_cases():
+    gen = RngStream(12).named("ks-cases").generator()
+    sizes = [(1, 1), (1, 7), (9, 1), (20, 20), (20, 30), (7, 13), (64, 48), (333, 29)]
+    sizes += [(9_999, 10_000), (10_000, 7), (10_001, 10_000)]  # exact mode ends at 10,000
+    for i, (n_a, n_b) in enumerate(sizes):
+        yield gen.normal(size=n_a), gen.normal(0.3, size=n_b)
+        a, b = gen.integers(0, 4, n_a), gen.integers(0, 5, n_b)
+        yield a, b
+        if i < len(sizes) - 3:
+            # shared values tie across the samples
+            yield a * 0.5, np.concatenate([a[: n_b // 2] * 0.5, b[n_b // 2 :]])[:n_b]
+
+
+def test_ks_distance_equals_scipy_statistic():
+    """The direct statistic equals scipy's ks_2samp, rounding included."""
+    from scipy.stats import ks_2samp
+
+    for a, b in _ks_cases():
+        assert ks_distance(a, b) == float(ks_2samp(a, b).statistic), (len(a), len(b))
+    with pytest.raises(ValueError):
+        ks_distance([], [1.0])
+
+
 def test_poisson_moment_accepts_true_mean():
     gen = RngStream(8).named("pois-ok").generator()
     counts = gen.poisson(3.5, size=20000)

@@ -510,6 +510,10 @@ def test_process_table_matches_per_event_loop(
     lam, group = reference_sampler_arrays(traj, q)
     assert np.array_equal(sampler.lam, lam)
     assert np.array_equal(sampler.group, group)
+    # the superposed intensity per component: the per-process sum
+    per_process = np.zeros(sampler.n_components)
+    np.add.at(per_process, group, lam)
+    np.testing.assert_allclose(sampler.expected_by_component(), per_process, rtol=1e-12, atol=0.0)
 
 
 def _law_trajectory():
@@ -550,3 +554,63 @@ def test_bulk_draws_follow_the_process_law():
     lam = float(SurplusCountSampler(traj, q_max).expected_by_component().sum())
     moments = poisson_mean_test(totals, lam)
     assert moments.passed, moments
+
+
+def reference_counts(sampler, rng, reps):
+    """The earlier draw: one Poisson count per process, summed per component."""
+    gen = rng.named("surplus-counts").generator()
+    raw = gen.poisson(lam=sampler.lam, size=(reps, len(sampler.lam)))
+    out = np.zeros((reps, sampler.n_components), dtype=np.int64)
+    for ci in range(sampler.n_components):
+        out[:, ci] = raw[:, sampler.group == ci].sum(axis=1)
+    return out
+
+
+def test_superposed_counts_follow_the_per_process_law():
+    """Per component, one Poisson draw of the summed intensity and the sum
+    of per-process Poisson draws have one count law (chi-square
+    homogeneity over the count values)."""
+    reps = 4000
+    tested = 0
+    for seed in range(4):
+        cfg, clocks, q = random_instance(seed, n_max=10)
+        traj = run_trajectory(cfg, clocks, RngStream(seed), q)
+        sampler = SurplusCountSampler(traj, q)
+        got = sampler.counts(RngStream(seed).named("superposed"), reps)
+        want = reference_counts(sampler, RngStream(seed).named("per-process"), reps)
+        for ci in range(sampler.n_components):
+            top = int(max(got[:, ci].max(), want[:, ci].max())) + 1
+            if top < 2:
+                continue
+            res = chi_square_homogeneity(
+                np.bincount(got[:, ci], minlength=top), np.bincount(want[:, ci], minlength=top)
+            )
+            assert not res.rejects(), f"seed {seed} component {ci}: p={res.p_value:.5f}"
+            tested += 1
+    assert tested >= 4
+
+
+def test_surplus_layer_rejects_levels_past_the_horizon():
+    """Four unit masses logged to 0.05 (no merger yet) cannot answer at
+    q = 50: all three readers raise instead of reading the short log."""
+    cfg = WeightedConfig((1.0, 1.0, 1.0, 1.0))
+    clocks = ClockAssignment.from_xi((0.5, 1.5, 3.0, 3.5))
+    short = run_trajectory(cfg, clocks, RngStream(0), q_max=0.05)
+    assert short.events == ()
+    for read in (
+        lambda: SurplusCountSampler(short, 50.0),
+        lambda: activated_processes(short, 50.0, True),
+        lambda: dynamic_surplus(short, RngStream(0), 50.0, variant="multigraph"),
+    ):
+        with pytest.raises(ValueError, match="horizon"):
+            read()
+    assert SurplusCountSampler(short, 0.05).n_components == 4
+    # on the full log the answer is one component with mean q times the area
+    full = run_trajectory(cfg, clocks, RngStream(0), q_max=50.0)
+    sampler = SurplusCountSampler(full, 50.0)
+    path = WalkPath.from_clocks(cfg, clocks, 50.0)
+    (exc,) = decompose(path).excursions
+    assert sampler.n_components == 1
+    assert sampler.expected_by_component()[0] == pytest.approx(
+        50.0 * area_under_reflection(path, exc.start, exc.end), rel=1e-12
+    )
