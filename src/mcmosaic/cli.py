@@ -192,6 +192,9 @@ def _cmd_verify(args) -> int:
         "trajectories": args.trajectories,
         "batches": args.batches,
     }
+    for k, v in flags.items():
+        if v is not None and v < 1:
+            raise ValueError(f"{k} must be an integer >= 1, got {v!r}")
 
     def accepted(fn) -> dict:
         sig = inspect.signature(fn).parameters

@@ -34,8 +34,6 @@ __all__ = [
     "scaling_experiment",
 ]
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 @dataclass(frozen=True)
 class LimitParams:
@@ -53,6 +51,8 @@ class LimitParams:
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
             raise ValueError("kappa must be finite and nonnegative")
+        if not (math.isfinite(self.tau) and math.isfinite(self.t)):
+            raise ValueError("tau and t must be finite")
         if any(cj < 0 or not math.isfinite(cj) for cj in self.c):
             raise ValueError("c entries must be finite and nonnegative")
         for prev, cur in zip(self.c, self.c[1:]):
@@ -89,11 +89,11 @@ class VPath:
         return tot - self.drift * s
 
 
-def sample_Vc(c: tuple[float, ...], rng: RngStream, horizon: float) -> VPath:
+def sample_Vc(c: tuple[float, ...], rng: RngStream) -> VPath:
     """One jump-time draw per positive entry of c; drift is sum of c_j**2.
 
-    The horizon only bounds which jumps can matter downstream; times beyond
-    it are kept so the path object stays exact.
+    Every jump time is kept, however late, so the path object stays exact;
+    the grid sampler inserts only those inside its grid.
     """
     gen = rng.named("limit-vjumps").generator()
     pairs = []
@@ -110,12 +110,26 @@ def sample_Vc(c: tuple[float, ...], rng: RngStream, horizon: float) -> VPath:
 
 @dataclass(frozen=True, eq=False)
 class GridPath:
-    h: float
-    kappa: float
     epsilon: float
     times: np.ndarray
     w: np.ndarray
     b: np.ndarray
+
+
+def _grid(params: LimitParams, h: float, horizon: float | None) -> np.ndarray:
+    """Step-h grid times 0, h, 2h, ... reaching the horizon S (by default
+    params.default_horizon()): ceil(S / h - 1e-9) steps."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    S = params.default_horizon() if horizon is None else horizon
+    if S <= 0:
+        raise ValueError("horizon must be positive")
+    return h * np.arange(int(math.ceil(S / h - 1e-9)) + 1)
+
+
+def _drift(params: LimitParams, times: np.ndarray) -> np.ndarray:
+    """Parabolic drift (t - tau) s - kappa s**2 / 2 at the given times."""
+    return (params.t - params.tau) * times - 0.5 * params.kappa * times * times
 
 
 def sample_limit_path(
@@ -133,15 +147,9 @@ def sample_limit_path(
     (one per merged-grid step) — the hook for common-random-number
     discretization checks.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    S = params.default_horizon() if horizon is None else horizon
-    if S <= 0:
-        raise ValueError("horizon must be positive")
-    steps = int(math.ceil(S / h - 1e-9))
-    base = h * np.arange(steps + 1)
+    base = _grid(params, h, horizon)
     if vc is None:
-        vc = sample_Vc(params.c, rng, S)
+        vc = sample_Vc(params.c, rng)
     jt = np.asarray([t for t in vc.jump_times if 0.0 < t <= base[-1]])
     times = np.union1d(base, jt) if jt.size else base
     dt = np.diff(times)
@@ -159,17 +167,9 @@ def sample_limit_path(
         jump_part = csizes[np.searchsorted(jtimes, times, side="right")]
     else:
         jump_part = 0.0
-    w = (
-        bm
-        + (params.t - params.tau) * times
-        - 0.5 * params.kappa * times * times
-        + jump_part
-        - vc.drift * times
-    )
+    w = bm + _drift(params, times) + jump_part - vc.drift * times
     b = w - np.minimum.accumulate(w)
-    return GridPath(
-        h=h, kappa=params.kappa, epsilon=params.epsilon(h), times=times, w=w, b=b
-    )
+    return GridPath(epsilon=params.epsilon(h), times=times, w=w, b=b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,6 +216,16 @@ def _excursion_intervals(b: np.ndarray, eps: float):
     return row[new], lo[new], hi[new]
 
 
+def _read_excursions(b: np.ndarray, times: np.ndarray, eps: float):
+    """(row, length, area) of every excursion of every row of ``b``, in the
+    order of _excursion_intervals.  Areas are differences of one cumulative
+    trapezoid per row."""
+    row, lo, hi = _excursion_intervals(b, eps)
+    cum = np.zeros(b.shape)
+    np.cumsum(np.diff(times) * (b[:, 1:] + b[:, :-1]) / 2.0, axis=1, out=cum[:, 1:])
+    return row, times[hi] - times[lo], cum[row, hi] - cum[row, lo]
+
+
 def excursions_and_marks(path: GridPath, rng) -> ExcursionMarks:
     """Excursions of the reflected path and Poisson(area) mark draws.
 
@@ -226,19 +236,14 @@ def excursions_and_marks(path: GridPath, rng) -> ExcursionMarks:
     exactly — so reported lengths estimate the underlying excursion rather
     than its above-epsilon core.  Bumps never reaching epsilon are noise by
     assumption and are dropped; detections sharing the same zero-to-zero
-    interval collapse into one excursion.
+    interval collapse into one excursion.  Areas are trapezoid-rule
+    integrals of b between the widened ends.
 
     rng may be an RngStream or a numpy Generator; pass a Generator when
     calling repeatedly so the mark stream advances across calls.
     """
     gen = rng.named("limit-marks").generator() if isinstance(rng, RngStream) else rng
-    b = path.b
-    times = path.times
-    _, lo, hi = _excursion_intervals(b[None, :], path.epsilon)
-    len_arr = times[hi] - times[lo]
-    area_arr = np.asarray(
-        [float(_trapz(b[l : r + 1], times[l : r + 1])) for l, r in zip(lo, hi)]
-    )
+    _, len_arr, area_arr = _read_excursions(path.b[None, :], path.times, path.epsilon)
     counts = gen.poisson(area_arr)
     order = np.argsort(-len_arr, kind="stable")
     return ExcursionMarks(len_arr[order], counts[order], area_arr[order])
@@ -301,33 +306,28 @@ def sample_limit_reference(
     area = np.zeros(reps)
 
     def read(r0: int, b: np.ndarray, times: np.ndarray, eps: float) -> None:
-        row, lo, hi = _excursion_intervals(b, eps)
-        length = times[hi] - times[lo]
+        row, length, ar = _read_excursions(b, times, eps)
         # rows in order, longest first within a row, earliest first on ties
         order = np.lexsort((-length, row))
-        row, lo, hi, length = row[order], lo[order], hi[order], length[order]
+        row, length, ar = row[order], length[order], ar[order]
         top = np.flatnonzero(np.diff(row, prepend=-1))
         largest[r0 + row[top]] = length[top]
         two = top[np.diff(np.append(top, row.size)) > 1]
         second[r0 + row[two]] = length[two + 1]
-        cum = np.zeros(b.shape)
-        np.cumsum(np.diff(times) * (b[:, 1:] + b[:, :-1]) / 2.0, axis=1, out=cum[:, 1:])
-        area[r0 + row[top]] = cum[row[top], hi[top]] - cum[row[top], lo[top]]
+        area[r0 + row[top]] = ar[top]
 
     if params.c:
         for r in range(reps):
             path = sample_limit_path(params, rng.indexed(r), h, horizon)
             read(r, path.b[None, :], path.times, path.epsilon)
     else:
-        S = params.default_horizon() if horizon is None else horizon
-        steps = int(math.ceil(S / h - 1e-9))
-        times = h * np.arange(steps + 1)
-        drift = (params.t - params.tau) * times - 0.5 * params.kappa * times * times
+        times = _grid(params, h, horizon)
+        drift = _drift(params, times)
         gen = rng.named("limit-brownian").generator()
         scale = math.sqrt(params.kappa * h)
         done = 0
-        for rows in chunk_rows(reps, steps + 1):
-            z = gen.standard_normal((rows, steps))
+        for rows in chunk_rows(reps, times.size):
+            z = gen.standard_normal((rows, times.size - 1))
             w = np.concatenate(
                 [np.zeros((rows, 1)), np.cumsum(scale * z, axis=1)], axis=1
             )
@@ -344,22 +344,21 @@ def scaling_experiment(
     reps: int,
     rng: RngStream,
     *,
+    reference: dict,
     h: float = 1e-3,
-    limit_reps: int | None = None,
     include_marks: bool = True,
     sequences: dict | None = None,
-    reference: dict | None = None,
 ) -> dict:
     """Compare finite-n component laws at the critical horizon to the limit.
 
-    For each n the walk runs at horizon t + 1/sigma2; the largest component
-    mass (and, via the area shortcut, its surplus count) is compared by
-    two-sample sup-distance to the limit reference with kappa=1, tau=0,
-    c=().  Mass sequences default to the standard n**(-2/3) profile.
-
-    ``reference`` may carry a precomputed sample_limit_reference result; the
-    finite-n side is the noisy one at usual sizes, so a single large shared
-    reference sharpens every comparison at no per-call cost.
+    For each n the walk runs at horizon q = t + 1/sigma2; the largest
+    component mass (and, via the area shortcut, its surplus count) is
+    compared by two-sample sup-distance to ``reference``, a
+    sample_limit_reference result for kappa=1, tau=0, the same t and c=().
+    The finite-n side is the noisy one at usual sizes, so one large
+    reference shared by many calls sharpens every comparison at no per-call
+    cost.  ``h`` only labels the report; the reference fixes the grid.
+    Mass sequences default to the standard n**(-2/3) profile.
 
     With the standard profile, all n share one pool of unit exponential
     draws per chunk of replications, the sample for each n using its first n
@@ -369,29 +368,33 @@ def scaling_experiment(
     replication counts.
     """
     params = LimitParams(kappa=1.0, tau=0.0, t=t, c=())
-    if reference is not None:
-        ref = reference
-        lref = len(ref["largest"])
-    else:
-        lref = limit_reps if limit_reps is not None else reps
-        ref = sample_limit_reference(params, rng, h, lref)
+    sequences = sequences or {}
+    mass, s2, q, warnings = {}, {}, {}, {}
+    for n in n_values:
+        if n in sequences:
+            mass[n] = tuple(sequences[n])
+            s2[n] = float(sum(x * x for x in mass[n]))
+            warnings[n] = hypothesis_report(mass[n], kappa=1.0, c=())["warnings"]
+        else:
+            mass[n] = n ** (-2.0 / 3.0)
+            s2[n] = n * mass[n] * mass[n]
+            warnings[n] = []
+        q[n] = t + 1.0 / s2[n]
+        if q[n] <= 0:
+            raise ValueError(f"horizon t + 1/sigma2 = {q[n]} is not positive for n={n}")
 
     shared = None
     if not sequences:
-        for n in n_values:
-            if t + n ** (1.0 / 3.0) <= 0:
-                raise ValueError(f"horizon t + 1/sigma2 is not positive for n={n}")
         gen = rng.named("scaling-coupled").generator()
         n_max = max(n_values)
         parts = {n: [] for n in n_values}
         for chunk in chunk_rows(reps, n_max):
             pool = gen.exponential(size=(chunk, n_max))
             for n in n_values:
-                mass = n ** (-2.0 / 3.0)
                 xi = np.sort(pool[:, :n], axis=1)
-                xi /= mass
-                xi /= t + 1.0 / (n * mass * mass)
-                cummass = np.arange(n + 1, dtype=float) * mass
+                xi /= mass[n]
+                xi /= q[n]
+                cummass = np.arange(n + 1, dtype=float) * mass[n]
                 parts[n].append(component_stats(xi, cummass, include_marks))
         shared = {n: concat_stats(p) for n, p in parts.items()}
 
@@ -399,41 +402,22 @@ def scaling_experiment(
     prev = None
     decreasing = True
     for n in n_values:
-        if sequences and n in sequences:
-            masses = tuple(sequences[n])
-            s2 = float(sum(x * x for x in masses))
-            hyp = hypothesis_report(masses, kappa=1.0, c=())
-        else:
-            mass = n ** (-2.0 / 3.0)
-            masses = None
-            s2 = n * mass * mass
-            hyp = {
-                "sigma2": s2,
-                "ratio": 1.0,
-                "ratio_target": 1.0,
-                "warnings": [],
-            }
-        q = t + 1.0 / s2
-        if q <= 0:
-            raise ValueError(f"horizon t + 1/sigma2 = {q} is not positive for n={n}")
         gen = rng.named(f"scaling-{n}").generator()
-        if shared is not None and masses is None:
+        if shared is not None:
             d = shared[n]
         else:
-            d = bulk_component_stats(
-                n, mass if masses is None else masses, q, gen, reps, include_marks
-            )
+            d = bulk_component_stats(n, mass[n], q[n], gen, reps, include_marks)
         row = {
             "n": n,
-            "sigma2": s2,
-            "q": q,
-            "ks_largest": ks_distance(d["largest"], ref["largest"]),
-            "ks_second": ks_distance(d["second"], ref["second"]),
-            "warnings": hyp["warnings"],
+            "sigma2": s2[n],
+            "q": q[n],
+            "ks_largest": ks_distance(d["largest"], reference["largest"]),
+            "ks_second": ks_distance(d["second"], reference["second"]),
+            "warnings": warnings[n],
         }
         if include_marks:
-            counts = gen.poisson(q * d["largest_area"])
-            row["ks_marks"] = ks_distance(counts, ref["marks"])
+            counts = gen.poisson(q[n] * d["largest_area"])
+            row["ks_marks"] = ks_distance(counts, reference["marks"])
         if prev is not None and row["ks_largest"] >= prev:
             decreasing = False
         prev = row["ks_largest"]
@@ -442,7 +426,7 @@ def scaling_experiment(
         "t": t,
         "h": h,
         "reps": reps,
-        "limit_reps": lref,
+        "limit_reps": len(reference["largest"]),
         "epsilon": params.epsilon(h),
         "rows": rows,
         "ks_decreasing": decreasing,

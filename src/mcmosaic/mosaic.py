@@ -158,17 +158,10 @@ class _RankGeometry:
         return [m - p for m, p in zip(self.mass_before, self.pos)]
 
     @cached_property
-    def relative_level(self) -> list[float]:
-        """Baseline level above its excursion's floor, as drawn: the level
-        minus the root's level."""
-        level = self.level
-        return [level[j] - level[a] for j, a in enumerate(self.root)]
-
-    @cached_property
     def base_level(self) -> list[float]:
-        """Floor-relative baseline level of each rank's slice (Slice.base_level).
-        The same quantity as relative_level, summed in another order, so
-        the two can differ in the last bits."""
+        """Baseline level of each rank above its excursion's floor: the level
+        minus the root's level, summed as mass and position differences.
+        Slice.base_level and the drawn walk both read it."""
         mb, pos = self.mass_before, self.pos
         return [mb[j] - mb[a] - (pos[j] - pos[a]) for j, a in enumerate(self.root)]
 

@@ -46,7 +46,7 @@ def render_svg(
     are filled from a fixed palette.
     """
     g = _RankGeometry(trajectory, q)
-    pos, sizes, before = g.pos, g.sizes, g.relative_level  # walk just before each jump
+    pos, sizes, before = g.pos, g.sizes, g.base_level  # walk just before each jump
     tops = [b + s for b, s in zip(before, sizes)]
     span_end = max([0.0] + g.block_end)
     ymax = max([0.0] + tops)
@@ -62,11 +62,10 @@ def render_svg(
     body = []
 
     if shade_slices:
-        base = g.base_level
         intercept_lo, intercept_hi = g.intercepts
         for l, rows in enumerate(g.parallelograms):
             fill = _FILLS[l % len(_FILLS)]
-            x, y, m = pos[l], base[l], sizes[l]
+            x, y, m = pos[l], before[l], sizes[l]
             px, py = margin + x * sx, y0 - y * sy
             body.append(_TRIANGLE % (px, py, px, y0 - (y + m) * sy, margin + (x + m) * sx, py, fill))
             a, b = intercept_lo[l], intercept_hi[l]

@@ -39,9 +39,32 @@ class ChiSquareResult:
         return not self.inconclusive and self.p_value < alpha
 
 
-def _merge_order(weights: np.ndarray) -> np.ndarray:
-    # descending weight, ties broken by original index for determinism
-    return np.lexsort((np.arange(len(weights)), -weights))
+def _pool_cells(weights, columns, key, min_cell) -> list[list[float]]:
+    """Cells of ``columns`` (one array per row of the table), with sparse
+    ones pooled deterministically.
+
+    Cells are visited in descending weight, ties by original index.  A cell
+    is kept while key(its values) is at least min_cell; the first that falls
+    short is pooled with everything after it.  The pool stands as its own
+    cell if its key clears min_cell or nothing was kept, and joins the last
+    kept cell otherwise.
+    """
+    kept: list[list[float]] = []
+    pool = [0.0] * len(columns)
+    pooling = False
+    for idx in np.lexsort((np.arange(len(weights)), -weights)):
+        cell = [float(col[idx]) for col in columns]
+        if not pooling and key(*cell) >= min_cell:
+            kept.append(cell)
+        else:
+            pooling = True
+            pool = [p + x for p, x in zip(pool, cell)]
+    if pooling:
+        if key(*pool) >= min_cell or not kept:
+            kept.append(pool)
+        else:
+            kept[-1] = [k + p for k, p in zip(kept[-1], pool)]
+    return kept
 
 
 def chi_square(
@@ -62,34 +85,11 @@ def chi_square(
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("expected probabilities must sum to 1")
 
-    order = _merge_order(probs)
-    merged_obs: list[float] = []
-    merged_exp: list[float] = []
-    pool_obs = 0.0
-    pool_exp = 0.0
-    pooling = False
-    for idx in order:
-        if not pooling and probs[idx] * total >= min_cell:
-            merged_obs.append(float(obs[idx]))
-            merged_exp.append(float(probs[idx] * total))
-        else:
-            pooling = True
-            pool_obs += float(obs[idx])
-            pool_exp += float(probs[idx] * total)
-    if pooling:
-        if pool_exp >= min_cell or not merged_exp:
-            merged_obs.append(pool_obs)
-            merged_exp.append(pool_exp)
-        else:
-            merged_obs[-1] += pool_obs
-            merged_exp[-1] += pool_exp
-
-    cells = len(merged_obs)
+    merged = _pool_cells(probs, (obs, probs * total), lambda o, e: e, min_cell)
+    cells = len(merged)
     if cells < 2:
         return ChiSquareResult(math.nan, math.nan, 0, cells, inconclusive=True)
-    stat = float(
-        sum((o - e) ** 2 / e for o, e in zip(merged_obs, merged_exp) if e > 0)
-    )
+    stat = float(sum((o - e) ** 2 / e for o, e in merged if e > 0))
     dof = cells - 1
     return ChiSquareResult(stat, float(_sps.chi2.sf(stat, dof)), dof, cells, False)
 
@@ -110,37 +110,16 @@ def chi_square_homogeneity(
     if na <= 0 or nb <= 0:
         raise ValueError("both samples must be nonempty")
 
-    combined = a + b
-    order = _merge_order(combined)
     share_a = na / (na + nb)
-    cells_a: list[float] = []
-    cells_b: list[float] = []
-    pool_a = pool_b = 0.0
-    pooling = False
-    for idx in order:
-        exp_a = combined[idx] * share_a
-        exp_b = combined[idx] * (1.0 - share_a)
-        if not pooling and min(exp_a, exp_b) >= min_cell:
-            cells_a.append(float(a[idx]))
-            cells_b.append(float(b[idx]))
-        else:
-            pooling = True
-            pool_a += float(a[idx])
-            pool_b += float(b[idx])
-    if pooling:
-        exp_pool = (pool_a + pool_b) * min(share_a, 1.0 - share_a)
-        if exp_pool >= min_cell or not cells_a:
-            cells_a.append(pool_a)
-            cells_b.append(pool_b)
-        else:
-            cells_a[-1] += pool_a
-            cells_b[-1] += pool_b
-
-    k = len(cells_a)
+    # the smaller expected count of a cell: rounding is monotone, so this is
+    # min(total * share_a, total * (1 - share_a)) exactly
+    minor = min(share_a, 1.0 - share_a)
+    cells = _pool_cells(a + b, (a, b), lambda x, y: (x + y) * minor, min_cell)
+    k = len(cells)
     if k < 2:
         return ChiSquareResult(math.nan, math.nan, 0, k, inconclusive=True)
     stat = 0.0
-    for oa, ob in zip(cells_a, cells_b):
+    for oa, ob in cells:
         tot = oa + ob
         ea = tot * share_a
         eb = tot * (1.0 - share_a)

@@ -151,6 +151,24 @@ def test_verify_single_suite(tmp_path):
     assert payload["criteria"][0]["name"] == "intensity"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "intensity", "--instances", "0"],
+        ["--suite", "intensity", "--instances", "-3"],
+        ["--suite", "slice-rates", "--instances", "0"],
+        ["--suite", "monotone-logs", "--trajectories", "0"],
+        ["--suite", "surplus-poisson", "--trajectories", "0"],
+        ["--suite", "scaling", "--batches", "0"],
+        ["--suite", "static-law", "--reps", "0"],
+    ],
+)
+def test_verify_rejects_budgets_below_one(argv, capsys):
+    """A budget that checks nothing is a usage error, not a pass."""
+    assert main(["verify"] + argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_config_is_usage_error(tmp_path):
     rc = main(["simulate", "--out", str(tmp_path / "x.csv")])
     assert rc == 2

@@ -40,6 +40,13 @@ def test_params_order_check_is_relative(scale):
         LimitParams(kappa=1.0, c=(2.0 * scale, scale, scale * (1.0 + 1e-6)))
 
 
+@pytest.mark.parametrize("field", ["tau", "t"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_params_reject_nonfinite_tau_and_t(field, value):
+    with pytest.raises(ValueError, match="tau and t must be finite"):
+        LimitParams(kappa=1.0, **{field: value})
+
+
 def test_kappa_zero_is_approximate_and_needs_horizon():
     p = LimitParams(kappa=0.0, c=(1.0,))
     assert p.approximate
@@ -55,7 +62,7 @@ def test_default_horizon_and_epsilon():
 
 
 def test_vpath_eval_steps_and_drift():
-    v = sample_Vc((2.0, 1.0), RngStream(3).named("v"), horizon=10.0)
+    v = sample_Vc((2.0, 1.0), RngStream(3).named("v"))
     assert v.drift == pytest.approx(5.0)
     assert list(v.jump_times) == sorted(v.jump_times)
     assert set(v.jump_sizes) == {2.0, 1.0}
@@ -74,7 +81,7 @@ def test_vc_mean_curve():
     reps = 40000
     vals = np.empty(reps)
     for k in range(reps):
-        vals[k] = sample_Vc(c, root.indexed(k), horizon=5.0).eval(s)
+        vals[k] = sample_Vc(c, root.indexed(k)).eval(s)
     expected = sum(cj * (1 - math.exp(-cj * s)) - cj * cj * s for cj in c)
     assert expected < 0.0
     se = vals.std(ddof=1) / math.sqrt(reps)
@@ -94,7 +101,7 @@ def test_limit_path_shape_and_reflection():
 def test_limit_path_jump_times_on_grid():
     p = LimitParams(kappa=1.0, c=(1.5,))
     rng = RngStream(6).named("pj")
-    vc = sample_Vc(p.c, rng, p.default_horizon())
+    vc = sample_Vc(p.c, rng)
     path = sample_limit_path(p, rng, h=1e-2, vc=vc)
     for t in vc.jump_times:
         if t <= path.times[-1]:
@@ -112,6 +119,26 @@ def test_limit_path_validation():
         sample_limit_path(p, RngStream(0), h=1e-3, horizon=-1.0)
     with pytest.raises(ValueError):
         sample_limit_path(p, RngStream(0), h=1e-3, normals=np.zeros(3))
+
+
+@pytest.mark.parametrize("c", [(), (0.8,)])
+@pytest.mark.parametrize(
+    "h, horizon, message",
+    [
+        (0.0, None, "h must be positive"),
+        (-1e-3, None, "h must be positive"),
+        (1e-3, 0.0, "horizon must be positive"),
+        (1e-3, -2.0, "horizon must be positive"),
+    ],
+)
+def test_reference_checks_the_grid_like_the_path_sampler(c, h, horizon, message):
+    """Both reference branches reject the grids the path sampler rejects,
+    with its message."""
+    p = LimitParams(kappa=1.0, c=c)
+    with pytest.raises(ValueError, match=message):
+        sample_limit_path(p, RngStream(1), h, horizon)
+    with pytest.raises(ValueError, match=message):
+        sample_limit_reference(p, RngStream(1), h, 3, horizon=horizon)
 
 
 def test_drift_only_path_flatlines():
@@ -152,7 +179,7 @@ def _triangle_path(height_slope=1.0, top=2.0, h=1e-3):
     b = np.where(times <= top, times, 2 * top - times) * height_slope
     b = np.maximum(b, 0.0)
     w = b.copy()  # already nonnegative, running min stays 0
-    return GridPath(h=h, kappa=1.0, epsilon=10 * math.sqrt(h), times=times, w=w, b=b)
+    return GridPath(epsilon=10 * math.sqrt(h), times=times, w=w, b=b)
 
 
 def test_marks_are_poisson_in_area():
@@ -175,7 +202,7 @@ def test_excursion_endpoints_widen_to_zeros():
     t = np.arange(0.0, 3.0, h)
     # one bump on [1, 2], zero elsewhere
     b = np.where((t >= 1.0) & (t <= 2.0), np.sin(np.pi * (t - 1.0)), 0.0)
-    path = GridPath(h=h, kappa=1.0, epsilon=0.05, times=t, w=b, b=b)
+    path = GridPath(epsilon=0.05, times=t, w=b, b=b)
     em = excursions_and_marks(path, RngStream(1).named("z"))
     assert em.lengths.size == 1
     assert em.lengths[0] == pytest.approx(1.0, abs=2 * h)
@@ -185,7 +212,7 @@ def test_subepsilon_bump_is_dropped():
     h = 1e-3
     t = np.arange(0.0, 1.0, h)
     b = 0.01 * np.sin(np.pi * t) ** 2
-    path = GridPath(h=h, kappa=1.0, epsilon=0.05, times=t, w=b, b=b)
+    path = GridPath(epsilon=0.05, times=t, w=b, b=b)
     em = excursions_and_marks(path, RngStream(1).named("e"))
     assert em.lengths.size == 0
 
@@ -258,6 +285,27 @@ def test_reference_jump_branch_marks_the_largest_excursion():
         assert ref["second"][r] == (em.lengths[1] if em.lengths.size > 1 else 0.0)
     se = math.sqrt(areas.mean() / reps)
     assert abs(ref["marks"].mean() - areas.mean()) < 5 * se
+
+
+@pytest.mark.parametrize("c", [(), (0.8,)])
+def test_excursion_areas_match_per_excursion_trapezoid(c):
+    """Areas read off one cumulative trapezoid per row equal the trapezoid
+    rule applied to each excursion on its own."""
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    p = LimitParams(kappa=1.0, t=0.5, c=c)
+    seen = 0
+    for seed in range(20):
+        path = sample_limit_path(p, RngStream(seed).named("areas"), 2e-3)
+        em = excursions_and_marks(path, RngStream(seed).named("areas-m"))
+        _, lo, hi = _excursion_intervals(path.b[None, :], path.epsilon)
+        want = np.asarray(
+            [trapezoid(path.b[l : r + 1], path.times[l : r + 1]) for l, r in zip(lo, hi)]
+        )
+        order = np.argsort(-(path.times[hi] - path.times[lo]), kind="stable")
+        assert em.areas.shape == want.shape
+        np.testing.assert_allclose(em.areas, want[order], rtol=1e-12, atol=0.0)
+        seen += em.areas.size
+    assert seen > 20
 
 
 def test_reference_does_not_depend_on_chunking(monkeypatch):
@@ -341,7 +389,8 @@ def test_reference_jump_branch():
 
 def test_scaling_experiment_structure():
     rng = RngStream(6).named("sx")
-    out = scaling_experiment((100, 300), 0.0, 400, rng, h=5e-3, limit_reps=400)
+    ref = sample_limit_reference(LimitParams(kappa=1.0), rng, 5e-3, 400)
+    out = scaling_experiment((100, 300), 0.0, 400, rng, h=5e-3, reference=ref)
     assert [r["n"] for r in out["rows"]] == [100, 300]
     for row in out["rows"]:
         assert 0.0 <= row["ks_largest"] <= 1.0
@@ -376,9 +425,10 @@ def test_scaling_experiment_coupling_reuses_noise(monkeypatch):
         return ks_distance(a, b)
 
     monkeypatch.setattr(limit_mod, "ks_distance", spy)
+    rng = RngStream(19).named("c")
+    ref = sample_limit_reference(LimitParams(kappa=1.0), rng, 5e-3, 200)
     scaling_experiment(
-        (150, 400), 0.0, 2000, RngStream(19).named("c"), h=5e-3, limit_reps=200,
-        include_marks=False,
+        (150, 400), 0.0, 2000, rng, h=5e-3, reference=ref, include_marks=False
     )
     coupled = samples[2]  # per n: largest, then second
 
@@ -395,8 +445,9 @@ def test_scaling_experiment_custom_sequences():
     n = 120
     seqs = {n: tuple([n ** (-2.0 / 3.0)] * n)}
     rng = RngStream(22).named("seq")
+    ref = sample_limit_reference(LimitParams(kappa=1.0), rng, 5e-3, 100)
     out = scaling_experiment(
-        (n,), 0.0, 200, rng, h=5e-3, limit_reps=100, sequences=seqs
+        (n,), 0.0, 200, rng, h=5e-3, reference=ref, sequences=seqs
     )
     row = out["rows"][0]
     assert row["sigma2"] == pytest.approx(n ** (-1.0 / 3.0))
@@ -404,5 +455,10 @@ def test_scaling_experiment_custom_sequences():
 
 def test_scaling_experiment_bad_horizon():
     rng = RngStream(1).named("bad")
-    with pytest.raises(ValueError):
-        scaling_experiment((8,), -100.0, 10, rng, h=5e-3, limit_reps=10)
+    ref = sample_limit_reference(LimitParams(kappa=1.0), rng, 5e-3, 10)
+    with pytest.raises(ValueError, match="not positive for n=8"):
+        scaling_experiment((8,), -100.0, 10, rng, h=5e-3, reference=ref)
+    with pytest.raises(ValueError, match="not positive for n=8"):
+        scaling_experiment(
+            (8,), -100.0, 10, rng, h=5e-3, reference=ref, sequences={8: [0.5] * 8}
+        )

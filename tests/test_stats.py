@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
+
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mcmosaic.core import RngStream
 from mcmosaic.stats import (
     ALPHA,
+    ChiSquareResult,
     chi_square,
     chi_square_homogeneity,
     ks_distance,
@@ -78,6 +83,125 @@ def test_homogeneity_detects_shift():
 def test_homogeneity_shape_mismatch():
     with pytest.raises(ValueError):
         chi_square_homogeneity([1, 2], [1, 2, 3])
+
+
+def _merge_order(weights):
+    return np.lexsort((np.arange(len(weights)), -weights))
+
+
+def reference_chi_square(observed, expected_probs, min_cell=5):
+    """The goodness-of-fit pooling loop chi_square shares with
+    chi_square_homogeneity now, kept as the reference."""
+    obs = np.asarray(observed, dtype=float)
+    probs = np.asarray(expected_probs, dtype=float)
+    total = obs.sum()
+    merged_obs, merged_exp = [], []
+    pool_obs = pool_exp = 0.0
+    pooling = False
+    for idx in _merge_order(probs):
+        if not pooling and probs[idx] * total >= min_cell:
+            merged_obs.append(float(obs[idx]))
+            merged_exp.append(float(probs[idx] * total))
+        else:
+            pooling = True
+            pool_obs += float(obs[idx])
+            pool_exp += float(probs[idx] * total)
+    if pooling:
+        if pool_exp >= min_cell or not merged_exp:
+            merged_obs.append(pool_obs)
+            merged_exp.append(pool_exp)
+        else:
+            merged_obs[-1] += pool_obs
+            merged_exp[-1] += pool_exp
+    cells = len(merged_obs)
+    if cells < 2:
+        return ChiSquareResult(math.nan, math.nan, 0, cells, inconclusive=True)
+    stat = float(sum((o - e) ** 2 / e for o, e in zip(merged_obs, merged_exp) if e > 0))
+    return ChiSquareResult(stat, float(sps.chi2.sf(stat, cells - 1)), cells - 1, cells, False)
+
+
+def reference_homogeneity(counts_a, counts_b, min_cell=5):
+    """The homogeneity pooling loop, keyed by min(exp_a, exp_b), kept as the
+    reference."""
+    a = np.asarray(counts_a, dtype=float)
+    b = np.asarray(counts_b, dtype=float)
+    na, nb = a.sum(), b.sum()
+    combined = a + b
+    share_a = na / (na + nb)
+    cells_a, cells_b = [], []
+    pool_a = pool_b = 0.0
+    pooling = False
+    for idx in _merge_order(combined):
+        exp_a = combined[idx] * share_a
+        exp_b = combined[idx] * (1.0 - share_a)
+        if not pooling and min(exp_a, exp_b) >= min_cell:
+            cells_a.append(float(a[idx]))
+            cells_b.append(float(b[idx]))
+        else:
+            pooling = True
+            pool_a += float(a[idx])
+            pool_b += float(b[idx])
+    if pooling:
+        exp_pool = (pool_a + pool_b) * min(share_a, 1.0 - share_a)
+        if exp_pool >= min_cell or not cells_a:
+            cells_a.append(pool_a)
+            cells_b.append(pool_b)
+        else:
+            cells_a[-1] += pool_a
+            cells_b[-1] += pool_b
+    k = len(cells_a)
+    if k < 2:
+        return ChiSquareResult(math.nan, math.nan, 0, k, inconclusive=True)
+    stat = 0.0
+    for oa, ob in zip(cells_a, cells_b):
+        tot = oa + ob
+        ea = tot * share_a
+        eb = tot * (1.0 - share_a)
+        stat += (oa - ea) ** 2 / ea + (ob - eb) ** 2 / eb
+    return ChiSquareResult(float(stat), float(sps.chi2.sf(stat, k - 1)), k - 1, k, False)
+
+
+# sparse counts: many zeros and small values, a few large ones
+_count = st.sampled_from([0, 0, 1, 2, 3, 4, 5, 7, 12, 40, 300])
+
+
+@st.composite
+def _fit_cases(draw):
+    k = draw(st.integers(1, 40))
+    obs = draw(st.lists(_count, min_size=k, max_size=k))
+    weights = np.asarray(
+        draw(st.lists(st.sampled_from([0.01, 0.1, 1.0, 5.0, 50.0]), min_size=k, max_size=k))
+    )
+    return [max(obs[0], 1)] + obs[1:], weights / weights.sum()
+
+
+@st.composite
+def _tables(draw):
+    k = draw(st.integers(1, 40))
+    a, b = (draw(st.lists(_count, min_size=k, max_size=k)) for _ in range(2))
+    return [max(a[0], 1)] + a[1:], [max(b[-1], 1)] + b[:-1]
+
+
+@given(_fit_cases(), st.integers(1, 8))
+@example(([0, 0, 3], [0.2, 0.3, 0.5]), 5)  # everything pools
+@example(([50, 1, 1], [0.9, 0.05, 0.05]), 5)  # one kept cell, the pool folds into it
+@example(([50, 50, 1, 1, 1, 1], [0.45, 0.45, 0.025, 0.025, 0.025, 0.025]), 1)
+def test_chi_square_pooling_matches_reference(case, min_cell):
+    obs, probs = case
+    assert repr(chi_square(obs, probs, min_cell)) == repr(
+        reference_chi_square(obs, probs, min_cell)
+    )
+
+
+@given(_tables(), st.integers(1, 8))
+@example(([0, 0, 3], [1, 0, 0]), 5)  # everything pools
+@example(([60, 1, 1], [40, 1, 2]), 5)  # one kept cell, the pool folds into it
+@example(([900, 30, 2, 1], [9, 6, 1, 0]), 1)  # lopsided shares
+def test_homogeneity_pooling_matches_reference(table, min_cell):
+    a, b = table
+    assert repr(chi_square_homogeneity(a, b, min_cell)) == repr(
+        reference_homogeneity(a, b, min_cell)
+    )
 
 
 def test_ks_test_uniform_null():
