@@ -73,13 +73,12 @@ class ClockAssignment:
     """Per-vertex exponential clocks plus their sort permutation.
 
     ``perm[r]`` is the vertex holding the r-th smallest clock (rank r,
-    0-based); ``inv_perm`` is its inverse.  Ties are broken by vertex index,
-    which keeps the permutation well defined on degenerate inputs.
+    0-based).  Ties are broken by vertex index, which keeps the permutation
+    well defined on degenerate inputs.
     """
 
     xi: tuple[float, ...]
     perm: tuple[int, ...]
-    inv_perm: tuple[int, ...]
 
     @classmethod
     def from_xi(cls, xi: Sequence[float]) -> "ClockAssignment":
@@ -88,10 +87,7 @@ class ClockAssignment:
             if not (v > 0.0) or not math.isfinite(v):
                 raise ValueError(f"clock values must be finite and > 0, got {v!r}")
         order = tuple(int(i) for i in np.argsort(np.asarray(values), kind="stable"))
-        inv = [0] * len(values)
-        for r, v in enumerate(order):
-            inv[v] = r
-        return cls(xi=values, perm=order, inv_perm=tuple(inv))
+        return cls(xi=values, perm=order)
 
     def __len__(self) -> int:
         return len(self.xi)

@@ -80,14 +80,6 @@ class VPath:
     jump_sizes: tuple[float, ...]
     drift: float
 
-    def eval(self, s: float) -> float:
-        tot = 0.0
-        for t, x in zip(self.jump_times, self.jump_sizes):
-            if t > s:
-                break
-            tot += x
-        return tot - self.drift * s
-
 
 def sample_Vc(c: tuple[float, ...], rng: RngStream) -> VPath:
     """One jump-time draw per positive entry of c; drift is sum of c_j**2.
@@ -294,7 +286,7 @@ def sample_limit_reference(
     horizon: float | None = None,
 ) -> dict:
     """Largest and second excursion lengths, and the largest one's mark count,
-    over many limit paths.
+    over many limit paths, with the h and params they were drawn at.
 
     Reads excursions a chunk of paths at a time for c = (), one path at a
     time otherwise.  Marks are drawn once, one Poisson(area of the largest
@@ -335,7 +327,7 @@ def sample_limit_reference(
             read(done, w - np.minimum.accumulate(w, axis=1), times, params.epsilon(h))
             done += rows
     marks = rng.named("limit-marks").generator().poisson(area)
-    return {"largest": largest, "second": second, "marks": marks}
+    return {"largest": largest, "second": second, "marks": marks, "h": h, "params": params}
 
 
 def scaling_experiment(
@@ -354,10 +346,10 @@ def scaling_experiment(
     For each n the walk runs at horizon q = t + 1/sigma2; the largest
     component mass (and, via the area shortcut, its surplus count) is
     compared by two-sample sup-distance to ``reference``, a
-    sample_limit_reference result for kappa=1, tau=0, the same t and c=().
-    The finite-n side is the noisy one at usual sizes, so one large
-    reference shared by many calls sharpens every comparison at no per-call
-    cost.  ``h`` only labels the report; the reference fixes the grid.
+    sample_limit_reference result for kappa=1, tau=0, the same t and c=()
+    and the same ``h`` (ValueError otherwise).  The finite-n side is the
+    noisy one at usual sizes, so one large reference shared by many calls
+    sharpens every comparison at no per-call cost.
     Mass sequences default to the standard n**(-2/3) profile.
 
     With the standard profile, all n share one pool of unit exponential
@@ -382,6 +374,11 @@ def scaling_experiment(
         q[n] = t + 1.0 / s2[n]
         if q[n] <= 0:
             raise ValueError(f"horizon t + 1/sigma2 = {q[n]} is not positive for n={n}")
+    if (h, params) != (reference["h"], reference["params"]):
+        raise ValueError(
+            f"reference drawn at h={reference['h']}, {reference['params']}; "
+            f"asked for h={h}, {params}"
+        )
 
     shared = None
     if not sequences:

@@ -28,7 +28,6 @@ renderer reads the rows directly.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,7 +64,6 @@ class Baseline:
     """
 
     owner_rank: int
-    owner_vertex: int
     status: str  # "active" | "gray"
     level: float | None
     pieces: tuple[tuple[float, float], ...] | None
@@ -81,7 +79,6 @@ class OrnamentedExcursion:
     masses: tuple[float, ...]
     positions: tuple[float, ...] | None
     baselines: tuple[Baseline, ...]
-    mergers: tuple[MergerEvent, ...] = ()
 
     def __len__(self) -> int:
         return self.rank_hi - self.rank_lo + 1
@@ -110,7 +107,6 @@ class OrnamentedExcursion:
         baselines = tuple(
             Baseline(
                 owner_rank=r,
-                owner_vertex=r,
                 status="active" if r == 0 else "gray",
                 level=None,
                 pieces=None,
@@ -234,18 +230,12 @@ def build_mosaic(trajectory: Trajectory, q: float) -> list[OrnamentedExcursion]:
     g = _RankGeometry(trajectory, q)
     pos, sizes, perm = g.pos, g.sizes, g.path.perm
     level, reach, extent_end = g.level, g.reach, g.extent_end
-    starts = [b.lo for b in g.blocks]
-    mergers: list[list[MergerEvent]] = [[] for _ in g.blocks]
-    for ev in trajectory.events:
-        if ev.time <= q:
-            mergers[bisect_right(starts, ev.left.lo) - 1].append(ev)
     out = []
-    for block, block_mergers in zip(g.blocks, mergers):
+    for block in g.blocks:
         lo, hi = block.lo, block.hi
         baselines = tuple(
             Baseline(
                 owner_rank=j,
-                owner_vertex=perm[j],
                 status="active" if j == lo else "gray",
                 level=level[j],
                 pieces=((pos[j], extent_end[j]),),
@@ -262,7 +252,6 @@ def build_mosaic(trajectory: Trajectory, q: float) -> list[OrnamentedExcursion]:
                 masses=tuple(sizes[lo : hi + 1]),
                 positions=tuple(pos[lo : hi + 1]),
                 baselines=baselines,
-                mergers=tuple(block_mergers),
             )
         )
     return out
@@ -375,7 +364,6 @@ class HasseOrders:
     parents: tuple[tuple[int, int], ...]
     generations: tuple[tuple[int, int], ...]
     sequence: tuple[int, ...]
-    vertex_sequence: tuple[int, ...]
 
     def parent_of(self, rank: int) -> int:
         # parents lists ranks root+1, root+2, ... in order
@@ -413,13 +401,11 @@ def orders(excursion: OrnamentedExcursion) -> HasseOrders:
         raise ValueError("invalid ornamented excursion: " + "; ".join(problems))
     lo, hi = excursion.rank_lo, excursion.rank_hi
     parent, gen = _hasse(excursion)
-    seq = tuple(sorted(range(lo + 1, hi + 1), key=lambda r: (gen[r], -r)))
     return HasseOrders(
         root_rank=lo,
         parents=tuple(sorted(parent.items())),
         generations=tuple(sorted(gen.items())),
-        sequence=seq,
-        vertex_sequence=tuple(excursion.vertices[r - lo] for r in seq),
+        sequence=tuple(sorted(range(lo + 1, hi + 1), key=lambda r: (gen[r], -r))),
     )
 
 
@@ -549,20 +535,16 @@ def _local_covers(b: Baseline, lo: int) -> range | tuple[int, ...]:
 class Parallelogram:
     """One absorption's contribution to a rank's slice.
 
-    Geometrically: the diagonal band of the source rank cut at the absorbed
-    root's baseline level, of the stated height.  top_owner is that root;
-    slice_decomposition checks that top_level lies on its baseline.
+    Geometrically: the diagonal band of the slice's rank cut at the absorbed
+    root's baseline level, of the stated height; slice_decomposition checks
+    that top_level lies on that baseline.
     """
 
-    source_rank: int
-    left_lo: int
-    left_hi: int
     activation: float
     absorbed_mass: float
     height: float
     area: float
     top_level: float
-    top_owner: int
 
 
 @dataclass(frozen=True)
@@ -575,7 +557,6 @@ class Slice:
     """
 
     owner_rank: int
-    owner_vertex: int
     position: float
     base_mass: float
     base_level: float
@@ -591,12 +572,11 @@ class Slice:
 def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
     """All per-rank slices of every excursion of the walk at horizon q."""
     g = _RankGeometry(trajectory, q)
-    pos, sizes, perm = g.pos, g.sizes, g.path.perm
+    pos, sizes = g.pos, g.sizes
     base_level, (intercept_lo, intercept_hi) = g.base_level, g.intercepts
     return [
         Slice(
             owner_rank=l,
-            owner_vertex=perm[l],
             position=pos[l],
             base_mass=sizes[l],
             base_level=base_level[l],
@@ -605,15 +585,11 @@ def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
             intercept_hi=intercept_hi[l],
             parallelograms=tuple([
                 Parallelogram(
-                    source_rank=l,
-                    left_lo=ev.left.lo,
-                    left_hi=ev.left.hi,
                     activation=ev.time,
                     absorbed_mass=ev.left.mass,
                     height=height,
                     area=height * sizes[l],
                     top_level=top,
-                    top_owner=ev.right.lo,
                 )
                 for ev, top, height in rows
             ]),

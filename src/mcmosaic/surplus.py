@@ -220,8 +220,8 @@ class ZetaProcess:
 
 
 def _check_horizon(trajectory: Trajectory, q_max: float) -> None:
-    if q_max > trajectory.q_max:
-        raise ValueError("q_max exceeds the trajectory horizon")
+    if not 0.0 <= q_max <= trajectory.q_max:
+        raise ValueError(f"q_max={q_max} outside the horizon [0, {trajectory.q_max}]")
 
 
 def _process_table(

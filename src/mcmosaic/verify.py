@@ -602,7 +602,10 @@ def check_scaling(
 
 def check_determinism(seed: int = 7) -> dict:
     """Every CLI invocation repeated with the same seed writes identical
-    bytes."""
+    bytes.  The invocations' own stdout is discarded, so the nested verify
+    call does not print into this suite's report."""
+    import contextlib
+    import io
     import json
     import tempfile
     from pathlib import Path
@@ -621,7 +624,8 @@ def check_determinism(seed: int = 7) -> dict:
             outs = []
             for k in (0, 1):
                 out = base / f"{tag}-{k}"
-                code = cli.main(argv_for(str(out)))
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(argv_for(str(out)))
                 if code != 0:
                     details[tag] = False
                     return

@@ -124,9 +124,6 @@ class ExcursionDecomposition:
     excursions: tuple[Excursion, ...]
     load_free: tuple[tuple[float, float], ...]  # half-open (a, b] gaps before each excursion
 
-    def carried_masses(self) -> tuple[float, ...]:
-        return tuple(e.mass for e in self.excursions)
-
     @cached_property
     def _rank_starts(self) -> list[int]:
         """First rank of each excursion, ascending."""
@@ -188,23 +185,16 @@ def _close_excursion(path: WalkPath, lo: int, hi: int, cm) -> Excursion:
 class Forest:
     """Spanning forest read off the walk at a fixed q.
 
-    ``parent[v]`` is the parent vertex of v, or None for roots; every edge
-    carries the q at which the forest was evaluated.  ``depth`` gives the
-    generation of each vertex inside its tree (roots at 0).
+    ``parent[v]`` is the parent vertex of v, or None for roots.  ``depth``
+    gives the generation of each vertex inside its tree (roots at 0).
     """
 
-    q: float
     parent: tuple[Optional[int], ...]
     roots: tuple[int, ...]
     depth: tuple[int, ...]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(v, p) for v, p in enumerate(self.parent) if p is not None]
-
-    def edge_birth(self, child: int) -> float:
-        if self.parent[child] is None:
-            raise ValueError(f"vertex {child} is a root")
-        return self.q
 
     def components(self) -> list[frozenset[int]]:
         groups: dict[int, set[int]] = {}
@@ -258,7 +248,7 @@ def breadth_first_forest(
             r += 1
         masses.append(tree_mass)
 
-    forest = Forest(q=q, parent=tuple(parent), roots=tuple(roots), depth=tuple(depth))
+    forest = Forest(parent=tuple(parent), roots=tuple(roots), depth=tuple(depth))
     return forest, tuple(masses)
 
 

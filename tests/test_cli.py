@@ -151,6 +151,13 @@ def test_verify_single_suite(tmp_path):
     assert payload["criteria"][0]["name"] == "intensity"
 
 
+def test_verify_determinism_prints_one_line(capsys):
+    """Criterion 10 runs the CLI in process; its nested verify call does not
+    print into the report."""
+    assert main(["verify", "--suite", "determinism"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["criterion 10 determinism: pass"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

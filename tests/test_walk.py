@@ -216,10 +216,6 @@ def test_forest_edges_and_birth():
     forest, _ = breadth_first_forest(cfg, clocks, path.q)
     for child, par in forest.edges():
         assert forest.parent[child] == par
-        assert forest.edge_birth(child) == path.q
-    root = forest.roots[0]
-    with pytest.raises(ValueError):
-        forest.edge_birth(root)
 
 
 # -- areas --------------------------------------------------------------------
