@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, compress
+from typing import Optional
 
-from .core import ClockAssignment, RngStream, WeightedConfig, groups, union
+from .core import ClockAssignment, RngStream, WeightedConfig, find
 
 __all__ = [
     "ComponentBlock",
@@ -182,13 +184,41 @@ class MonotoneForest:
     def edges_at(self, q: float) -> list[tuple[int, int, float]]:
         return [e for e in self.edge_log if e[2] <= q]
 
-    def components_at(self, q: float) -> frozenset[frozenset[int]]:
+    @cached_property
+    def _join_order(self) -> tuple[list[int], list[Optional[float]]]:
+        """Every vertex once, each component at every level a contiguous run.
+
+        One union-find over the log concatenates the member lists of the two
+        sets each edge joins, so a list's adjacent pairs were joined no later
+        than the list was.  Returns the order and, for each adjacent pair,
+        the time of the edge that joined it (None between final components).
+        """
         parent = list(range(self.n))
+        tail = list(range(self.n))
+        nxt = [-1] * self.n
+        joined: list[Optional[float]] = [None] * self.n  # v and nxt[v] joined at
         for child, par, t in self.edge_log:
-            if t > q:
-                break
-            union(parent, child, par)
-        return groups(parent)
+            a, b = find(parent, par), find(parent, child)
+            if a == b:
+                continue
+            nxt[tail[a]] = b
+            joined[tail[a]] = t
+            tail[a] = tail[b]
+            parent[b] = a
+        order: list[int] = []
+        for v in range(self.n):
+            if parent[v] == v:  # a final root heads its list
+                while v != -1:
+                    order.append(v)
+                    v = nxt[v]
+        return order, [joined[v] for v in order[:-1]]
+
+    def components_at(self, q: float) -> frozenset[frozenset[int]]:
+        """Partition after the edges with time <= q: the join order cut
+        wherever an adjacent pair was joined later than q."""
+        order, joined = self._join_order
+        cuts = [0, *(i for i, t in enumerate(joined, 1) if t is None or t > q), len(order)]
+        return frozenset(frozenset(order[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 def build_monotone_forest(trajectory: Trajectory) -> MonotoneForest:

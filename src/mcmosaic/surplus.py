@@ -3,7 +3,10 @@
 Static: at a fixed q, each non-root vertex has an influence region — the
 later-listed vertices whose scaled clocks fall between its own jump and the
 end of the preceding listening window.  Each candidate connects to it
-independently with probability 1 - exp(-q * m_target * m_candidate).
+independently with probability 1 - exp(-q * m_target * m_candidate): the
+targets whose rate (q * m_target times the candidate mass) is at most their
+candidate count share one Poisson superposition, the others toss one coin
+per candidate.
 
 Dynamic: every merger activates one Poisson arrival process per vertex of the
 absorbed block, pointed at the absorbing block; arrivals pick a mass-biased
@@ -22,7 +25,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, takewhile
+from itertools import accumulate, repeat, takewhile
 from typing import Literal
 
 import numpy as np
@@ -152,40 +155,90 @@ class LabeledGraph:
         return counts
 
 
+def _draw_plan(
+    path: WalkPath, decomposition: ExcursionDecomposition, forest: Forest
+) -> tuple[list[tuple[int, int, float]], list[tuple[int, int]], list[tuple[int, int, float]]]:
+    """Rate table of the static surplus, split into coins and pool.
+
+    ``rows`` holds (h, e, rate) for every non-root rank h with a candidate,
+    in rank order: its candidates are the ranks h+1..e-1 and its rate is
+    q * m_h times their mass, a difference of prefix masses.  A row whose
+    rate is at most its candidate count joins ``pool`` (if the rate is
+    positive); every other one (rate above the count, inf or nan) adds one
+    coin per candidate to ``coins``, as (h, l) pairs in candidate order, so
+    a target costs at most min(rate, count) expected arrivals or coins.
+    Raises on a generation gap: breadth-first listing makes depth
+    nondecreasing in rank inside an excursion, so that check plus the depth
+    of each region's last candidate bounds every candidate's depth.
+    """
+    q, sizes, cm = path.q, path.jump_sizes, path.cummass
+    depth = list(map(forest.depth.__getitem__, path.perm))  # by rank
+    rows: list[tuple[int, int, float]] = []
+    coins: list[tuple[int, int]] = []
+    pool: list[tuple[int, int, float]] = []
+    for exc in decomposition.excursions:
+        for h in range(exc.rank_lo + 1, exc.rank_hi + 1):
+            if depth[h] < depth[h - 1]:
+                raise AssertionError(f"unexpected generation gap at rank {h}")
+            e = _region_end(path, exc, h)
+            if e - h == 1:
+                continue
+            if depth[e - 1] > depth[h] + 1:
+                raise AssertionError(f"unexpected generation gap at rank {e - 1}")
+            lam = q * sizes[h] * (cm[e - 1] - cm[h])
+            rows.append((h, e, lam))
+            if not lam <= e - h - 1:
+                coins += zip(repeat(h), range(h + 1, e))
+            elif lam > 0.0:
+                pool.append(rows[-1])
+    return rows, coins, pool
+
+
 def static_surplus(
     path: WalkPath,
     decomposition: ExcursionDecomposition,
     forest: Forest,
     rng: RngStream,
 ) -> LabeledGraph:
-    """Forest at q plus independently tossed surplus edges.
+    """Forest at q plus independently drawn surplus edges.
 
-    Together with the spanning edges this reproduces, in law, the random
-    graph with independent pair probabilities 1 - exp(-q * m_i * m_j).
+    Candidate l of target h carries an edge with probability
+    1 - exp(-q * m_h * m_l), the chance that a Poisson count of that mean is
+    positive.  The pooled targets of ``_draw_plan`` share one Poisson count
+    whose arrivals pick a target by bisection on the cumulative rates and a
+    candidate by bisection on the prefix masses; the distinct pairs are the
+    edges.  The other targets toss one coin per candidate.  Both are exact,
+    so with the spanning edges this is, in law, the random graph with
+    independent pair probabilities 1 - exp(-q * m_i * m_j).  The
+    ``"static-surplus"`` stream draws the pool's count (if there is a pool),
+    then one uniform call: the coins in candidate order, then a target and a
+    candidate uniform per arrival.  Edges come out in (target, candidate)
+    rank order.
     """
     q = path.q
+    sizes, perm, cm = path.jump_sizes, path.perm, path.cummass
+    spanning = tuple([GraphEdge(v, p, q, "span") for v, p in forest.edges()])
+    _, coins, pool = _draw_plan(path, decomposition, forest)
+    if not (coins or pool):
+        return LabeledGraph(n=len(path), spanning=spanning, surplus=())
     gen = rng.named("static-surplus").generator()
-    sizes, perm, depth = path.jump_sizes, path.perm, forest.depth
-    spanning = tuple(
-        GraphEdge(source=v, target=p, time=q, kind="span") for v, p in forest.edges()
-    )
-    pairs: list[tuple[int, int]] = []  # (candidate rank, target rank)
-    probs: list[float] = []
-    for exc in decomposition.excursions:
-        for h in range(exc.rank_lo + 1, exc.rank_hi + 1):
-            m_h = sizes[h]
-            depth_h = depth[perm[h]]
-            for l in range(h + 1, _region_end(path, exc, h)):
-                _generation(depth[perm[l]] - depth_h, l)  # raises on a generation gap
-                pairs.append((l, h))
-                probs.append(-math.expm1(-q * m_h * sizes[l]))
-    # one draw per candidate, in candidate order: the same stream as scalar draws
-    coins = gen.random(len(probs)).tolist()
-    extra = tuple(
-        GraphEdge(source=perm[l], target=perm[h], time=q, kind="simple")
-        for (l, h), p_edge, u in zip(pairs, probs, coins)
-        if u < p_edge
-    )
+    total = 0
+    if pool:
+        cum = list(accumulate((lam for _, _, lam in pool), initial=0.0))
+        total = int(gen.poisson(cum[-1]))
+    draws = gen.random(len(coins) + 2 * total).tolist()
+    found = [
+        (h, l) for (h, l), u in zip(coins, draws) if u < -math.expm1(-q * sizes[h] * sizes[l])
+    ]
+    if total:
+        arrived = set()
+        arrivals = iter(draws[len(coins) :])
+        for u_target, u_cand in zip(arrivals, arrivals):
+            h, e, _ = pool[bisect_right(cum, u_target * cum[-1], 1, len(pool)) - 1]
+            l = bisect_right(cm, cm[h] + u_cand * (cm[e - 1] - cm[h]), h + 1, e - 1)
+            arrived.add((h, l))
+        found = sorted(arrived.union(found))
+    extra = tuple([GraphEdge(perm[l], perm[h], q, "simple") for h, l in found])
     return LabeledGraph(n=len(path), spanning=spanning, surplus=extra)
 
 

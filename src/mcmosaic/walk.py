@@ -122,7 +122,6 @@ class Excursion:
 @dataclass(frozen=True)
 class ExcursionDecomposition:
     excursions: tuple[Excursion, ...]
-    load_free: tuple[tuple[float, float], ...]  # half-open (a, b] gaps before each excursion
 
     @cached_property
     def _rank_starts(self) -> list[int]:
@@ -137,7 +136,7 @@ class ExcursionDecomposition:
 
 
 def decompose(path: WalkPath) -> ExcursionDecomposition:
-    """Split the reflected walk into excursions and load-free gaps.
+    """Split the reflected walk into excursions.
 
     A rank opens a new excursion exactly when its jump lands strictly after
     the listening window of the previous tree, which is the same as its
@@ -159,13 +158,7 @@ def decompose(path: WalkPath) -> ExcursionDecomposition:
     for i, lo in enumerate(roots):
         hi = (roots[i + 1] - 1) if i + 1 < len(roots) else n - 1
         excursions.append(_close_excursion(path, lo, hi, cm))
-
-    gaps = []
-    prev_end = 0.0
-    for e in excursions:
-        gaps.append((prev_end, e.start))
-        prev_end = e.end
-    return ExcursionDecomposition(excursions=tuple(excursions), load_free=tuple(gaps))
+    return ExcursionDecomposition(excursions=tuple(excursions))
 
 
 def _close_excursion(path: WalkPath, lo: int, hi: int, cm) -> Excursion:
@@ -190,7 +183,6 @@ class Forest:
     """
 
     parent: tuple[Optional[int], ...]
-    roots: tuple[int, ...]
     depth: tuple[int, ...]
 
     def edges(self) -> list[tuple[int, int]]:
@@ -225,13 +217,11 @@ def breadth_first_forest(
 
     parent: list[Optional[int]] = [None] * n
     depth = [0] * n
-    roots: list[int] = []
     masses: list[float] = []
 
     r = 0
     while r < n:
         root = r
-        roots.append(path.perm[root])
         # window_end[i - root] = end of the listening window of rank i
         window_end = [times[root] + sizes[root]]
         tree_mass = sizes[root]
@@ -248,7 +238,7 @@ def breadth_first_forest(
             r += 1
         masses.append(tree_mass)
 
-    forest = Forest(parent=tuple(parent), roots=tuple(roots), depth=tuple(depth))
+    forest = Forest(parent=tuple(parent), depth=tuple(depth))
     return forest, tuple(masses)
 
 

@@ -302,8 +302,8 @@ _PINNED_SHA256 = {
         "dfff56d3b789a9899ef188a948dafb08"
     ),
     "surplus-static": (
-        "5118742a6f1a0bc1a383284c3308f210"
-        "1adc3324fec83a0ef7289343fd5f8197"
+        "dcdc0478c4b5f2cd4f22555bd627233d"
+        "ce326c62e51f98ac492f7a7718483715"
     ),
     "mosaic-shade": (
         "146bd26e28d97146159e6007feab2e8f"
@@ -326,7 +326,10 @@ def test_seeded_outputs_are_pinned(tmp_path):
     draws updates them and says so in CHANGES.md.  ``surplus`` and
     ``surplus-multigraph`` were re-recorded when the dynamic surplus began
     to draw in bulk (one Poisson total, then every arrival's process, time
-    and target, each set in one call); the other digests did not change.
+    and target, each set in one call), and ``surplus-static`` when the static
+    surplus began to pool its sparse targets (one Poisson count over the
+    pool, then the coins of the other targets and a target and a candidate
+    uniform per arrival, in one call); the other digests did not change.
     """
     masses = [float(m) for m in np.random.default_rng(3).uniform(0.5, 2.0, 200)]
     q = 2.0 / math.fsum(m * m for m in masses)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import domain, domain_instance
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.dynamics import (
     ComponentBlock,
@@ -304,15 +305,40 @@ def test_monotone_components_match_static_forest():
 )
 def test_monotone_components_equal_partition_at(exponents, seed, log_q_max, fractions):
     """Masses over 1e-6..1e6, n from 1: the monotone forest and the block
-    log give the same partition at event times and at random levels."""
+    log give the same partition at random levels, exactly at every event
+    time, before the first edge and after the last."""
     cfg = WeightedConfig(tuple(10.0**e for e in exponents))
     clocks = sample_clocks(cfg, RngStream(seed).named("clocks"))
     q_max = 10.0**log_q_max
     traj = run_trajectory(cfg, clocks, RngStream(seed), q_max)
     forest = build_monotone_forest(traj)
-    levels = [q_max * f for f in fractions] + [ev.time for ev in traj.events]
+    times = [ev.time for ev in traj.events]
+    levels = [q_max * f for f in fractions] + times + [0.0, -1.0, q_max, math.inf]
+    if times:
+        levels += [times[0] / 2.0, 2.0 * times[-1]]
     for q in levels:
         assert forest.components_at(q) == traj.partition_at(q)
+    singletons = frozenset(frozenset((v,)) for v in range(len(cfg)))
+    assert forest.components_at(-1.0) == singletons
+
+
+def test_monotone_components_on_a_hand_built_log():
+    """Tied edge times join together; a level exactly at an edge time
+    includes that edge, one just below it does not; vertices no edge touches
+    stay alone."""
+    forest = MonotoneForest(
+        n=6, edge_log=((1, 0, 0.5), (3, 2, 1.0), (2, 1, 1.0), (4, 0, 2.0))
+    )
+
+    def parts(*blocks):
+        return frozenset(frozenset(b) for b in blocks)
+
+    assert forest.components_at(0.0) == parts({0}, {1}, {2}, {3}, {4}, {5})
+    assert forest.components_at(0.5) == parts({0, 1}, {2}, {3}, {4}, {5})
+    assert forest.components_at(math.nextafter(1.0, 0.0)) == forest.components_at(0.5)
+    assert forest.components_at(1.0) == parts({0, 1, 2, 3}, {4}, {5})
+    assert forest.components_at(2.0) == parts({0, 1, 2, 3, 4}, {5})
+    assert forest.components_at(math.inf) == forest.components_at(2.0)
 
 
 # -- the shared replay against the dict-based one it replaced ----------------
@@ -342,15 +368,9 @@ def reference_partition_at(traj, q):
 
 
 def domain_trajectory(exponents, equal, seed, ties, log_q):
-    """Masses log-uniform over 1e-6..1e6 (or all equal), n from 1, tied
-    clocks, q_max up to 1e12 / (smallest mass)**2."""
-    masses = [10.0 ** exponents[0]] * len(exponents) if equal else [10.0**e for e in exponents]
-    cfg = WeightedConfig(tuple(masses))
-    xi = list(sample_clocks(cfg, RngStream(seed).named("clocks")).xi)
-    for a, b in ties:
-        xi[a % len(xi)] = xi[b % len(xi)]
-    clocks = ClockAssignment.from_xi(xi)
-    return run_trajectory(cfg, clocks, RngStream(seed), 10.0**log_q / min(masses) ** 2)
+    """The shared domain with q_max up to 1e12 / (smallest mass)**2."""
+    cfg, clocks = domain_instance(exponents, equal, seed, ties)
+    return run_trajectory(cfg, clocks, RngStream(seed), 10.0**log_q / min(cfg.masses) ** 2)
 
 
 def replay_levels(traj):
@@ -361,17 +381,11 @@ def replay_levels(traj):
     return [0.0, first, *times, *between, traj.q_max]
 
 
-_REPLAY_DOMAIN = (
-    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=8),
-    st.floats(-12.0, 12.0),
-)
+_REPLAY_DOMAIN = domain(max_n=40, max_ties=8)
 
 
 @settings(deadline=None, max_examples=200)
-@given(*_REPLAY_DOMAIN, st.integers(0, 2**16))
+@given(*_REPLAY_DOMAIN, st.floats(-12.0, 12.0), st.integers(0, 2**16))
 def test_replay_matches_dict_reference(exponents, equal, seed, ties, log_q, pick):
     """blocks_at (lo, hi and mass exactly) and partition_at equal the
     dict-based replay, also on a log whose times are not sorted."""
@@ -405,7 +419,7 @@ def off_merger_levels(traj):
 
 
 @settings(deadline=None, max_examples=150)
-@given(*_REPLAY_DOMAIN[:4], st.floats(-12.0, 30.0))
+@given(*_REPLAY_DOMAIN, st.floats(-12.0, 30.0))
 def test_walk_partition_equals_replay_off_merger_times(exponents, equal, seed, ties, log_q):
     """Masses over 1e-6..1e6, n from 1, tied clocks, q_max up to 1e30 over
     the smallest mass squared: the walk's excursions and breadth-first

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import domain, domain_instance
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.dynamics import run_trajectory
 from mcmosaic.mosaic import (
@@ -444,25 +445,13 @@ def reference_reach_ends(path, lo, hi):
 
 
 @settings(deadline=None, max_examples=150)
-@given(
-    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=6),
-    st.floats(-3.0, 12.0),
-    st.floats(0.0, 1.0),
-)
+@given(*domain(max_n=40, max_ties=6), st.floats(-3.0, 12.0), st.floats(0.0, 1.0))
 def test_reach_stack_matches_per_baseline_walk(exponents, equal, seed, ties, log_q, fraction):
     """Masses log-uniform over 1e-6..1e6 (or all equal), n from 1, tied
     clocks, q from 1e-3 to 1e12 over sigma2 or at a positive event time: every
     baseline's reach ends where the per-baseline walk ends it."""
-    masses = [10.0 ** exponents[0]] * len(exponents) if equal else [10.0**e for e in exponents]
-    cfg = WeightedConfig(tuple(masses))
-    xi = list(sample_clocks(cfg, RngStream(seed).named("clocks")).xi)
-    for a, b in ties:
-        xi[a % len(xi)] = xi[b % len(xi)]
-    clocks = ClockAssignment.from_xi(xi)
-    q = 10.0**log_q / math.fsum(m * m for m in masses)
+    cfg, clocks = domain_instance(exponents, equal, seed, ties)
+    q = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
     traj = run_trajectory(cfg, clocks, RngStream(seed), q)
     positive = [ev.time for ev in traj.events if ev.time > 0.0]  # ties merge at 0
     if fraction > 0.5 and positive:
@@ -612,15 +601,9 @@ def test_built_covers_are_ranges():
 
 
 def spread_instance(exponents, equal, seed, ties, log_q):
-    """Masses 10**exponents (or all equal to the first), clocks tied as
-    listed, q = 10**log_q / sigma2."""
-    masses = [10.0 ** exponents[0]] * len(exponents) if equal else [10.0**e for e in exponents]
-    cfg = WeightedConfig(tuple(masses))
-    xi = list(sample_clocks(cfg, RngStream(seed).named("clocks")).xi)
-    for a, b in ties:
-        xi[a % len(xi)] = xi[b % len(xi)]
-    clocks = ClockAssignment.from_xi(xi)
-    q = 10.0**log_q / math.fsum(m * m for m in masses)
+    """The shared domain at q = 10**log_q / sigma2, with its trajectory."""
+    cfg, clocks = domain_instance(exponents, equal, seed, ties)
+    q = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
     return cfg, clocks, run_trajectory(cfg, clocks, RngStream(seed), q), q
 
 
@@ -636,13 +619,7 @@ def round_trips(traj, q):
 
 
 @settings(deadline=None, max_examples=300)
-@given(
-    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=30),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-    st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=4),
-    st.floats(-3.0, 12.0),
-)
+@given(*domain(max_n=30, max_ties=4), st.floats(-3.0, 12.0))
 def test_build_replay_build_round_trip(exponents, equal, seed, ties, log_q):
     """Masses log-uniform over 1e-6..1e6 (or all equal), n from 1, tied
     clocks, q from 1e-3 to 1e12 over sigma2: every built excursion is valid
@@ -679,13 +656,7 @@ def test_round_trip_at_a_merger_time():
 
 
 @settings(deadline=None, max_examples=150)
-@given(
-    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=8),
-    st.floats(-12.0, 12.0),
-)
+@given(*domain(max_n=40, max_ties=8), st.floats(-12.0, 12.0))
 def test_slice_rate_identity_over_the_domain(exponents, equal, seed, ties, log_q):
     """Criterion 3 on masses log-uniform over 1e-6..1e6 (or all equal), n
     from 1, tied clocks, q up to 1e12 over sigma2: every parallelogram's

@@ -1,5 +1,6 @@
 """Influence regions, static surplus law, arrival processes, count batching."""
 
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import domain, domain_instance
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.dynamics import run_trajectory
 from mcmosaic.oracle import gillespie_graph
@@ -19,6 +21,7 @@ from mcmosaic.surplus import (
     activated_processes,
     dynamic_surplus,
     influence_region,
+    _draw_plan,
     static_surplus,
     total_intensity,
 )
@@ -105,9 +108,8 @@ def test_region_includes_a_candidate_at_the_window_end():
     region = influence_region(path, dec, forest, 1)
     assert region.candidates == ((2, "same_generation"),)
     assert region.candidates == reference_candidates(path, dec, forest, 1)
-    for seed in range(20):
-        got = static_surplus(path, dec, forest, RngStream(seed)).surplus
-        assert got == reference_static_surplus(path, dec, forest, RngStream(seed))
+    assert _draw_plan(path, dec, forest) == ([(1, 3, 1.0)], [], [(1, 3, 1.0)])
+    assert_draw_plan_matches_reference(path, dec, forest)
 
 
 def test_total_intensity_identity():
@@ -210,6 +212,68 @@ def test_static_surplus_law_matches_oracle_sampler():
         [oracle_counts.get(s, 0) for s in support],
     )
     assert not res.rejects(), f"pair-set laws differ: p={res.p_value:.5f}"
+
+
+def _mixed_walk():
+    """One excursion at q = 1: rank 1 (mass 2) has rate 5 over three
+    candidates and tosses coins; ranks 2 and 3 have rates 1.5 and 0.5 over
+    two candidates of unequal mass and one, and share the pool."""
+    cfg = WeightedConfig((1.0, 2.0, 1.0, 0.5, 1.0))
+    clocks = ClockAssignment.from_xi((0.01, 0.5, 0.8, 0.9, 0.95))
+    path = WalkPath.from_clocks(cfg, clocks, 1.0)
+    forest, _ = breadth_first_forest(cfg, clocks, 1.0)
+    return path, decompose(path), forest
+
+
+def test_pooled_and_coin_targets_follow_the_pair_law():
+    """A coin target and two pooled targets on one walk: the joint law of
+    the six candidate pairs (64 edge sets) is the product of
+    1 - exp(-q m_h m_l) over the pairs (chi-square)."""
+    path, dec, forest = _mixed_walk()
+    _, coins, pool = _draw_plan(path, dec, forest)
+    assert {h for h, _ in coins} == {1} and [h for h, _, _ in pool] == [2, 3]
+    pairs = [(h, l) for h in range(1, 5) for l in range(h + 1, 5)]
+    sizes, q = path.jump_sizes, path.q
+    p_edge = [-math.expm1(-q * sizes[h] * sizes[l]) for h, l in pairs]
+    reps = 20000
+    counts = dict.fromkeys(itertools.product((False, True), repeat=len(pairs)), 0)
+    root = RngStream(61).named("mixed-law")
+    for k in range(reps):
+        present = static_surplus(path, dec, forest, root.indexed(k)).pair_set()
+        counts[tuple(frozenset(pr) in present for pr in pairs)] += 1
+    probs = [
+        math.prod(p if bit else 1.0 - p for bit, p in zip(key, p_edge)) for key in counts
+    ]
+    res = chi_square(list(counts.values()), probs)
+    assert not res.rejects(), f"edge-set law off: p={res.p_value:.5f}"
+
+
+def test_generation_gap_check_against_the_per_candidate_check():
+    """Every depth assignment in 0..3 to the non-root ranks of a two-tree
+    walk: the O(n) check raises whenever a candidate has a depth gap, and,
+    when depth is nondecreasing in rank inside each excursion (as
+    breadth-first listing makes it), exactly when the per-candidate check
+    does.  Rank 7 is in no region (rank 6's window ends at 11), so a depth
+    decrease from rank 6 to 7 raises only in the O(n) check."""
+    cfg = WeightedConfig((1.0, 2.0, 1.0, 0.5, 0.5, 1.0, 1.0, 1.0))
+    clocks = ClockAssignment.from_xi((0.01, 0.5, 0.8, 0.9, 0.95, 10.0, 10.5, 11.5))
+    path = WalkPath.from_clocks(cfg, clocks, 1.0)
+    dec = decompose(path)
+    assert path.perm == tuple(range(8))
+    assert [(e.rank_lo, e.rank_hi) for e in dec.excursions] == [(0, 4), (5, 7)]
+    forest, _ = breadth_first_forest(cfg, clocks, 1.0)
+    seen = set()
+    for free in itertools.product(range(4), repeat=6):
+        depth = (0, *free[:4], 0, *free[4:])
+        hand = dataclasses.replace(forest, depth=depth)
+        old = any(_raises(reference_candidates, path, dec, hand, h) for h in range(8))
+        new = _raises(_draw_plan, path, dec, hand)
+        assert new == _raises(static_surplus, path, dec, hand, RngStream(0))
+        monotone = all(depth[r - 1] <= depth[r] for r in (2, 3, 4, 6, 7))
+        assert new if old else (new == (not monotone))
+        seen.add((old, new, monotone))
+    assert seen == {(False, False, True), (True, True, True), (True, True, False),
+                    (False, True, False)}
 
 
 # -- arrival processes --------------------------------------------------------
@@ -451,30 +515,55 @@ def _outcome(fn, *args):
         return ("AssertionError", str(e))
 
 
-def domain_instance(exponents, equal, seed, ties):
-    """Masses log-uniform over the exponents' range (or all equal), n from 1,
-    and ties made by copying one drawn clock onto another."""
-    masses = [10.0 ** exponents[0]] * len(exponents) if equal else [10.0**e for e in exponents]
-    cfg = WeightedConfig(tuple(masses))
-    xi = list(sample_clocks(cfg, RngStream(seed).named("clocks")).xi)
-    for a, b in ties:
-        xi[a % len(xi)] = xi[b % len(xi)]
-    return cfg, ClockAssignment.from_xi(xi)
+def _raises(fn, *args):
+    """True when fn raises the generation-gap AssertionError."""
+    try:
+        fn(*args)
+    except AssertionError as e:
+        assert "unexpected generation gap" in str(e)
+        return True
+    return False
 
 
-_DOMAIN = (
-    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=6),
-)
+_DOMAIN = domain(max_n=40, max_ties=6)
+
+
+def assert_draw_plan_matches_reference(path, dec, forest):
+    """The draw plan's rows are the non-root ranks with a candidate, in rank
+    order, with the reference's candidates as their range h+1..e-1 and rate
+    q * m_h times their mass to 1e-12 of q * m_h * cummass[e - 1] (the
+    rounding of the prefix masses the rate is a difference of); a
+    generation gap raises in both or in neither.  Only rows whose rate is
+    in (0, k] are pooled and every other row tosses one coin per candidate,
+    so the expected arrivals and coins never exceed the candidate count."""
+    reference = [lambda h=h: reference_candidates(path, dec, forest, h) for h in range(len(path))]
+    raises = _raises(_draw_plan, path, dec, forest)
+    assert raises == any(_raises(ref) for ref in reference)
+    if raises:
+        return
+    rows, coins, pool = _draw_plan(path, dec, forest)
+    assert [h for h, _, _ in rows] == [h for h in range(len(path)) if reference[h]()]
+    q, sizes, cm = path.q, path.jump_sizes, path.cummass
+    for h, e, lam in rows:
+        cands = [l for l, _ in reference[h]()]
+        assert cands == list(range(h + 1, e))
+        exact = q * sizes[h] * math.fsum(sizes[l] for l in cands)
+        assert abs(lam - exact) <= 1e-12 * q * sizes[h] * cm[e - 1]
+    assert pool == [(h, e, lam) for h, e, lam in rows if 0.0 < lam <= e - h - 1]
+    assert coins == [
+        (h, l) for h, e, lam in rows if not lam <= e - h - 1 for l in range(h + 1, e)
+    ]
+    expected_work = math.fsum(lam for _, _, lam in pool) + len(coins)
+    assert expected_work <= sum(e - h - 1 for h, e, _ in rows)
 
 
 @settings(deadline=None, max_examples=150)
 @given(*_DOMAIN, st.floats(-3.0, 12.0))
 def test_static_surplus_matches_per_candidate_loop(exponents, equal, seed, ties, log_q):
-    """q from 1e-3 to 1e12 over sigma2: regions, excursion lookup and the
-    static graph equal the per-candidate loop's, draw for draw."""
+    """q from 1e-3 to 1e12 over sigma2: regions and excursion lookup equal
+    the per-candidate loop's, the draw plan agrees with it,
+    and the static graph raises where it raises; otherwise its edges are
+    distinct candidate pairs, listed in (target, candidate) rank order."""
     cfg, clocks = domain_instance(exponents, equal, seed, ties)
     q = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
     path = WalkPath.from_clocks(cfg, clocks, q)
@@ -487,8 +576,17 @@ def test_static_surplus_matches_per_candidate_loop(exponents, equal, seed, ties,
         assert region == _outcome(reference_candidates, path, dec, forest, h)
     with pytest.raises(ValueError):
         dec.excursion_of_rank(len(path))
-    got = _outcome(lambda: static_surplus(path, dec, forest, RngStream(seed)).surplus)
-    assert got == _outcome(reference_static_surplus, path, dec, forest, RngStream(seed))
+    assert_draw_plan_matches_reference(path, dec, forest)
+    raises = _raises(static_surplus, path, dec, forest, RngStream(seed))
+    assert raises == _raises(reference_static_surplus, path, dec, forest, RngStream(seed))
+    if raises:
+        return
+    rank = {v: r for r, v in enumerate(path.perm)}
+    got = static_surplus(path, dec, forest, RngStream(seed)).surplus
+    pairs = [(rank[e.target], rank[e.source]) for e in got]
+    assert pairs == sorted(set(pairs))
+    for h, l in pairs:
+        assert (l, h) in [(c, h) for c, _ in reference_candidates(path, dec, forest, h)]
 
 
 @settings(deadline=None, max_examples=150)

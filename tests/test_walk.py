@@ -8,7 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import domain, domain_instance
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.stats import chi_square_homogeneity
 from mcmosaic.walk import (
@@ -130,12 +133,11 @@ def test_decompose_fields():
             assert e.start == path.jump_times[e.rank_lo]
             assert e.end == pytest.approx(e.start + e.mass)
         assert covered == list(range(len(path)))
-        # gaps interleave: (prev excursion end, next start]
-        assert dec.load_free[0][0] == 0.0
-        for gap, e in zip(dec.load_free, dec.excursions):
-            assert gap[1] == e.start
-        for i in range(1, len(dec.excursions)):
-            assert dec.load_free[i][0] == pytest.approx(dec.excursions[i - 1].end)
+        # excursions interleave with the load-free gaps: each starts at or
+        # after the previous one's end
+        assert dec.excursions[0].start >= 0.0
+        for prev, e in zip(dec.excursions, dec.excursions[1:]):
+            assert e.start >= prev.end
 
 
 def test_excursion_of_rank():
@@ -196,10 +198,29 @@ def test_forest_matches_quadratic_reference():
         parent, depth, roots = reference_forest(path)
         assert list(forest.parent) == parent
         assert list(forest.depth) == depth
-        assert list(forest.roots) == roots
+        # the parentless vertices, in rank order, are the roots
+        assert [v for v in path.perm if forest.parent[v] is None] == roots
         assert [round(m, 9) for m in masses] == [
             round(e.mass, 9) for e in decompose(path).excursions
         ]
+
+
+@settings(deadline=None, max_examples=150)
+@given(*domain(max_n=40, max_ties=6), st.floats(-12.0, 12.0))
+def test_breadth_first_depth_is_nondecreasing_in_rank(exponents, equal, seed, ties, log_q):
+    """The shared domain at q up to 1e12 over sigma2: inside every
+    excursion, depth never decreases from one rank to the next (the probe
+    rank never decreases and a child sits one below its probe).  The static
+    surplus's O(n) generation-gap check rests on this."""
+    cfg, clocks = domain_instance(exponents, equal, seed, ties)
+    q = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
+    path = WalkPath.from_clocks(cfg, clocks, q)
+    forest, _ = breadth_first_forest(cfg, clocks, q)
+    depth = [forest.depth[v] for v in path.perm]
+    for e in decompose(path).excursions:
+        assert depth[e.rank_lo] == 0
+        run = depth[e.rank_lo : e.rank_hi + 1]
+        assert run == sorted(run)
 
 
 def test_forest_components_match_excursions():
