@@ -135,6 +135,9 @@ def _cmd_surplus(args) -> int:
     root = core.RngStream(seed)
 
     if args.static:
+        for flag, value in (("--variant", args.variant), ("--q-max", args.q_max)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to the dynamic graph only, not --static")
         q = _level(args, settings, "q")
 
         def work(rep: int):

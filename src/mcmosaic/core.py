@@ -22,7 +22,6 @@ __all__ = [
     "ClockAssignment",
     "RngStream",
     "sample_clocks",
-    "sigma",
     "read_config",
     "load_config",
     "find",
@@ -53,19 +52,8 @@ class WeightedConfig:
     def __len__(self) -> int:
         return len(self.masses)
 
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(self.masses)
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.masses, dtype=float)
-
-
-def sigma(config: WeightedConfig, r: int) -> float:
-    """r-th power sum of the masses, compensated summation."""
-    if r not in (1, 2, 3):
-        raise ValueError("moment order must be 1, 2 or 3")
-    return math.fsum(m**r for m in config.masses)
 
 
 @dataclass(frozen=True)

@@ -181,9 +181,6 @@ class MonotoneForest:
     n: int
     edge_log: tuple[tuple[int, int, float], ...]
 
-    def edges_at(self, q: float) -> list[tuple[int, int, float]]:
-        return [e for e in self.edge_log if e[2] <= q]
-
     @cached_property
     def _join_order(self) -> tuple[list[int], list[Optional[float]]]:
         """Every vertex once, each component at every level a contiguous run.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -350,7 +351,9 @@ def scaling_experiment(
     and the same ``h`` (ValueError otherwise).  The finite-n side is the
     noisy one at usual sizes, so one large reference shared by many calls
     sharpens every comparison at no per-call cost.
-    Mass sequences default to the standard n**(-2/3) profile.
+    Mass sequences default to the standard n**(-2/3) profile; each n must
+    be an integer >= 1 and a given ``sequences[n]`` must hold n masses
+    (ValueError otherwise).
 
     With the standard profile, all n share one pool of unit exponential
     draws per chunk of replications, the sample for each n using its first n
@@ -361,6 +364,11 @@ def scaling_experiment(
     """
     params = LimitParams(kappa=1.0, tau=0.0, t=t, c=())
     sequences = sequences or {}
+    for n in n_values:
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        if n in sequences and len(sequences[n]) != n:
+            raise ValueError(f"sequences[{n}] holds {len(sequences[n])} masses, not {n}")
     mass, s2, q, warnings = {}, {}, {}, {}
     for n in n_values:
         if n in sequences:

@@ -97,9 +97,12 @@ class OrnamentedExcursion:
         """Combinatorial-only excursion on local ranks 0..n-1, root 0.
 
         covers maps a rank to the ranks its baseline reaches; rank 0
-        defaults to reaching everything.  No geometry is attached.
+        defaults to reaching everything, and a key outside 0..n-1 raises.
+        No geometry is attached.
         """
         n = len(masses)
+        if not set(covers) <= set(range(n)):
+            raise ValueError(f"cover keys must be ranks 0..{n - 1}, got {list(covers)}")
         full = {0: tuple(range(1, n))}
         full.update({r: tuple(sorted(covers.get(r, ()))) for r in range(1, n)})
         if 0 in covers:
@@ -364,13 +367,6 @@ class HasseOrders:
     parents: tuple[tuple[int, int], ...]
     generations: tuple[tuple[int, int], ...]
     sequence: tuple[int, ...]
-
-    def parent_of(self, rank: int) -> int:
-        # parents lists ranks root+1, root+2, ... in order
-        i = rank - self.root_rank - 1
-        if not 0 <= i < len(self.parents):
-            raise KeyError(rank)
-        return self.parents[i][1]
 
     def coalescence_order(self) -> tuple[int, ...]:
         return tuple(reversed(self.sequence))

@@ -110,9 +110,6 @@ class OracleTrajectory:
             union(parent, i, j)
         return groups(parent)
 
-    def first_merger_time(self) -> float | None:
-        return self.mergers[0][0] if self.mergers else None
-
 
 def gillespie_trajectory(
     config: WeightedConfig, rng: RngStream, q_max: float

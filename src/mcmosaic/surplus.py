@@ -2,11 +2,11 @@
 
 Static: at a fixed q, each non-root vertex has an influence region — the
 later-listed vertices whose scaled clocks fall between its own jump and the
-end of the preceding listening window.  Each candidate connects to it
-independently with probability 1 - exp(-q * m_target * m_candidate): the
-targets whose rate (q * m_target times the candidate mass) is at most their
-candidate count share one Poisson superposition, the others toss one coin
-per candidate.
+end of the preceding listening window, one run of consecutive ranks.  Each
+candidate connects to it independently with probability
+1 - exp(-q * m_target * m_candidate): the targets whose rate (q * m_target
+times the candidate mass) is at most their candidate count share one
+Poisson superposition, the others toss one coin per candidate.
 
 Dynamic: every merger activates one Poisson arrival process per vertex of the
 absorbed block, pointed at the absorbing block; arrivals pick a mass-biased
@@ -52,18 +52,14 @@ Variant = Literal["simple", "multigraph"]
 
 @dataclass(frozen=True)
 class InfluenceRegion:
-    """Candidate surplus sources for one target rank.
-
-    ``candidates`` holds (rank, case) pairs; case is "same_generation" when
-    the candidate sits in the target's generation and "next_generation" when
-    it is a child of an earlier vertex of that generation.
-    """
+    """Candidate surplus sources of one target rank: the consecutive ranks
+    target_rank+1..end-1, empty for a root (end == target_rank + 1)."""
 
     target_rank: int
-    candidates: tuple[tuple[int, str], ...]
+    end: int
 
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(r for r, _ in self.candidates)
+    def ranks(self) -> range:
+        return range(self.target_rank + 1, self.end)
 
 
 def influence_region(
@@ -76,18 +72,18 @@ def influence_region(
 
     Roots get an empty region.  Candidates are always in the same tree and,
     by the breadth-first structure, either in the target's generation or the
-    next one.
+    next one; any other depth raises.
     """
     exc = decomposition.excursion_of_rank(h)
     if h == exc.rank_lo:
-        return InfluenceRegion(target_rank=h, candidates=())
+        return InfluenceRegion(target_rank=h, end=h + 1)
+    end = _region_end(path, exc, h)
     perm, depth = path.perm, forest.depth
     depth_h = depth[perm[h]]
-    out = [
-        (l, _generation(depth[perm[l]] - depth_h, l))
-        for l in range(h + 1, _region_end(path, exc, h))
-    ]
-    return InfluenceRegion(target_rank=h, candidates=tuple(out))
+    for l in range(h + 1, end):
+        if depth[perm[l]] - depth_h not in (0, 1):
+            raise AssertionError(f"unexpected generation gap at rank {l}")
+    return InfluenceRegion(target_rank=h, end=end)
 
 
 def _window_end(path: WalkPath, exc: Excursion, h: int) -> float:
@@ -100,15 +96,6 @@ def _window_end(path: WalkPath, exc: Excursion, h: int) -> float:
 def _region_end(path: WalkPath, exc: Excursion, h: int) -> int:
     """One past the last candidate of rank h: the jump times are sorted."""
     return bisect_right(path.jump_times, _window_end(path, exc, h), h + 1, exc.rank_hi + 1)
-
-
-def _generation(gap: int, l: int) -> str:
-    if gap == 0:
-        return "same_generation"
-    if gap == 1:
-        return "next_generation"
-    # breadth-first listing admits no other depth in the window
-    raise AssertionError(f"unexpected generation gap at rank {l}")
 
 
 @dataclass(frozen=True)
@@ -135,24 +122,13 @@ class LabeledGraph:
                 pairs.add(frozenset((e.source, e.target)))
         return frozenset(pairs)
 
-    def partition(self) -> frozenset[frozenset[int]]:
-        """Connected components induced by all edges (loops irrelevant)."""
+    def partition_at(self, q: float) -> frozenset[frozenset[int]]:
+        """Connected components of the edges with time <= q (loops irrelevant)."""
         parent = list(range(self.n))
         for e in self.spanning + self.surplus:
-            union(parent, e.source, e.target)
+            if e.time <= q:
+                union(parent, e.source, e.target)
         return groups(parent)
-
-    def surplus_by_vertex_set(self) -> dict[frozenset[int], int]:
-        """Surplus edge count (loops included) per spanning component."""
-        parent = list(range(self.n))
-        for e in self.spanning:
-            union(parent, e.source, e.target)
-        comps = groups(parent)
-        comp_of = {v: c for c in comps for v in c}
-        counts = dict.fromkeys(comps, 0)
-        for e in self.surplus:
-            counts[comp_of[e.source]] += 1
-        return counts
 
 
 def _draw_plan(
@@ -408,8 +384,8 @@ class SurplusCountSampler:
     reflected walk over the component's excursion.  Each batch is one
     Poisson draw per (rep, component).  The count law matches
     dynamic_surplus's multigraph variant exactly (targets do not affect
-    counts).  ``lam`` and ``group`` give the per-process intensities and
-    their component indices, computed on first access.
+    counts).  ``lam`` gives the per-process intensities, computed on first
+    access.
     """
 
     def __init__(self, trajectory: Trajectory, q_max: float):
@@ -421,15 +397,15 @@ class SurplusCountSampler:
         blocks = trajectory.blocks_at(q_max)
         self.components = [frozenset(perm[b.lo : b.hi + 1]) for b in blocks]
         self.n_components = len(blocks)
-        self._starts = [b.lo for b in blocks]
+        starts = [b.lo for b in blocks]
         sizes = np.asarray([masses[v] for v in perm])
         events = list(takewhile(lambda ev: ev.time <= q_max, trajectory.events))
         merged = np.bincount(
-            np.searchsorted(self._starts, [ev.left.lo for ev in events], side="right") - 1,
+            np.searchsorted(starts, [ev.left.lo for ev in events], side="right") - 1,
             weights=[ev.left.mass * ev.right.mass * (q_max - ev.time) for ev in events],
             minlength=self.n_components,
         )
-        self._lam_by_component = np.add.reduceat(sizes * sizes / 2.0 * q_max, self._starts) + merged
+        self._lam_by_component = np.add.reduceat(sizes * sizes / 2.0 * q_max, starts) + merged
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -437,13 +413,9 @@ class SurplusCountSampler:
         _, _, _, acts, rates, _ = _process_table(self.trajectory, self.q_max, include_loops=True)
         return np.asarray(rates) * (self.q_max - np.asarray(acts))
 
-    @cached_property
-    def group(self) -> np.ndarray:
-        """Component index of each activated process's source rank."""
-        ls = _process_table(self.trajectory, self.q_max, include_loops=True)[0]
-        return np.searchsorted(self._starts, ls, side="right") - 1
-
     def expected_by_component(self) -> np.ndarray:
+        """Surplus intensity of each component (``components`` order): q_max
+        times the area under the reflected walk over its excursion."""
         return self._lam_by_component.copy()
 
     def counts(self, rng: RngStream, reps: int) -> np.ndarray:

@@ -143,10 +143,7 @@ def check_process_law(seed: int = 7, reps: int = 100_000) -> dict:
             clocks = core.sample_clocks(config, sub.named("clocks"))
             traj = dynamics.run_trajectory(config, clocks, sub, q_max=q2)
             graph = surplus.dynamic_surplus(traj, sub, q_max=q2, variant="simple")
-            key = (
-                _canon(_edge_partition(graph, q1)),
-                _canon(_edge_partition(graph, q2)),
-            )
+            key = (_canon(graph.partition_at(q1)), _canon(graph.partition_at(q2)))
             counts_b[key] = counts_b.get(key, 0) + 1
 
         support = sorted(set(counts_o) | set(counts_b))
@@ -168,14 +165,6 @@ def check_process_law(seed: int = 7, reps: int = 100_000) -> dict:
         )
 
     return _with_retry(run, seed)
-
-
-def _edge_partition(graph: surplus.LabeledGraph, q: float) -> frozenset[frozenset[int]]:
-    parent = list(range(graph.n))
-    for e in graph.spanning + graph.surplus:
-        if e.time <= q:
-            core.union(parent, e.source, e.target)
-    return core.groups(parent)
 
 
 # -- criterion 3: arrival rate = q * parallelogram area ----------------------

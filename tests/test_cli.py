@@ -284,6 +284,16 @@ def test_bad_variant_rejected(config_file, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag", [["--variant", "multigraph"], ["--q-max", "2.0"]])
+def test_static_surplus_refuses_dynamic_flags(flag, config_file, tmp_path, capsys):
+    """--variant and --q-max shape only the dynamic graph: with --static they
+    are refused instead of ignored (the config's q_max key stays accepted)."""
+    out = tmp_path / "x.csv"
+    assert main(["surplus", "--config", config_file, "--static", "--out", str(out)] + flag) == 2
+    assert "dynamic graph only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _PINNED_SHA256 = {
     "simulate": (
         "755d16316a6edb6828e585e69ad874de"

@@ -461,6 +461,26 @@ def test_scaling_experiment_bad_horizon():
         )
 
 
+@pytest.mark.parametrize(
+    "n_values, sequences, match",
+    [
+        ((0,), None, "n must be an integer >= 1, got 0"),
+        ((8, -3), None, "got -3"),
+        ((True,), None, "got True"),
+        ((8.0,), None, "got 8.0"),
+        ((3,), {3: []}, "holds 0 masses, not 3"),
+        ((3,), {3: [0.5] * 4}, "holds 4 masses, not 3"),
+    ],
+)
+def test_scaling_experiment_rejects_bad_sizes(n_values, sequences, match):
+    """A size below 1, or a sequence of another length, raises ValueError
+    before anything is drawn (it divided by zero, or mixed up sizes)."""
+    rng = RngStream(3).named("sizes")
+    ref = sample_limit_reference(LimitParams(kappa=1.0), rng, 5e-3, 10)
+    with pytest.raises(ValueError, match=match):
+        scaling_experiment(n_values, 0.0, 10, rng, h=5e-3, reference=ref, sequences=sequences)
+
+
 def test_scaling_experiment_rejects_a_mismatched_reference():
     """The reference fixes the grid and the limit law: a different h or t is
     an error, and the report's h and epsilon are the reference's."""

@@ -185,11 +185,17 @@ def test_order_fixtures(covers, want):
 def test_orders_parent_and_generation():
     fx = OrnamentedExcursion.from_covers(UNIT4, {1: (2, 3), 2: (3,)})
     od = orders(fx)
-    assert od.parent_of(1) == 0
-    assert od.parent_of(2) == 1
-    assert od.parent_of(3) == 2  # innermost holder wins
+    assert dict(od.parents) == {1: 0, 2: 1, 3: 2}  # innermost holder wins
     gens = dict(od.generations)
     assert gens == {0: 0, 1: 1, 2: 2, 3: 3}
+
+
+def test_from_covers_rejects_unknown_ranks():
+    """A cover key outside 0..n-1 names no rank: it raises instead of being
+    dropped (which left validate with nothing to report)."""
+    for key in (-1, 3, 7):
+        with pytest.raises(ValueError, match="cover keys"):
+            OrnamentedExcursion.from_covers((1.0, 1.0, 1.0), {key: (key + 1,)})
 
 
 def test_orders_rejects_invalid():
@@ -575,14 +581,6 @@ def test_interval_checks_match_pairwise_sets(fx):
     assert od.parents == tuple(sorted(parent.items()))
     assert od.generations == tuple(sorted(gen.items()))
     assert od.sequence == tuple(sorted(parent, key=lambda r: (gen[r], -r)))
-    assert all(od.parent_of(r) == p for r, p in parent.items())
-
-
-def test_parent_of_rejects_ranks_without_a_parent():
-    od = orders(OrnamentedExcursion.from_covers(UNIT4, {1: (2, 3), 2: (3,)}))
-    for rank in (-1, 0, 4):
-        with pytest.raises(KeyError):
-            od.parent_of(rank)
 
 
 def test_validate_rejects_a_reach_at_or_before_its_owner():

@@ -103,7 +103,7 @@ def test_exact_law_matches_graph_sampler():
     root = RngStream(5).named("law-check")
     for k in range(reps):
         g = gillespie_graph(cfg, q, root.indexed(k))
-        part = g.partition()
+        part = g.partition_at(q)
         key = tuple(sorted((len(c) for c in part), reverse=True))
         counts[key] = counts.get(key, 0) + 1
     from mcmosaic.stats import chi_square
@@ -135,7 +135,7 @@ def test_trajectory_first_merger_is_min_pair_clock():
         traj = gillespie_trajectory(cfg, RngStream(seed).named("fm"), 10.0)
         if traj.mergers:
             found += 1
-            assert traj.first_merger_time() == traj.arrivals[0][0]
+            assert traj.mergers[0][0] == traj.arrivals[0][0]
     assert found == 50  # q_max=10 leaves the no-merger case vanishingly rare
 
 
@@ -144,7 +144,7 @@ def test_trajectory_first_merger_law():
     cfg = WeightedConfig((1.0, 1.0, 1.0))
     root = RngStream(31).named("fm-law")
     times = [
-        gillespie_trajectory(cfg, root.indexed(k), 50.0).first_merger_time()
+        gillespie_trajectory(cfg, root.indexed(k), 50.0).mergers[0][0]
         for k in range(4000)
     ]
     mean = float(np.mean(times))

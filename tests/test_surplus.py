@@ -57,7 +57,7 @@ def test_region_empty_for_roots():
     path, dec, forest = built(1)
     for e in dec.excursions:
         region = influence_region(path, dec, forest, e.rank_lo)
-        assert region.candidates == ()
+        assert region.ranks() == range(0)
 
 
 def test_region_matches_window_scan():
@@ -82,19 +82,15 @@ def test_region_matches_window_scan():
 
 
 def test_region_generation_cases():
+    """Every candidate sits in the target's generation or the next one."""
     for seed in range(30):
         path, dec, forest = built(seed)
         for e in dec.excursions:
             for h in range(e.rank_lo + 1, e.rank_hi + 1):
                 region = influence_region(path, dec, forest, h)
                 d_h = forest.depth[path.perm[h]]
-                for l, case in region.candidates:
-                    d_l = forest.depth[path.perm[l]]
-                    if case == "same_generation":
-                        assert d_l == d_h
-                    else:
-                        assert case == "next_generation"
-                        assert d_l == d_h + 1
+                for l in region.ranks():
+                    assert forest.depth[path.perm[l]] - d_h in (0, 1)
 
 
 def test_region_includes_a_candidate_at_the_window_end():
@@ -106,8 +102,8 @@ def test_region_includes_a_candidate_at_the_window_end():
     dec = decompose(path)
     forest, _ = breadth_first_forest(cfg, clocks, 1.0)
     region = influence_region(path, dec, forest, 1)
-    assert region.candidates == ((2, "same_generation"),)
-    assert region.candidates == reference_candidates(path, dec, forest, 1)
+    assert region.ranks() == range(2, 3)
+    assert tuple(region.ranks()) == reference_candidates(path, dec, forest, 1)
     assert _draw_plan(path, dec, forest) == ([(1, 3, 1.0)], [], [(1, 3, 1.0)])
     assert_draw_plan_matches_reference(path, dec, forest)
 
@@ -139,7 +135,7 @@ def test_static_surplus_edge_kinds_and_range():
     for e in g.surplus:
         assert e.kind == "simple" and e.source != e.target
         # surplus edges stay inside a spanning component
-        comp = {c for c in g.partition() if e.source in c}
+        comp = {c for c in g.partition_at(path.q) if e.source in c}
         assert e.target in next(iter(comp))
 
 
@@ -404,11 +400,11 @@ def test_count_sampler_matches_dynamic_surplus_law():
     batch = sampler.counts(RngStream(50).named("batch"), reps)
 
     direct = np.zeros((reps, len(sampler.components)), dtype=int)
-    idx = {c: i for i, c in enumerate(sampler.components)}
+    idx = {v: i for i, c in enumerate(sampler.components) for v in c}
     for k in range(reps):
         g = dynamic_surplus(traj, RngStream(51).indexed(k), q, variant="multigraph")
-        for comp, cnt in g.surplus_by_vertex_set().items():
-            direct[k, idx[comp]] = cnt
+        for e in g.surplus:
+            direct[k, idx[e.source]] += 1
 
     for ci in range(len(sampler.components)):
         lam = sampler.expected_by_component()[ci]
@@ -453,13 +449,9 @@ def reference_candidates(path, dec, forest, h):
     out = []
     l = h + 1
     while l <= exc.rank_hi and times[l] <= window_end:
-        d = forest.depth[path.perm[l]]
-        if d == depth_h:
-            out.append((l, "same_generation"))
-        elif d == depth_h + 1:
-            out.append((l, "next_generation"))
-        else:
+        if forest.depth[path.perm[l]] - depth_h not in (0, 1):
             raise AssertionError(f"unexpected generation gap at rank {l}")
+        out.append(l)
         l += 1
     return tuple(out)
 
@@ -471,7 +463,7 @@ def reference_static_surplus(path, dec, forest, rng):
     for exc in dec.excursions:
         for h in range(exc.rank_lo + 1, exc.rank_hi + 1):
             m_h = path.jump_sizes[h]
-            for l, _case in reference_candidates(path, dec, forest, h):
+            for l in reference_candidates(path, dec, forest, h):
                 p_edge = -math.expm1(-q * m_h * path.jump_sizes[l])
                 if gen.random() < p_edge:
                     extra.append(
@@ -545,7 +537,7 @@ def assert_draw_plan_matches_reference(path, dec, forest):
     assert [h for h, _, _ in rows] == [h for h in range(len(path)) if reference[h]()]
     q, sizes, cm = path.q, path.jump_sizes, path.cummass
     for h, e, lam in rows:
-        cands = [l for l, _ in reference[h]()]
+        cands = list(reference[h]())
         assert cands == list(range(h + 1, e))
         exact = q * sizes[h] * math.fsum(sizes[l] for l in cands)
         assert abs(lam - exact) <= 1e-12 * q * sizes[h] * cm[e - 1]
@@ -572,7 +564,7 @@ def test_static_surplus_matches_per_candidate_loop(exponents, equal, seed, ties,
     for h in range(len(path)):
         want = next(e for e in dec.excursions if e.rank_lo <= h <= e.rank_hi)
         assert dec.excursion_of_rank(h) is want
-        region = _outcome(lambda: influence_region(path, dec, forest, h).candidates)
+        region = _outcome(lambda: tuple(influence_region(path, dec, forest, h).ranks()))
         assert region == _outcome(reference_candidates, path, dec, forest, h)
     with pytest.raises(ValueError):
         dec.excursion_of_rank(len(path))
@@ -586,7 +578,7 @@ def test_static_surplus_matches_per_candidate_loop(exponents, equal, seed, ties,
     pairs = [(rank[e.target], rank[e.source]) for e in got]
     assert pairs == sorted(set(pairs))
     for h, l in pairs:
-        assert (l, h) in [(c, h) for c, _ in reference_candidates(path, dec, forest, h)]
+        assert l in reference_candidates(path, dec, forest, h)
 
 
 @settings(deadline=None, max_examples=150)
@@ -616,7 +608,7 @@ def test_total_intensity_identity_over_the_domain(exponents, equal, seed, ties, 
 def test_process_table_matches_per_event_loop(
     exponents, equal, seed, ties, log_q, fraction, at_event
 ):
-    """The process list and the sampler's lam/group arrays equal the
+    """The process list and the sampler's lam array equal the
     per-event loop's exactly, at random levels and at event times."""
     cfg, clocks = domain_instance(exponents, equal, seed, ties)
     q_max = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
@@ -629,7 +621,6 @@ def test_process_table_matches_per_event_loop(
     sampler = SurplusCountSampler(traj, q)
     lam, group = reference_sampler_arrays(traj, q)
     assert np.array_equal(sampler.lam, lam)
-    assert np.array_equal(sampler.group, group)
     # the superposed intensity per component: the per-process sum
     per_process = np.zeros(sampler.n_components)
     np.add.at(per_process, group, lam)
@@ -680,9 +671,10 @@ def reference_counts(sampler, rng, reps):
     """The earlier draw: one Poisson count per process, summed per component."""
     gen = rng.named("surplus-counts").generator()
     raw = gen.poisson(lam=sampler.lam, size=(reps, len(sampler.lam)))
+    _, group = reference_sampler_arrays(sampler.trajectory, sampler.q_max)
     out = np.zeros((reps, sampler.n_components), dtype=np.int64)
     for ci in range(sampler.n_components):
-        out[:, ci] = raw[:, sampler.group == ci].sum(axis=1)
+        out[:, ci] = raw[:, group == ci].sum(axis=1)
     return out
 
 

@@ -311,7 +311,7 @@ def test_bulk_unequal_masses_match_direct_loop(scale):
     masses = scale * RngStream(6).named("bulk-w-masses").generator().uniform(0.2, 3.0, n)
     cfg = WeightedConfig(tuple(masses))
     q = 1.5 / float(np.sum(masses**2))
-    total = cfg.total_mass
+    total = math.fsum(cfg.masses)
     out = bulk_component_stats(
         n, masses, q, RngStream(6).named("bulk-w").generator(), reps, want_areas=True
     )
