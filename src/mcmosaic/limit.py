@@ -353,7 +353,8 @@ def scaling_experiment(
     sharpens every comparison at no per-call cost.
     Mass sequences default to the standard n**(-2/3) profile; each n must
     be an integer >= 1 and a given ``sequences[n]`` must hold n masses
-    (ValueError otherwise).
+    (ValueError otherwise).  A ``sequences`` key not in ``n_values`` raises
+    ValueError too, since any sequence turns off the coupled path for every n.
 
     With the standard profile, all n share one pool of unit exponential
     draws per chunk of replications, the sample for each n using its first n
@@ -364,6 +365,9 @@ def scaling_experiment(
     """
     params = LimitParams(kappa=1.0, tau=0.0, t=t, c=())
     sequences = sequences or {}
+    stray = [k for k in sequences if k not in n_values]
+    if stray:
+        raise ValueError(f"sequences keys {stray} are not in n_values {tuple(n_values)}")
     for n in n_values:
         if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
             raise ValueError(f"n must be an integer >= 1, got {n!r}")

@@ -22,8 +22,10 @@ cover tree are one stack pass over the (owner, end) pairs.
 
 _RankGeometry is the one pass from the walk and the event log at a horizon
 to per-rank geometry: blocks, reach ends, levels and parallelogram rows.
-build_mosaic and slice_decomposition wrap its rows in dataclasses; the SVG
-renderer reads the rows directly.
+_RankGeometry.of keeps the last one on the trajectory, so build_mosaic,
+slice_decomposition and the SVG renderer at one horizon share one pass.
+build_mosaic wraps its rows in Baseline dataclasses, slice_decomposition in
+Slice and Parallelogram named tuples; the SVG renderer reads them directly.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .core import ClockAssignment, RngStream, WeightedConfig
 from .dynamics import MergerEvent, Trajectory, run_trajectory
@@ -132,14 +135,16 @@ class _RankGeometry:
     """Per-rank geometry of the walk at horizon q; every list is indexed by rank.
 
     The one place where baselines, levels, reach ends and parallelograms are
-    computed: build_mosaic, slice_decomposition and render.render_svg read
-    it, and each part is computed on first use.
+    computed: build_mosaic, slice_decomposition and render.render_svg get it
+    from of(), so calls at one q share it, and each part is computed on
+    first use.  It keeps the event log, not the trajectory, so the memo
+    makes no reference cycle.
     """
 
     def __init__(self, trajectory: Trajectory, q: float):
         if not 0.0 < q <= trajectory.q_max:
             raise ValueError(f"q={q} outside (0, {trajectory.q_max}]")
-        self.trajectory = trajectory
+        self.events = trajectory.events
         self.q = q
         self.path = WalkPath.from_clocks(trajectory.config, trajectory.clocks, q)
         self.pos = self.path.jump_times
@@ -150,6 +155,16 @@ class _RankGeometry:
         self.root: list[int] = []
         for b in self.blocks:
             self.root += [b.lo] * (b.hi - b.lo + 1)
+
+    @classmethod
+    def of(cls, trajectory: Trajectory, q: float) -> "_RankGeometry":
+        """The geometry at q, memoized in one slot of the trajectory's
+        instance dict (as cached_property does), which the frozen record's
+        ==, repr and dataclasses.replace ignore."""
+        g = trajectory.__dict__.get("_rank_geometry")
+        if g is None or g.q != q:
+            g = trajectory.__dict__["_rank_geometry"] = cls(trajectory, q)
+        return g
 
     @cached_property
     def level(self) -> list[float]:
@@ -211,7 +226,7 @@ class _RankGeometry:
         mass = {b.lo: b.mass for b in self.blocks}
         running_top = list(level)
         rows: list[list[tuple[MergerEvent, float, float]]] = [[] for _ in level]
-        for ev in self.trajectory.events:
+        for ev in self.events:
             if ev.time > q:
                 continue
             height = ev.left.mass * (1.0 - ev.time / q)
@@ -230,7 +245,7 @@ class _RankGeometry:
 
 def build_mosaic(trajectory: Trajectory, q: float) -> list[OrnamentedExcursion]:
     """One ornamented excursion per component of the walk at horizon q."""
-    g = _RankGeometry(trajectory, q)
+    g = _RankGeometry.of(trajectory, q)
     pos, sizes, perm = g.pos, g.sizes, g.path.perm
     level, reach, extent_end = g.level, g.reach, g.extent_end
     out = []
@@ -527,8 +542,7 @@ def _local_covers(b: Baseline, lo: int) -> range | tuple[int, ...]:
     return range(c.start - lo, c.stop - lo)
 
 
-@dataclass(frozen=True)
-class Parallelogram:
+class Parallelogram(NamedTuple):
     """One absorption's contribution to a rank's slice.
 
     Geometrically: the diagonal band of the slice's rank cut at the absorbed
@@ -543,8 +557,7 @@ class Parallelogram:
     top_level: float
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(NamedTuple):
     """Region under the excursion attributed to one rank.
 
     The triangle sits between the rank's baseline level and its jump top;
@@ -567,26 +580,16 @@ class Slice:
 
 def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
     """All per-rank slices of every excursion of the walk at horizon q."""
-    g = _RankGeometry(trajectory, q)
+    g = _RankGeometry.of(trajectory, q)
     pos, sizes = g.pos, g.sizes
     base_level, (intercept_lo, intercept_hi) = g.base_level, g.intercepts
+    # positional: a named tuple built by keyword costs about twice as much
     return [
         Slice(
-            owner_rank=l,
-            position=pos[l],
-            base_mass=sizes[l],
-            base_level=base_level[l],
-            triangle_area=sizes[l] * sizes[l] / 2.0,
-            intercept_lo=intercept_lo[l],
-            intercept_hi=intercept_hi[l],
-            parallelograms=tuple([
-                Parallelogram(
-                    activation=ev.time,
-                    absorbed_mass=ev.left.mass,
-                    height=height,
-                    area=height * sizes[l],
-                    top_level=top,
-                )
+            l, pos[l], sizes[l], base_level[l], sizes[l] * sizes[l] / 2.0,
+            intercept_lo[l], intercept_hi[l],
+            tuple([
+                Parallelogram(ev.time, ev.left.mass, height, height * sizes[l], top)
                 for ev, top, height in rows
             ]),
         )

@@ -45,7 +45,7 @@ def render_svg(
     shade_slices, per-rank slice regions (triangle plus absorption bands)
     are filled from a fixed palette.
     """
-    g = _RankGeometry(trajectory, q)
+    g = _RankGeometry.of(trajectory, q)
     pos, sizes, before = g.pos, g.sizes, g.base_level  # walk just before each jump
     tops = [b + s for b, s in zip(before, sizes)]
     span_end = max([0.0] + g.block_end)

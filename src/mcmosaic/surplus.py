@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat, takewhile
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -98,8 +98,7 @@ def _region_end(path: WalkPath, exc: Excursion, h: int) -> int:
     return bisect_right(path.jump_times, _window_end(path, exc, h), h + 1, exc.rank_hi + 1)
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     source: int  # child end / later-listed vertex
     target: int  # parent end / earlier-listed vertex
     time: float  # q of creation (static: evaluation q)
@@ -345,16 +344,14 @@ def dynamic_surplus(
         arrivals.sort()
 
     span_log = [(ev.time, ev.edge[0], ev.edge[1]) for ev in trajectory.events if ev.time <= q_max]
-    spanning = tuple(
-        GraphEdge(source=c, target=p, time=t, kind="span") for t, c, p in span_log
-    )
+    spanning = tuple([GraphEdge(c, p, t, "span") for t, c, p in span_log])
 
     surplus: list[GraphEdge] = []
     if variant == "multigraph":
         for t, l, tgt in arrivals:
             s_v, t_v = perm[l], perm[tgt]
             kind = "loop" if s_v == t_v else "multi"
-            surplus.append(GraphEdge(source=s_v, target=t_v, time=t, kind=kind))
+            surplus.append(GraphEdge(s_v, t_v, t, kind))
     else:
         present: set[frozenset[int]] = set()
         span_times = [t for t, _, _ in span_log]
@@ -369,7 +366,7 @@ def dynamic_surplus(
             if len(pair) == 1 or pair in present:
                 continue
             present.add(pair)
-            surplus.append(GraphEdge(source=s_v, target=t_v, time=t, kind="simple"))
+            surplus.append(GraphEdge(s_v, t_v, t, "simple"))
     return LabeledGraph(n=len(trajectory.config), spanning=spanning, surplus=tuple(surplus))
 
 

@@ -481,6 +481,23 @@ def test_scaling_experiment_rejects_bad_sizes(n_values, sequences, match):
         scaling_experiment(n_values, 0.0, 10, rng, h=5e-3, reference=ref, sequences=sequences)
 
 
+def test_scaling_experiment_rejects_sequences_for_other_sizes(monkeypatch):
+    """A sequences key outside n_values raises ValueError naming every such
+    key before anything is drawn (it silently moved every n off the coupled
+    path)."""
+    rng = RngStream(3).named("stray")
+    ref = sample_limit_reference(LimitParams(kappa=1.0), rng, 5e-3, 10)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before rejecting the sequences")
+
+    monkeypatch.setattr(limit_mod, "component_stats", no_draw)
+    monkeypatch.setattr(limit_mod, "bulk_component_stats", no_draw)
+    seqs = {5: [0.5] * 5, 8: [0.5] * 8, 9: [0.5] * 9}
+    with pytest.raises(ValueError, match=r"keys \[5, 9\] are not in n_values \(8,\)"):
+        scaling_experiment((8,), 0.0, 10, rng, h=5e-3, reference=ref, sequences=seqs)
+
+
 def test_scaling_experiment_rejects_a_mismatched_reference():
     """The reference fixes the grid and the limit law: a different h or t is
     an error, and the report's h and epsilon are the reference's."""

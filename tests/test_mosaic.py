@@ -1,7 +1,9 @@
 """Ornamented excursions: building, validity rules, orders, replay, slices."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +14,10 @@ from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clo
 from mcmosaic.dynamics import run_trajectory
 from mcmosaic.mosaic import (
     OrnamentedExcursion,
+    Parallelogram,
+    Slice,
     _hasse,
+    _RankGeometry,
     build_mosaic,
     orders,
     replay,
@@ -20,6 +25,7 @@ from mcmosaic.mosaic import (
     slice_decomposition,
     validate,
 )
+from mcmosaic.render import render_svg
 from mcmosaic.surplus import activated_processes
 from mcmosaic.walk import WalkPath, area_under_reflection, decompose
 
@@ -374,6 +380,81 @@ def test_slice_rejects_bad_q():
     traj, q = random_trajectory(3)
     with pytest.raises(ValueError):
         slice_decomposition(traj, q * 2.0)
+
+
+# -- one geometry per (trajectory, q), slices as named tuples -----------------
+
+
+def mosaic_outputs(traj, q):
+    return (
+        [exc.baselines for exc in build_mosaic(traj, q)],
+        slice_decomposition(traj, q),
+        render_svg(traj, q, shade_slices=True),
+    )
+
+
+def test_geometry_memo_gives_the_outputs_of_a_fresh_trajectory():
+    """Calls at q1, q2, q1 on one trajectory give what each call gives on a
+    copy without a memo; calls at one q share one geometry."""
+    for seed in range(12):
+        traj, q = random_trajectory(seed)
+        for at in (q, q / 3.0, q):
+            assert mosaic_outputs(traj, at) == mosaic_outputs(dataclasses.replace(traj), at)
+            assert _RankGeometry.of(traj, at) is _RankGeometry.of(traj, at)
+
+
+def test_geometry_memo_still_rejects_bad_q():
+    traj, q = random_trajectory(4)
+    mosaic_outputs(traj, q)
+    for bad in (0.0, -q, q * 1.5, math.nan):
+        for call in (build_mosaic, slice_decomposition, render_svg):
+            with pytest.raises(ValueError):
+                call(traj, bad)
+
+
+def test_geometry_memo_makes_no_reference_cycle():
+    """With the collector off, the trajectory dies with its last reference."""
+    traj, q = random_trajectory(5)
+    gc.disable()
+    try:
+        mosaic_outputs(traj, q)
+        ref = weakref.ref(traj)
+        del traj
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_geometry_memo_is_not_part_of_the_record():
+    traj, q = random_trajectory(6)
+    twin = dataclasses.replace(traj)
+    mosaic_outputs(traj, q)
+    assert traj == twin
+    assert repr(traj) == repr(twin)
+
+
+def test_slice_and_parallelogram_record_contracts():
+    """Field order as verify and perfbench read it, keyword construction, and
+    area() as the triangle plus the fsum of the parallelogram areas."""
+    assert Slice._fields == (
+        "owner_rank", "position", "base_mass", "base_level", "triangle_area",
+        "intercept_lo", "intercept_hi", "parallelograms",
+    )
+    assert Parallelogram._fields == (
+        "activation", "absorbed_mass", "height", "area", "top_level",
+    )
+    paras = tuple(
+        Parallelogram(activation=0.5, absorbed_mass=1.0, height=1.0, area=a, top_level=2.0)
+        for a in (1e16, 1.0, -1e16)
+    )
+    sl = Slice(
+        owner_rank=1, position=0.5, base_mass=1.0, base_level=2.0, triangle_area=0.5,
+        intercept_lo=0.0, intercept_hi=1.0, parallelograms=paras,
+    )
+    assert sl == Slice(1, 0.5, 1.0, 2.0, 0.5, 0.0, 1.0, paras)
+    assert sl.area() == 1.5  # a plain sum would lose the 1.0
+    for s in slice_decomposition(*random_trajectory(7)):
+        assert s.area() == s.triangle_area + math.fsum(p.area for p in s.parallelograms)
 
 
 # -- tolerances scale with the masses -----------------------------------------

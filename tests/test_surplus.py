@@ -53,6 +53,15 @@ def built(seed, n_max=10):
 # -- influence regions --------------------------------------------------------
 
 
+def test_graph_edge_record_contract():
+    """Field order, keyword construction as in the oracle, and the fields
+    the CLI writes."""
+    assert GraphEdge._fields == ("source", "target", "time", "kind")
+    e = GraphEdge(source=3, target=1, time=0.5, kind="simple")
+    assert e == GraphEdge(3, 1, 0.5, "simple")
+    assert (e.time, e.kind, e.source, e.target) == (0.5, "simple", 3, 1)
+
+
 def test_region_empty_for_roots():
     path, dec, forest = built(1)
     for e in dec.excursions:
