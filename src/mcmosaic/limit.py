@@ -18,9 +18,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, WeightedConfig
 from .stats import ks_distance
-from .walk import bulk_component_stats, chunk_rows, component_stats, concat_stats
+from .walk import chunk_rows, component_stats
 
 __all__ = [
     "LimitParams",
@@ -279,6 +279,12 @@ def hypothesis_report(masses, kappa: float = 1.0, c: tuple[float, ...] = (), rto
     }
 
 
+def _require_count(name: str, value) -> None:
+    """ValueError unless ``value`` is an integer >= 1 (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def sample_limit_reference(
     params: LimitParams,
     rng: RngStream,
@@ -292,8 +298,9 @@ def sample_limit_reference(
     Reads excursions a chunk of paths at a time for c = (), one path at a
     time otherwise.  Marks are drawn once, one Poisson(area of the largest
     excursion) per path.  Paths with no excursion contribute length 0 and
-    count 0.
+    count 0.  ``reps`` must be an integer >= 1 (ValueError otherwise).
     """
+    _require_count("reps", reps)
     largest = np.zeros(reps)
     second = np.zeros(reps)
     area = np.zeros(reps)
@@ -351,34 +358,37 @@ def scaling_experiment(
     and the same ``h`` (ValueError otherwise).  The finite-n side is the
     noisy one at usual sizes, so one large reference shared by many calls
     sharpens every comparison at no per-call cost.
-    Mass sequences default to the standard n**(-2/3) profile; each n must
-    be an integer >= 1 and a given ``sequences[n]`` must hold n masses
-    (ValueError otherwise).  A ``sequences`` key not in ``n_values`` raises
-    ValueError too, since any sequence turns off the coupled path for every n.
+    Mass sequences default to the standard n**(-2/3) profile; ``reps`` and
+    each n must be integers >= 1, and a given ``sequences[n]`` must hold n
+    finite positive masses (ValueError otherwise).  A ``sequences`` key not
+    in ``n_values`` raises ValueError too: no size would read it, so the
+    sequence meant for it would be silently dropped.
 
-    With the standard profile, all n share one pool of unit exponential
-    draws per chunk of replications, the sample for each n using its first n
-    columns: the empirical laws ride on common noise while every
-    marginal stays exact, and the common noise cancels out of distance
-    differences, which makes the convergence ordering resolvable at moderate
-    replication counts.
+    Every n, standard or given, reads the first n columns of one pool of
+    unit exponentials per chunk of replications (stream "scaling-coupled")
+    through walk.component_stats; the surplus counts of each n come from
+    stream "scaling-{n}".  The empirical laws ride on common noise while
+    every marginal stays exact, and the common noise cancels out of
+    distance differences, which makes the convergence ordering resolvable
+    at moderate replication counts.
     """
     params = LimitParams(kappa=1.0, tau=0.0, t=t, c=())
+    _require_count("reps", reps)
     sequences = sequences or {}
     stray = [k for k in sequences if k not in n_values]
     if stray:
         raise ValueError(f"sequences keys {stray} are not in n_values {tuple(n_values)}")
     for n in n_values:
-        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        _require_count("n", n)
         if n in sequences and len(sequences[n]) != n:
             raise ValueError(f"sequences[{n}] holds {len(sequences[n])} masses, not {n}")
     mass, s2, q, warnings = {}, {}, {}, {}
     for n in n_values:
         if n in sequences:
-            mass[n] = tuple(sequences[n])
-            s2[n] = float(sum(x * x for x in mass[n]))
-            warnings[n] = hypothesis_report(mass[n], kappa=1.0, c=())["warnings"]
+            masses = WeightedConfig(tuple(sequences[n])).masses
+            mass[n] = np.asarray(masses)
+            s2[n] = float(sum(x * x for x in masses))
+            warnings[n] = hypothesis_report(masses, kappa=1.0, c=())["warnings"]
         else:
             mass[n] = n ** (-2.0 / 3.0)
             s2[n] = n * mass[n] * mass[n]
@@ -392,30 +402,19 @@ def scaling_experiment(
             f"asked for h={h}, {params}"
         )
 
-    shared = None
-    if not sequences:
-        gen = rng.named("scaling-coupled").generator()
-        n_max = max(n_values)
-        parts = {n: [] for n in n_values}
-        for chunk in chunk_rows(reps, n_max):
-            pool = gen.exponential(size=(chunk, n_max))
-            for n in n_values:
-                xi = np.sort(pool[:, :n], axis=1)
-                xi /= mass[n]
-                xi /= q[n]
-                cummass = np.arange(n + 1, dtype=float) * mass[n]
-                parts[n].append(component_stats(xi, cummass, include_marks))
-        shared = {n: concat_stats(p) for n, p in parts.items()}
+    gen = rng.named("scaling-coupled").generator()
+    n_max = max(n_values)
+    parts = {n: [] for n in n_values}
+    for chunk in chunk_rows(reps, n_max):
+        pool = gen.exponential(size=(chunk, n_max))
+        for n in n_values:
+            parts[n].append(component_stats(pool[:, :n], mass[n], q[n], include_marks))
 
     rows = []
     prev = None
     decreasing = True
     for n in n_values:
-        gen = rng.named(f"scaling-{n}").generator()
-        if shared is not None:
-            d = shared[n]
-        else:
-            d = bulk_component_stats(n, mass[n], q[n], gen, reps, include_marks)
+        d = {k: np.concatenate([p[k] for p in parts[n]]) for k in parts[n][0]}
         row = {
             "n": n,
             "sigma2": s2[n],
@@ -425,7 +424,8 @@ def scaling_experiment(
             "warnings": warnings[n],
         }
         if include_marks:
-            counts = gen.poisson(q[n] * d["largest_area"])
+            marks = rng.named(f"scaling-{n}").generator()
+            counts = marks.poisson(q[n] * d["largest_area"])
             row["ks_marks"] = ks_distance(counts, reference["marks"])
         if prev is not None and row["ks_largest"] >= prev:
             decreasing = False

@@ -51,6 +51,7 @@ def _with_retry(run, seed: int) -> dict:
         return out
     again = run(seed + _RETRY_SHIFT)
     again["retried"] = True
+    again["details"]["first_attempt"] = out["details"]
     return again
 
 
@@ -216,6 +217,7 @@ def check_surplus_poisson(
     """Multigraph surplus counts per component, conditional on fixed
     trajectories, pass the moment test against q times the excursion area."""
     rng = core.RngStream(seed).named("surplus-poisson")
+    first_draw_failures = []
     failures = []
     retried = False
     n_components = 0
@@ -237,18 +239,11 @@ def check_surplus_poisson(
             res = stats.poisson_mean_test(counts[:, ci], target)
             if not res.passed:
                 retried = True
+                first_draw_failures.append(_moment_failure(i, ci, res))
                 counts2 = sampler.counts(sub.named("counts-retry"), reps)
                 res = stats.poisson_mean_test(counts2[:, ci], target)
                 if not res.passed:
-                    failures.append(
-                        {
-                            "trajectory": i,
-                            "component": ci,
-                            "target": float(target),
-                            "mean": float(res.mean),
-                            "variance": float(res.variance),
-                        }
-                    )
+                    failures.append(_moment_failure(i, ci, res))
     return _result(
         4,
         "surplus-poisson",
@@ -258,9 +253,20 @@ def check_surplus_poisson(
             "reps": reps,
             "components": n_components,
             "failures": failures,
+            "first_draw_failures": first_draw_failures,
         },
         retried=retried,
     )
+
+
+def _moment_failure(trajectory: int, component: int, res) -> dict:
+    return {
+        "trajectory": trajectory,
+        "component": component,
+        "target": float(res.target),
+        "mean": float(res.mean),
+        "variance": float(res.variance),
+    }
 
 
 # -- criterion 5: window intensity identity ----------------------------------

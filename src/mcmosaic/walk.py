@@ -30,7 +30,6 @@ __all__ = [
     "breadth_first_forest",
     "area_under_reflection",
     "component_stats",
-    "bulk_component_stats",
 ]
 
 
@@ -285,30 +284,42 @@ def chunk_rows(reps: int, n: int) -> list[int]:
 
 
 def component_stats(
-    t: np.ndarray, cummass: np.ndarray, want_areas: bool = False
+    exp: np.ndarray, mass, q: float, want_areas: bool = False
 ) -> dict[str, np.ndarray]:
     """Two largest component masses per replication, straight from the walk.
 
-    ``t`` holds sorted scaled clock times, one replication per row.
-    ``cummass`` holds the prefix masses in rank order after a leading 0
-    (length n + 1): one row per row of ``t``, or a single row for all rows,
-    which happens only when every mass is equal.  Block masses are then
-    counts times that mass, exactly.
+    ``exp`` holds unit exponentials, one replication per row of n columns;
+    ``mass`` is the common mass of all n vertices, or a sequence of n masses.
+    The clocks are exp / mass and the jump times the sorted clocks over q.
+    With a common mass the prefix masses in rank order are counts times that
+    mass, exactly; with n masses they are cumulative sums in each row's
+    (stable) rank order.
 
     New excursions start exactly at strict running minima of the pre-jump
     troughs cummass[r] - t_r, which np.minimum.accumulate exposes in O(n).
     With ``want_areas`` the largest component's excursion area is returned
     too, as "largest_area".
     """
-    rows, n = t.shape
-    trough = cummass[..., :-1] - t
+    rows, n = exp.shape
+    m = np.asarray(mass, dtype=float)
+    t = exp / m
+    equal = m.ndim == 0
+    if equal:
+        t.sort(axis=1)
+        cm = np.broadcast_to(np.arange(n + 1, dtype=float) * m, (rows, n + 1))
+    else:
+        perm = np.argsort(t, axis=1, kind="stable")
+        t = np.take_along_axis(t, perm, axis=1)
+        cm = np.zeros((rows, n + 1))
+        np.cumsum(m[perm], axis=1, out=cm[:, 1:])
+        del perm
+    t /= q
+    trough = cm[:, :-1] - t
     run = np.minimum.accumulate(trough, axis=1)
     is_root = np.empty(t.shape, dtype=bool)
     is_root[:, 0] = True
     np.less(trough[:, 1:], run[:, :-1], out=is_root[:, 1:])
     del trough, run
-    mass = cummass[1] if cummass.ndim == 1 else None
-    cm = np.broadcast_to(cummass, (rows, n + 1))
 
     largest = np.empty(rows)
     second = np.empty(rows)
@@ -316,7 +327,7 @@ def component_stats(
     for i in range(rows):
         roots = np.flatnonzero(is_root[i])
         bounds = np.append(roots, n)
-        sizes = np.diff(bounds) * mass if mass is not None else np.diff(cm[i, bounds])
+        sizes = np.diff(bounds) * m if equal else np.diff(cm[i, bounds])
         order = np.argsort(sizes)
         largest[i] = sizes[order[-1]]
         second[i] = sizes[order[-2]] if len(sizes) > 1 else 0.0
@@ -334,42 +345,3 @@ def component_stats(
     if want_areas:
         result["largest_area"] = area
     return result
-
-
-def concat_stats(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Join component_stats results of successive chunks."""
-    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-
-
-def bulk_component_stats(
-    n: int,
-    mass,
-    q: float,
-    gen: np.random.Generator,
-    reps: int,
-    want_areas: bool = False,
-) -> dict[str, np.ndarray]:
-    """Vectorized component statistics, many replications at once.
-
-    ``mass`` is the common mass of all n vertices, or a sequence of n masses.
-    For each replication: sample n Exp(mass) clocks, scale by q, and hand
-    the rank-ordered times and prefix masses to component_stats.
-    """
-    equal = np.ndim(mass) == 0
-    m = float(mass) if equal else WeightedConfig(tuple(mass)).as_array()
-    if not equal and len(m) != n:
-        raise ValueError(f"need {n} masses, got {len(m)}")
-    cummass = np.arange(n + 1, dtype=float) * m if equal else None
-    parts = []
-    for chunk in chunk_rows(reps, n):
-        xi = gen.exponential(scale=1.0 / m, size=(chunk, n))
-        if equal:
-            xi.sort(axis=1)
-        else:
-            order = np.argsort(xi, axis=1, kind="stable")
-            xi = np.take_along_axis(xi, order, axis=1)
-            cummass = np.zeros((chunk, n + 1))
-            np.cumsum(m[order], axis=1, out=cummass[:, 1:])
-        xi /= q
-        parts.append(component_stats(xi, cummass, want_areas))
-    return concat_stats(parts)

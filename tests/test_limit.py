@@ -411,9 +411,9 @@ def test_scaling_experiment_shared_reference():
 def test_scaling_experiment_coupling_reuses_noise(monkeypatch):
     """Coupled sampling still reproduces each marginal law: the coupled
     largest-mass sample of one n sits within the two-sample noise band of
-    independent bulk samples of the same n."""
+    independent samples of the same n drawn through the same kernel."""
     from mcmosaic.stats import ks_distance
-    from mcmosaic.walk import bulk_component_stats
+    from mcmosaic.walk import component_stats
 
     samples = []
 
@@ -432,10 +432,51 @@ def test_scaling_experiment_coupling_reuses_noise(monkeypatch):
     n = 400
     mass = n ** (-2.0 / 3.0)
     q = n ** (1.0 / 3.0)
-    a = bulk_component_stats(n, mass, q, RngStream(17).named("a").generator(), 2000)
-    b = bulk_component_stats(n, mass, q, RngStream(18).named("b").generator(), 2000)
+    a = component_stats(
+        RngStream(17).named("a").generator().exponential(size=(2000, n)), mass, q
+    )
+    b = component_stats(
+        RngStream(18).named("b").generator().exponential(size=(2000, n)), mass, q
+    )
     noise = ks_distance(a["largest"], b["largest"])
     assert ks_distance(coupled, a["largest"]) < 3 * max(noise, 0.02)
+
+
+def test_given_standard_sequences_match_the_standard_profile(monkeypatch):
+    """The standard profile passed as sequences runs through the same coupled
+    sampler: same largest and second samples up to rounding in the prefix
+    masses and sigma2, and the same distances (it drew from per-n streams
+    of its own)."""
+    from mcmosaic.stats import ks_distance
+
+    samples = []
+
+    def spy(a, b):
+        samples.append(np.array(a))
+        return ks_distance(a, b)
+
+    monkeypatch.setattr(limit_mod, "ks_distance", spy)
+    n_values = (150, 400)
+    ref = sample_limit_reference(
+        LimitParams(kappa=1.0), RngStream(19).named("ref"), 5e-3, 200
+    )
+    out = {}
+    for key, seqs in (
+        ("standard", None),
+        ("given", {n: [n ** (-2.0 / 3.0)] * n for n in n_values}),
+    ):
+        rng = RngStream(19).named("same")
+        out[key] = scaling_experiment(
+            n_values, 0.0, 1000, rng, h=5e-3, reference=ref, include_marks=False,
+            sequences=seqs,
+        )
+    standard, given = samples[:4], samples[4:]
+    for a, b in zip(standard, given):
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
+    for a, b in zip(out["standard"]["rows"], out["given"]["rows"]):
+        assert (a["n"], a["ks_largest"], a["ks_second"]) == (
+            b["n"], b["ks_largest"], b["ks_second"]
+        )
 
 
 def test_scaling_experiment_custom_sequences():
@@ -470,21 +511,52 @@ def test_scaling_experiment_bad_horizon():
         ((8.0,), None, "got 8.0"),
         ((3,), {3: []}, "holds 0 masses, not 3"),
         ((3,), {3: [0.5] * 4}, "holds 4 masses, not 3"),
+        ((3,), {3: [0.5, 0.0, 0.5]}, r"finite and > 0, got 0\.0"),
+        ((3,), {3: [0.5, -1.0, 0.5]}, r"finite and > 0, got -1\.0"),
+        ((3,), {3: [0.5, math.nan, 0.5]}, "finite and > 0, got nan"),
     ],
 )
-def test_scaling_experiment_rejects_bad_sizes(n_values, sequences, match):
-    """A size below 1, or a sequence of another length, raises ValueError
-    before anything is drawn (it divided by zero, or mixed up sizes)."""
+def test_scaling_experiment_rejects_bad_sizes(n_values, sequences, match, monkeypatch):
+    """A size below 1, a sequence of another length, or a mass that is not
+    finite and positive raises ValueError before anything is drawn (it
+    divided by zero, or mixed up sizes)."""
     rng = RngStream(3).named("sizes")
     ref = sample_limit_reference(LimitParams(kappa=1.0), rng, 5e-3, 10)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before rejecting the input")
+
+    monkeypatch.setattr(limit_mod, "component_stats", no_draw)
     with pytest.raises(ValueError, match=match):
         scaling_experiment(n_values, 0.0, 10, rng, h=5e-3, reference=ref, sequences=sequences)
 
 
+@pytest.mark.parametrize("reps", [0, -2, 2.5, True, 3.0, None])
+def test_reps_below_one_or_not_an_integer_is_rejected(reps, monkeypatch):
+    """scaling_experiment and sample_limit_reference raise ValueError for a
+    reps that is not an integer >= 1 before drawing anything (a fraction
+    raised TypeError inside the chunking, 0 or less failed late with an empty
+    sample or returned an empty reference, True ran as one replication)."""
+    rng = RngStream(3).named("reps")
+    ref = sample_limit_reference(LimitParams(kappa=1.0), rng, 5e-3, 10)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before rejecting reps")
+
+    monkeypatch.setattr(limit_mod, "component_stats", no_draw)
+    monkeypatch.setattr(limit_mod, "chunk_rows", no_draw)
+    monkeypatch.setattr(limit_mod, "sample_limit_path", no_draw)
+    with pytest.raises(ValueError, match=f"reps must be an integer >= 1, got {reps!r}"):
+        scaling_experiment((8,), 0.0, reps, rng, h=5e-3, reference=ref)
+    for c in ((), (0.8,)):
+        with pytest.raises(ValueError, match=f"reps must be an integer >= 1, got {reps!r}"):
+            sample_limit_reference(LimitParams(kappa=1.0, c=c), rng, 5e-3, reps)
+
+
 def test_scaling_experiment_rejects_sequences_for_other_sizes(monkeypatch):
     """A sequences key outside n_values raises ValueError naming every such
-    key before anything is drawn (it silently moved every n off the coupled
-    path)."""
+    key before anything is drawn (no size reads it, so the sequence would be
+    dropped silently)."""
     rng = RngStream(3).named("stray")
     ref = sample_limit_reference(LimitParams(kappa=1.0), rng, 5e-3, 10)
 
@@ -492,7 +564,6 @@ def test_scaling_experiment_rejects_sequences_for_other_sizes(monkeypatch):
         raise AssertionError("drew before rejecting the sequences")
 
     monkeypatch.setattr(limit_mod, "component_stats", no_draw)
-    monkeypatch.setattr(limit_mod, "bulk_component_stats", no_draw)
     seqs = {5: [0.5] * 5, 8: [0.5] * 8, 9: [0.5] * 9}
     with pytest.raises(ValueError, match=r"keys \[5, 9\] are not in n_values \(8,\)"):
         scaling_experiment((8,), 0.0, 10, rng, h=5e-3, reference=ref, sequences=seqs)

@@ -18,7 +18,7 @@ from mcmosaic.walk import (
     WalkPath,
     area_under_reflection,
     breadth_first_forest,
-    bulk_component_stats,
+    component_stats,
     decompose,
 )
 
@@ -273,17 +273,16 @@ def test_area_splits_over_excursions():
     assert total == pytest.approx(per, rel=1e-12)
 
 
-# -- bulk sampler -------------------------------------------------------------
+# -- bulk kernel --------------------------------------------------------------
 
 
 def test_bulk_matches_direct_loop_exactly():
-    """Replay the bulk sampler's own draws through the scalar pipeline."""
+    """Replay the kernel's clocks through the scalar pipeline."""
     n, mass, q, reps = 30, 1.0, 0.04, 200
-    gen = RngStream(5).named("bulk").generator()
-    out = bulk_component_stats(n, mass, q, gen, reps, want_areas=True)
+    exp = RngStream(5).named("bulk").generator().exponential(size=(reps, n))
+    out = component_stats(exp, mass, q, want_areas=True)
 
-    gen2 = RngStream(5).named("bulk").generator()
-    xi = gen2.exponential(scale=1.0 / mass, size=(reps, n))
+    xi = exp / mass
     cfg = WeightedConfig((mass,) * n)
     for i in range(reps):
         clocks = ClockAssignment.from_xi(tuple(xi[i]))
@@ -292,7 +291,7 @@ def test_bulk_matches_direct_loop_exactly():
         assert out["largest"][i] == pytest.approx(sizes[0], abs=1e-9)
         second = sizes[1] if len(sizes) > 1 else 0.0
         assert out["second"][i] == pytest.approx(second, abs=1e-9)
-        # the max size may be tied; the bulk path may pick any tied component
+        # the max size may be tied; the kernel may pick any tied component
         excs = decompose(path).excursions
         top = max(e.mass for e in excs)
         areas = [
@@ -305,18 +304,17 @@ def test_bulk_matches_direct_loop_exactly():
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_bulk_unequal_masses_match_direct_loop(scale):
-    """Replay the bulk sampler's own draws for unequal masses through the
-    scalar pipeline; tolerances scale with the total mass."""
+    """Replay the kernel's clocks for unequal masses through the scalar
+    pipeline; tolerances scale with the total mass."""
     n, reps = 25, 200
     masses = scale * RngStream(6).named("bulk-w-masses").generator().uniform(0.2, 3.0, n)
     cfg = WeightedConfig(tuple(masses))
     q = 1.5 / float(np.sum(masses**2))
     total = math.fsum(cfg.masses)
-    out = bulk_component_stats(
-        n, masses, q, RngStream(6).named("bulk-w").generator(), reps, want_areas=True
-    )
+    exp = RngStream(6).named("bulk-w").generator().exponential(size=(reps, n))
+    out = component_stats(exp, masses, q, want_areas=True)
 
-    xi = RngStream(6).named("bulk-w").generator().exponential(1.0 / masses, size=(reps, n))
+    xi = exp / masses
     for i in range(reps):
         path = WalkPath.from_clocks(cfg, ClockAssignment.from_xi(tuple(xi[i])), q)
         excs = decompose(path).excursions
@@ -332,17 +330,11 @@ def test_bulk_unequal_masses_match_direct_loop(scale):
         assert min(abs(out["largest_area"][i] - a) for a in areas) <= 1e-12 * total**2
 
 
-def test_bulk_rejects_wrong_mass_count():
-    gen = RngStream(1).generator()
-    with pytest.raises(ValueError):
-        bulk_component_stats(3, (1.0, 2.0), 1.0, gen, 5)
-
-
 def test_bulk_law_agrees_with_scalar_sampling():
     """Independent streams, same law: largest-size histograms are homogeneous."""
     n, mass, q, reps = 25, 1.0, 0.05, 3000
-    gen = RngStream(17).named("bulk-law").generator()
-    bulk = bulk_component_stats(n, mass, q, gen, reps)
+    exp = RngStream(17).named("bulk-law").generator().exponential(size=(reps, n))
+    bulk = component_stats(exp, mass, q)
     bulk_counts = {}
     for v in np.rint(bulk["largest"] / mass).astype(int):
         bulk_counts[int(v)] = bulk_counts.get(int(v), 0) + 1
