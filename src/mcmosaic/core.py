@@ -24,6 +24,7 @@ __all__ = [
     "sample_clocks",
     "read_config",
     "load_config",
+    "check_level",
     "find",
     "union",
     "groups",
@@ -129,6 +130,12 @@ def sample_clocks(config: WeightedConfig, rng: RngStream) -> ClockAssignment:
         bad = xi <= 0.0
         xi[bad] = gen.exponential(scale=scales[bad])
     return ClockAssignment.from_xi(xi)
+
+
+def check_level(q: float) -> None:
+    """ValueError for a NaN level; every other one, ±inf included, is valid."""
+    if math.isnan(q):
+        raise ValueError(f"level q must not be NaN, got {q!r}")
 
 
 def find(parent: list[int], a: int) -> int:

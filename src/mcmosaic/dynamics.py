@@ -16,9 +16,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
-from typing import Optional
 
-from .core import ClockAssignment, RngStream, WeightedConfig, find
+import numpy as np
+
+from .core import ClockAssignment, RngStream, WeightedConfig, check_level, find
 
 __all__ = [
     "ComponentBlock",
@@ -61,16 +62,34 @@ class MergerEvent:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered merger log, sufficient to replay every later construction."""
+    """Ordered merger log, sufficient to replay every later construction.
+
+    Its readers take any level, ±inf included, and raise ValueError for NaN;
+    what they cache stays out of ``==``, ``repr`` and ``dataclasses.replace``.
+    """
 
     config: WeightedConfig
     clocks: ClockAssignment
     q_max: float
     events: tuple[MergerEvent, ...]
 
-    def _replay(self, q: float) -> tuple[list[int], list[int], list[float]]:
-        """Starts, ends and masses of the blocks after the events up to the
-        first one with time > q, masses summed in log order."""
+    @cached_property
+    def _stops(self) -> np.ndarray:
+        """Per rank, the level from which it stops starting a block: as in
+        ``blocks_at``, the largest log time up to its absorption (NaN: never)."""
+        stops = np.full(len(self.config), math.nan)
+        times = np.maximum.accumulate([ev.time for ev in self.events])
+        stops[[ev.right.lo for ev in self.events]] = times
+        return stops
+
+    @cached_property
+    def _singletons(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset((v,)) for v in range(len(self.config)))
+
+    def blocks_at(self, q: float) -> list[ComponentBlock]:
+        """Component blocks after the events up to the first one with time
+        > q, masses summed in log order; ValueError for a NaN q."""
+        check_level(q)
         n = len(self.config)
         masses = self.config.masses
         end = list(range(n))
@@ -83,18 +102,24 @@ class Trajectory:
             end[j] = ev.right.hi
             mass[j] += mass[r]
             live[r] = False
-        starts = list(compress(range(n), live))
-        return starts, [end[j] for j in starts], [mass[j] for j in starts]
-
-    def blocks_at(self, q: float) -> list[ComponentBlock]:
-        """Component blocks after all events with time <= q."""
-        return list(map(ComponentBlock, *self._replay(q)))
+        return [ComponentBlock(j, end[j], mass[j]) for j in compress(range(n), live)]
 
     def partition_at(self, q: float) -> frozenset[frozenset[int]]:
-        """Vertex partition (labels, not ranks) after events with time <= q."""
-        perm = self.clocks.perm
-        starts, ends, _ = self._replay(q)
-        return frozenset(frozenset(perm[lo : hi + 1]) for lo, hi in zip(starts, ends))
+        """Vertex partition (labels, not ranks) after events with time <= q:
+        the clock order cut at each rank that still starts a block at q."""
+        return _cut(self.clocks.perm, self._stops, q, self._singletons)
+
+
+def _cut(seq, stops: np.ndarray, q: float, singletons: tuple) -> frozenset[frozenset[int]]:
+    """``seq`` cut into runs, one starting at each position whose stop level
+    is not <= q (so NaN never stops); a run of one vertex is its entry of
+    ``singletons``, shared by every call.  ValueError for a NaN q."""
+    check_level(q)
+    bounds = [*(~(stops <= q)).nonzero()[0].tolist(), len(seq)]
+    return frozenset(
+        singletons[seq[a]] if b - a == 1 else frozenset(seq[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    )
 
 
 def run_trajectory(
@@ -154,14 +179,8 @@ def run_trajectory(
         j, e = prev[r], nxt[r]
         child = bisect_right(cum, cum[r] + u_child * mass[r], r + 1, e) - 1
         parent = bisect_right(cum, cum[j] + u_parent * mass[j], j + 1, r) - 1
-        events.append(
-            MergerEvent(
-                time=(xs[r] - xs[j]) / mass[j],
-                left=ComponentBlock(lo=j, hi=r - 1, mass=mass[j]),
-                right=ComponentBlock(lo=r, hi=e - 1, mass=mass[r]),
-                edge=(perm[child], perm[parent]),
-            )
-        )
+        left, right = ComponentBlock(j, r - 1, mass[j]), ComponentBlock(r, e - 1, mass[r])
+        events.append(MergerEvent((xs[r] - xs[j]) / mass[j], left, right, (perm[child], perm[parent])))
         mass[j] += mass[r]
         nxt[j] = e
         prev[e] = j
@@ -175,25 +194,26 @@ class MonotoneForest:
 
     Edges are (child, parent, time) with times nondecreasing; the edge set at
     level q is the prefix with time <= q, and its partition coincides with
-    the static forest partition at the same q.
+    the static forest partition at the same q.  ``components_at`` raises
+    ValueError for a NaN level; its caches stay out of ``==``, ``repr`` and ``replace``.
     """
 
     n: int
     edge_log: tuple[tuple[int, int, float], ...]
 
     @cached_property
-    def _join_order(self) -> tuple[list[int], list[Optional[float]]]:
+    def _join_order(self) -> tuple[list[int], np.ndarray]:
         """Every vertex once, each component at every level a contiguous run.
 
         One union-find over the log concatenates the member lists of the two
         sets each edge joins, so a list's adjacent pairs were joined no later
-        than the list was.  Returns the order and, for each adjacent pair,
-        the time of the edge that joined it (None between final components).
+        than the list was.  Returns the order and, per position, the time of
+        the edge that joined it to the one before (NaN: none did).
         """
         parent = list(range(self.n))
         tail = list(range(self.n))
         nxt = [-1] * self.n
-        joined: list[Optional[float]] = [None] * self.n  # v and nxt[v] joined at
+        joined = [math.nan] * self.n  # v and nxt[v] joined at
         for child, par, t in self.edge_log:
             a, b = find(parent, par), find(parent, child)
             if a == b:
@@ -208,14 +228,16 @@ class MonotoneForest:
                 while v != -1:
                     order.append(v)
                     v = nxt[v]
-        return order, [joined[v] for v in order[:-1]]
+        return order, np.array([math.nan, *(joined[v] for v in order[:-1])])
+
+    @cached_property
+    def _singletons(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset((v,)) for v in range(self.n))
 
     def components_at(self, q: float) -> frozenset[frozenset[int]]:
         """Partition after the edges with time <= q: the join order cut
-        wherever an adjacent pair was joined later than q."""
-        order, joined = self._join_order
-        cuts = [0, *(i for i, t in enumerate(joined, 1) if t is None or t > q), len(order)]
-        return frozenset(frozenset(order[a:b]) for a, b in zip(cuts, cuts[1:]))
+        wherever an adjacent pair was joined later than q, or never."""
+        return _cut(*self._join_order, q, self._singletons)
 
 
 def build_monotone_forest(trajectory: Trajectory) -> MonotoneForest:

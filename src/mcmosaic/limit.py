@@ -362,7 +362,8 @@ def scaling_experiment(
     each n must be integers >= 1, and a given ``sequences[n]`` must hold n
     finite positive masses (ValueError otherwise).  A ``sequences`` key not
     in ``n_values`` raises ValueError too: no size would read it, so the
-    sequence meant for it would be silently dropped.
+    sequence meant for it would be silently dropped.  So does a repeated
+    size, whose rows would pool its samples.
 
     Every n, standard or given, reads the first n columns of one pool of
     unit exponentials per chunk of replications (stream "scaling-coupled")
@@ -378,6 +379,8 @@ def scaling_experiment(
     stray = [k for k in sequences if k not in n_values]
     if stray:
         raise ValueError(f"sequences keys {stray} are not in n_values {tuple(n_values)}")
+    if len(set(n_values)) != len(n_values):
+        raise ValueError(f"n_values {tuple(n_values)} repeat a size")
     for n in n_values:
         _require_count("n", n)
         if n in sequences and len(sequences[n]) != n:

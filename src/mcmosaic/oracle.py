@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, WeightedConfig, find, groups, union
+from .core import RngStream, WeightedConfig, check_level, find, groups, union
 from .surplus import GraphEdge, LabeledGraph
 
 __all__ = [
@@ -103,6 +103,8 @@ class OracleTrajectory:
     mergers: tuple[tuple[float, int, int], ...]
 
     def partition_at(self, q: float) -> frozenset[frozenset[int]]:
+        """Components after the mergers with time <= q; ValueError for NaN q."""
+        check_level(q)
         parent = list(range(self.n))
         for t, i, j in self.mergers:
             if t > q:

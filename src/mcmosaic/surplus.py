@@ -30,7 +30,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .core import RngStream, groups, union
+from .core import RngStream, check_level, groups, union
 from .dynamics import Trajectory
 from .walk import Excursion, ExcursionDecomposition, Forest, WalkPath
 
@@ -122,7 +122,8 @@ class LabeledGraph:
         return frozenset(pairs)
 
     def partition_at(self, q: float) -> frozenset[frozenset[int]]:
-        """Connected components of the edges with time <= q (loops irrelevant)."""
+        """Components of the edges with time <= q (loops irrelevant); NaN q raises."""
+        check_level(q)
         parent = list(range(self.n))
         for e in self.spanning + self.surplus:
             if e.time <= q:

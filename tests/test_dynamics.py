@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import domain, domain_instance
-from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
+from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, find, sample_clocks
 from mcmosaic.dynamics import (
     ComponentBlock,
     MergerEvent,
@@ -18,6 +18,7 @@ from mcmosaic.dynamics import (
     build_monotone_forest,
     run_trajectory,
 )
+from mcmosaic.oracle import gillespie_graph, gillespie_trajectory
 from mcmosaic.walk import breadth_first_forest, decompose, WalkPath
 
 
@@ -325,7 +326,7 @@ def test_monotone_components_equal_partition_at(exponents, seed, log_q_max, frac
 def test_monotone_components_on_a_hand_built_log():
     """Tied edge times join together; a level exactly at an edge time
     includes that edge, one just below it does not; vertices no edge touches
-    stay alone."""
+    stay alone, also at q = inf."""
     forest = MonotoneForest(
         n=6, edge_log=((1, 0, 0.5), (3, 2, 1.0), (2, 1, 1.0), (4, 0, 2.0))
     )
@@ -338,7 +339,11 @@ def test_monotone_components_on_a_hand_built_log():
     assert forest.components_at(math.nextafter(1.0, 0.0)) == forest.components_at(0.5)
     assert forest.components_at(1.0) == parts({0, 1, 2, 3}, {4}, {5})
     assert forest.components_at(2.0) == parts({0, 1, 2, 3, 4}, {5})
-    assert forest.components_at(math.inf) == forest.components_at(2.0)
+    assert forest.components_at(math.inf) == parts({0, 1, 2, 3, 4}, {5})
+    # untouched vertices between joined ones stay alone at q = inf too
+    gaps = MonotoneForest(n=5, edge_log=((2, 0, 1.0), (4, 2, 3.0)))
+    assert gaps.components_at(math.inf) == parts({0, 2, 4}, {1}, {3})
+    assert gaps.components_at(-math.inf) == parts({0}, {1}, {2}, {3}, {4})
 
 
 # -- the shared replay against the dict-based one it replaced ----------------
@@ -433,3 +438,124 @@ def test_walk_partition_equals_replay_off_merger_times(exponents, equal, seed, t
         static, _ = breadth_first_forest(traj.config, traj.clocks, q)
         assert frozenset(static.components()) == want
         assert forest.components_at(q) == want
+
+
+# -- the cut readers against the replay and generator cut they replaced ------
+
+
+def replay_partition_at(traj, q):
+    """The earlier partition_at: replay the log, slice the clock order."""
+    perm = traj.clocks.perm
+    return frozenset(frozenset(perm[b.lo : b.hi + 1]) for b in traj.blocks_at(q))
+
+
+def generator_components_at(forest, q):
+    """The earlier components_at: its own join order (None between final
+    components), cut by a generator."""
+    n = forest.n
+    parent, tail, nxt, joined = list(range(n)), list(range(n)), [-1] * n, [None] * n
+    for child, par, t in forest.edge_log:
+        a, b = find(parent, par), find(parent, child)
+        if a == b:
+            continue
+        nxt[tail[a]], joined[tail[a]] = b, t
+        tail[a] = tail[b]
+        parent[b] = a
+    order = []
+    for v in range(n):
+        if parent[v] == v:
+            while v != -1:
+                order.append(v)
+                v = nxt[v]
+    gaps = [joined[v] for v in order[:-1]]
+    cuts = [0, *(i for i, t in enumerate(gaps, 1) if t is None or t > q), len(order)]
+    return frozenset(frozenset(order[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+
+def cut_levels(traj):
+    """Every event time and both float neighbours, geometric midpoints,
+    0, -1, ±inf and q_max."""
+    times = sorted(ev.time for ev in traj.events)
+    levels = [0.0, -1.0, math.inf, -math.inf, traj.q_max]
+    for t in times:
+        levels += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+    return levels + [math.sqrt(a * b) for a, b in zip(times, times[1:])]
+
+
+@settings(deadline=None, max_examples=200)
+@given(*_REPLAY_DOMAIN, st.floats(-12.0, 12.0), st.integers(0, 2**16))
+def test_cut_readers_match_replay_and_generator_cut(exponents, equal, seed, ties, log_q, pick):
+    """Masses over 1e-6..1e6, n from 1, tied clocks: partition_at equals the
+    replay and components_at the generator cut at every event time, its
+    float neighbours and the levels between and beyond, also on a log with
+    one event lifted above the later ones."""
+    traj = domain_trajectory(exponents, equal, seed, ties, log_q)
+    forest = build_monotone_forest(traj)
+    for q in cut_levels(traj):
+        want = replay_partition_at(traj, q)
+        assert traj.partition_at(q) == want
+        assert forest.components_at(q) == generator_components_at(forest, q) == want
+    if len(traj.events) < 2:
+        return
+    i = pick % (len(traj.events) - 1)
+    events = list(traj.events)
+    events[i] = dataclasses.replace(events[i], time=2.0 * events[-1].time + 1.0)
+    unsorted = dataclasses.replace(traj, events=tuple(events))
+    unsorted_forest = build_monotone_forest(unsorted)
+    for q in cut_levels(unsorted):
+        assert unsorted.partition_at(q) == replay_partition_at(unsorted, q)
+        assert unsorted_forest.components_at(q) == generator_components_at(unsorted_forest, q)
+
+
+def test_cached_columns_stay_out_of_eq_repr_and_replace():
+    cfg, clocks = random_instance(5)
+    traj = run_trajectory(cfg, clocks, RngStream(5), 1e9)
+    forest = build_monotone_forest(traj)
+    before = (repr(traj), repr(forest))
+    fresh_traj, fresh_forest = dataclasses.replace(traj), dataclasses.replace(forest)
+    traj.partition_at(1.0)
+    forest.components_at(1.0)
+    assert (repr(traj), repr(forest)) == before
+    assert traj == fresh_traj and forest == fresh_forest
+    assert {"_stops", "_singletons"} <= vars(traj).keys()
+    assert {"_join_order", "_singletons"} <= vars(forest).keys()
+    copies = dataclasses.replace(traj), dataclasses.replace(forest)
+    assert not any(k.startswith("_") for c in copies for k in vars(c))
+
+
+def test_repeated_reads_share_their_singleton_blocks():
+    cfg, clocks = random_instance(2)
+    traj = run_trajectory(cfg, clocks, RngStream(2), 1e9)
+    forest = build_monotone_forest(traj)
+    q = traj.events[0].time  # one pair joined, every other vertex alone
+    for read in (traj.partition_at, forest.components_at):
+        first, again, alone = read(q), read(q), read(-1.0)
+        assert first == again and len(first) == len(cfg) - 1 >= 2
+        singles = {b: b for b in alone}
+        for block in first:
+            assert (singles.get(block) is block) == (len(block) == 1)
+        assert all(singles[b] is b for b in again if len(b) == 1)
+
+
+def _four_vertex_readers():
+    cfg = WeightedConfig((0.5, 1.0, 1.5, 2.0))
+    clocks = sample_clocks(cfg, RngStream(11).named("clocks"))
+    traj = run_trajectory(cfg, clocks, RngStream(11), 1e9)
+    return {
+        "Trajectory.blocks_at": traj.blocks_at,
+        "Trajectory.partition_at": traj.partition_at,
+        "MonotoneForest.components_at": build_monotone_forest(traj).components_at,
+        "OracleTrajectory.partition_at": gillespie_trajectory(cfg, RngStream(11), 50.0).partition_at,
+        "LabeledGraph.partition_at": gillespie_graph(cfg, 2.0, RngStream(11)).partition_at,
+    }
+
+
+@pytest.mark.parametrize("name", list(_four_vertex_readers()))
+def test_level_readers_reject_nan_and_accept_infinities(name):
+    """A NaN level raises ValueError (it read as the final partition, or
+    as all singletons); ±inf stay levels."""
+    read = _four_vertex_readers()[name]
+    with pytest.raises(ValueError, match="must not be NaN"):
+        read(math.nan)
+    read(math.inf)
+    read(-math.inf)

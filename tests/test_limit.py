@@ -514,12 +514,15 @@ def test_scaling_experiment_bad_horizon():
         ((3,), {3: [0.5, 0.0, 0.5]}, r"finite and > 0, got 0\.0"),
         ((3,), {3: [0.5, -1.0, 0.5]}, r"finite and > 0, got -1\.0"),
         ((3,), {3: [0.5, math.nan, 0.5]}, "finite and > 0, got nan"),
+        ((8, 8), None, r"\(8, 8\) repeat a size"),
+        ((8, 3, 8), {8: [0.5] * 8}, r"\(8, 3, 8\) repeat a size"),
     ],
 )
 def test_scaling_experiment_rejects_bad_sizes(n_values, sequences, match, monkeypatch):
-    """A size below 1, a sequence of another length, or a mass that is not
-    finite and positive raises ValueError before anything is drawn (it
-    divided by zero, or mixed up sizes)."""
+    """A size below 1, a repeated size, a sequence of another length, or a
+    mass that is not finite and positive raises ValueError before anything
+    is drawn (it divided by zero, mixed up sizes, or pooled a repeated
+    size's samples into one row)."""
     rng = RngStream(3).named("sizes")
     ref = sample_limit_reference(LimitParams(kappa=1.0), rng, 5e-3, 10)
 
