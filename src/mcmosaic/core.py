@@ -71,12 +71,13 @@ class ClockAssignment:
 
     @classmethod
     def from_xi(cls, xi: Sequence[float]) -> "ClockAssignment":
-        values = tuple(float(v) for v in xi)
-        for v in values:
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ValueError(f"clock values must be finite and > 0, got {v!r}")
-        order = tuple(int(i) for i in np.argsort(np.asarray(values), kind="stable"))
-        return cls(xi=values, perm=order)
+        values = np.asarray(xi, dtype=float)
+        bad = ~((values > 0.0) & (values < math.inf))
+        if bad.any():
+            v = float(values[bad.argmax()])
+            raise ValueError(f"clock values must be finite and > 0, got {v!r}")
+        order = np.argsort(values, kind="stable")
+        return cls(xi=tuple(values.tolist()), perm=tuple(order.tolist()))
 
     def __len__(self) -> int:
         return len(self.xi)

@@ -7,7 +7,9 @@ merger: the engine reads each rank's absorption time off the upper hull of
 the points (mass before the rank, its clock) in one sweep, then replays the
 mergers in time order.  Each merger draws one mass-biased edge between the
 two blocks, giving a monotone (append-only) forest whose partition matches
-the static forest at every level.
+the static forest at every level.  The readers at one level share one view
+of the log there (``_Level``): its blocks, arrival processes and spanning
+edges are each computed once.
 """
 from __future__ import annotations
 
@@ -16,6 +18,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +50,7 @@ class ComponentBlock:
         return range(self.lo, self.hi + 1)
 
 
-@dataclass(frozen=True)
-class MergerEvent:
+class MergerEvent(NamedTuple):
     """Absorption of ``right`` by ``left`` at ``time``.
 
     ``edge`` is the (child, parent) vertex pair drawn mass-biased from the
@@ -60,18 +63,32 @@ class MergerEvent:
     edge: tuple[int, int]
 
 
+class GraphEdge(NamedTuple):
+    """One edge of a labeled graph and the level at which it appears."""
+
+    source: int  # child end / later-listed vertex
+    target: int  # parent end / earlier-listed vertex
+    time: float  # q of creation (static: evaluation q)
+    kind: str  # "span" | "simple" | "multi" | "loop"
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Ordered merger log, sufficient to replay every later construction.
 
-    Its readers take any level, ±inf included, and raise ValueError for NaN;
-    what they cache stays out of ``==``, ``repr`` and ``dataclasses.replace``.
+    A NaN event time raises ValueError.  Its readers take any level, ±inf
+    included, and raise ValueError for NaN; what they cache, and the level
+    view they share (``_Level``), stays out of ``==``, ``repr`` and
+    ``dataclasses.replace``.
     """
 
     config: WeightedConfig
     clocks: ClockAssignment
     q_max: float
     events: tuple[MergerEvent, ...]
+
+    def __post_init__(self) -> None:
+        _check_times(map(itemgetter(0), self.events))
 
     @cached_property
     def _stops(self) -> np.ndarray:
@@ -88,12 +105,40 @@ class Trajectory:
 
     def blocks_at(self, q: float) -> list[ComponentBlock]:
         """Component blocks after the events up to the first one with time
-        > q, masses summed in log order; ValueError for a NaN q."""
+        > q, masses summed in log order, as a new list on every call;
+        ValueError for a NaN q."""
         check_level(q)
-        n = len(self.config)
-        masses = self.config.masses
+        return list(_Level.of(self, q).blocks)
+
+    def partition_at(self, q: float) -> frozenset[frozenset[int]]:
+        """Vertex partition (labels, not ranks) after events with time <= q:
+        the clock order cut at each rank that still starts a block at q."""
+        return _cut(self.clocks.perm, self._stops, q, self._singletons)
+
+
+def _check_times(times) -> None:
+    """ValueError for a NaN time in a merger or edge log."""
+    if any(map(math.isnan, times)):
+        raise ValueError("log times must not be NaN")
+
+
+class _Level:
+    """The merger log read at one level q, shared by every reader at q.
+
+    ``blocks`` come from one replay of the events up to the first with time
+    > q, masses summed in log order.  ``processes`` and ``spanning`` are
+    computed on first use.  It keeps the event log and the masses in rank
+    order, not the trajectory, so the memo makes no reference cycle.
+    """
+
+    def __init__(self, trajectory: Trajectory, q: float):
+        self.q = q
+        self.events = trajectory.events
+        masses = trajectory.config.masses
+        self.sizes = [masses[v] for v in trajectory.clocks.perm]  # by rank
+        n = len(self.sizes)
         end = list(range(n))
-        mass = [masses[v] for v in self.clocks.perm]
+        mass = list(self.sizes)
         live = [True] * n
         for ev in self.events:
             if ev.time > q:
@@ -102,12 +147,46 @@ class Trajectory:
             end[j] = ev.right.hi
             mass[j] += mass[r]
             live[r] = False
-        return [ComponentBlock(j, end[j], mass[j]) for j in compress(range(n), live)]
+        self.blocks = tuple([ComponentBlock(j, end[j], mass[j]) for j in compress(range(n), live)])
 
-    def partition_at(self, q: float) -> frozenset[frozenset[int]]:
-        """Vertex partition (labels, not ranks) after events with time <= q:
-        the clock order cut at each rank that still starts a block at q."""
-        return _cut(self.clocks.perm, self._stops, q, self._singletons)
+    @classmethod
+    def of(cls, trajectory: Trajectory, q: float) -> "_Level":
+        """The level view at q, memoized in one slot of the trajectory's
+        instance dict (as cached_property does), which the frozen record's
+        ==, repr and dataclasses.replace ignore."""
+        v = trajectory.__dict__.get("_level")
+        if v is None or v.q != q:
+            v = trajectory.__dict__["_level"] = cls(trajectory, q)
+        return v
+
+    @cached_property
+    def processes(self) -> tuple[list, list, list, list, list, list]:
+        """The arrival processes that the mergers up to q activate, as
+        parallel lists (l, j, k, activation, rate, target_mass): one per
+        right-block rank l, ascending, aimed at the left block j..k at rate
+        mass(l) * mass(j..k).  Shared: readers must not mutate them."""
+        q, sizes = self.q, self.sizes
+        ls, js, ks, acts, rates, tmass = [], [], [], [], [], []
+        for ev in self.events:
+            if ev.time > q:
+                break
+            left, lo, end = ev.left, ev.right.lo, ev.right.hi + 1
+            xi_left, w = left.mass, end - lo
+            ls.extend(range(lo, end))
+            js.extend([left.lo] * w)
+            ks.extend([left.hi] * w)
+            acts.extend([ev.time] * w)
+            rates.extend([m * xi_left for m in sizes[lo:end]])
+            tmass.extend([xi_left] * w)
+        return ls, js, ks, acts, rates, tmass
+
+    @cached_property
+    def spanning(self) -> tuple[GraphEdge, ...]:
+        """The merger edges with time <= q, in log order."""
+        q = self.q
+        return tuple([
+            GraphEdge(ev.edge[0], ev.edge[1], ev.time, "span") for ev in self.events if ev.time <= q
+        ])
 
 
 def _cut(seq, stops: np.ndarray, q: float, singletons: tuple) -> frozenset[frozenset[int]]:
@@ -194,12 +273,16 @@ class MonotoneForest:
 
     Edges are (child, parent, time) with times nondecreasing; the edge set at
     level q is the prefix with time <= q, and its partition coincides with
-    the static forest partition at the same q.  ``components_at`` raises
-    ValueError for a NaN level; its caches stay out of ``==``, ``repr`` and ``replace``.
+    the static forest partition at the same q.  A NaN edge time raises
+    ValueError, and so does ``components_at`` for a NaN level; its caches
+    stay out of ``==``, ``repr`` and ``replace``.
     """
 
     n: int
     edge_log: tuple[tuple[int, int, float], ...]
+
+    def __post_init__(self) -> None:
+        _check_times(map(itemgetter(2), self.edge_log))
 
     @cached_property
     def _join_order(self) -> tuple[list[int], np.ndarray]:
@@ -241,5 +324,5 @@ class MonotoneForest:
 
 
 def build_monotone_forest(trajectory: Trajectory) -> MonotoneForest:
-    log = tuple((ev.edge[0], ev.edge[1], ev.time) for ev in trajectory.events)
+    log = tuple([(ev.edge[0], ev.edge[1], ev.time) for ev in trajectory.events])
     return MonotoneForest(n=len(trajectory.config), edge_log=log)

@@ -21,7 +21,8 @@ Gap-free reach sets are intervals and laminar intervals nest, so R3 and the
 cover tree are one stack pass over the (owner, end) pairs.
 
 _RankGeometry is the one pass from the walk and the event log at a horizon
-to per-rank geometry: blocks, reach ends, levels and parallelogram rows.
+to per-rank geometry: reach ends, levels and parallelogram rows, over the
+blocks of the trajectory's level view at that horizon (dynamics._Level).
 _RankGeometry.of keeps the last one on the trajectory, so build_mosaic,
 slice_decomposition and the SVG renderer at one horizon share one pass.
 build_mosaic wraps its rows in Baseline dataclasses, slice_decomposition in
@@ -36,7 +37,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .core import ClockAssignment, RngStream, WeightedConfig
-from .dynamics import MergerEvent, Trajectory, run_trajectory
+from .dynamics import Trajectory, _Level, run_trajectory
 from .walk import WalkPath
 
 __all__ = [
@@ -151,7 +152,7 @@ class _RankGeometry:
         self.sizes = self.path.jump_sizes
         self.cm = self.path.cummass
         self.mass_before = (0.0,) + self.cm[:-1]  # cm[j - 1], and 0.0 at rank 0
-        self.blocks = trajectory.blocks_at(q)
+        self.blocks = _Level.of(trajectory, q).blocks
         self.root: list[int] = []
         for b in self.blocks:
             self.root += [b.lo] * (b.hi - b.lo + 1)
@@ -218,18 +219,21 @@ class _RankGeometry:
         )
 
     @cached_property
-    def parallelograms(self) -> list[list[tuple[MergerEvent, float, float]]]:
-        """(event, top level, height) of each absorption of each rank's block,
-        in activation order.  Each top must lie on the absorbed root's
-        baseline, to 1e-9 of its block's mass (AssertionError otherwise)."""
+    def parallelograms(self) -> list[list[tuple[float, float, float, float]]]:
+        """(activation, absorbed mass, top level, height) of each absorption
+        of each rank's block, in activation order, read off the events.  Each
+        top must lie on the absorbed root's baseline, to 1e-9 of its block's
+        mass (AssertionError otherwise)."""
         q, level, root = self.q, self.base_level, self.root
         mass = {b.lo: b.mass for b in self.blocks}
         running_top = list(level)
-        rows: list[list[tuple[MergerEvent, float, float]]] = [[] for _ in level]
+        rows: list[list[tuple[float, float, float, float]]] = [[] for _ in level]
         for ev in self.events:
-            if ev.time > q:
+            t = ev.time
+            if t > q:
                 continue
-            height = ev.left.mass * (1.0 - ev.time / q)
+            absorbed = ev.left.mass
+            height = absorbed * (1.0 - t / q)
             owner = ev.right.lo
             tol = 1e-9 * mass[root[owner]]
             for l in range(owner, ev.right.hi + 1):
@@ -238,7 +242,7 @@ class _RankGeometry:
                     raise AssertionError(
                         f"no baseline at slice top level {top} for rank {l}"
                     )
-                rows[l].append((ev, top, height))
+                rows[l].append((t, absorbed, top, height))
                 running_top[l] = top - height
         return rows
 
@@ -589,8 +593,8 @@ def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
             l, pos[l], sizes[l], base_level[l], sizes[l] * sizes[l] / 2.0,
             intercept_lo[l], intercept_hi[l],
             tuple([
-                Parallelogram(ev.time, ev.left.mass, height, height * sizes[l], top)
-                for ev, top, height in rows
+                Parallelogram(t, absorbed, height, height * sizes[l], top)
+                for t, absorbed, top, height in rows
             ]),
         )
         for l, rows in enumerate(g.parallelograms)

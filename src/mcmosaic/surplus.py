@@ -26,12 +26,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat, takewhile
-from typing import Literal, NamedTuple
+from operator import mul
+from typing import Literal
 
 import numpy as np
 
 from .core import RngStream, check_level, groups, union
-from .dynamics import Trajectory
+from .dynamics import GraphEdge, Trajectory, _Level
 from .walk import Excursion, ExcursionDecomposition, Forest, WalkPath
 
 __all__ = [
@@ -96,13 +97,6 @@ def _window_end(path: WalkPath, exc: Excursion, h: int) -> float:
 def _region_end(path: WalkPath, exc: Excursion, h: int) -> int:
     """One past the last candidate of rank h: the jump times are sorted."""
     return bisect_right(path.jump_times, _window_end(path, exc, h), h + 1, exc.rank_hi + 1)
-
-
-class GraphEdge(NamedTuple):
-    source: int  # child end / later-listed vertex
-    target: int  # parent end / earlier-listed vertex
-    time: float  # q of creation (static: evaluation q)
-    kind: str  # "span" | "simple" | "multi" | "loop"
 
 
 @dataclass(frozen=True)
@@ -260,28 +254,23 @@ def _process_table(
 
     Returns (l, j, k, activation, rate, target_mass) in activation order:
     the loop processes first (if included) in rank order, then each merger's
-    processes, right-block ranks ascending.
+    processes, right-block ranks ascending (the level view's columns, which
+    are shared: callers must not mutate them).
     """
-    perm = trajectory.clocks.perm
-    masses = trajectory.config.masses
-    sizes = [masses[v] for v in perm]
-    loops = len(sizes) if include_loops else 0
-    ls, js, ks = list(range(loops)), list(range(loops)), list(range(loops))
-    acts = [0.0] * loops
-    rates = [m * m / 2.0 for m in sizes[:loops]]
-    tmass = sizes[:loops]
-    for ev in trajectory.events:
-        if ev.time > q_max:
-            break
-        right = ev.right.ranks()
-        xi_left, w = ev.left.mass, len(right)
-        ls.extend(right)
-        js.extend([ev.left.lo] * w)
-        ks.extend([ev.left.hi] * w)
-        acts.extend([ev.time] * w)
-        rates.extend([sizes[l] * xi_left for l in right])
-        tmass.extend([xi_left] * w)
-    return ls, js, ks, acts, rates, tmass
+    level = _Level.of(trajectory, q_max)
+    if not include_loops:
+        return level.processes
+    ls, js, ks, acts, rates, tmass = level.processes
+    sizes = level.sizes
+    loops = range(len(sizes))
+    return (
+        [*loops, *ls],
+        [*loops, *js],
+        [*loops, *ks],
+        [0.0] * len(sizes) + acts,
+        [m * m / 2.0 for m in sizes] + rates,
+        sizes + tmass,
+    )
 
 
 def activated_processes(
@@ -322,13 +311,13 @@ def dynamic_surplus(
     _check_horizon(trajectory, q_max)
     gen = rng.named(f"dynamic-surplus-{variant}").generator()
     perm = trajectory.clocks.perm
-    masses = trajectory.config.masses
+    level = _Level.of(trajectory, q_max)
     ls, js, ks, acts, rates, tmass = _process_table(
         trajectory, q_max, include_loops=(variant == "multigraph")
     )
     spans = [q_max - a for a in acts]
     # process i owns [cum_lam[i], cum_lam[i + 1]) of the summed intensity
-    cum_lam = list(accumulate((r * s for r, s in zip(rates, spans)), initial=0.0))
+    cum_lam = list(accumulate(map(mul, rates, spans), initial=0.0))
     total = int(gen.poisson(cum_lam[-1]))
 
     arrivals: list[tuple[float, int, int]] = []  # (time, source rank, target rank)
@@ -336,7 +325,7 @@ def dynamic_surplus(
         which = gen.random(total).tolist()
         times = gen.random(total).tolist()
         picks = gen.random(total).tolist()
-        cum = list(accumulate((masses[v] for v in perm), initial=0.0))
+        cum = list(accumulate(level.sizes, initial=0.0))
         for u, t, p in zip(which, times, picks):
             i = bisect_right(cum_lam, u * cum_lam[-1], 1, len(acts)) - 1
             j = js[i]
@@ -344,9 +333,7 @@ def dynamic_surplus(
             arrivals.append((acts[i] + spans[i] * t, ls[i], tgt))
         arrivals.sort()
 
-    span_log = [(ev.time, ev.edge[0], ev.edge[1]) for ev in trajectory.events if ev.time <= q_max]
-    spanning = tuple([GraphEdge(c, p, t, "span") for t, c, p in span_log])
-
+    spanning = level.spanning
     surplus: list[GraphEdge] = []
     if variant == "multigraph":
         for t, l, tgt in arrivals:
@@ -355,12 +342,12 @@ def dynamic_surplus(
             surplus.append(GraphEdge(s_v, t_v, t, kind))
     else:
         present: set[frozenset[int]] = set()
-        span_times = [t for t, _, _ in span_log]
+        span_times = [e.time for e in spanning]
         span_idx = 0
         for t, l, tgt in arrivals:
-            while span_idx < len(span_log) and span_times[span_idx] <= t:
-                _, c, p = span_log[span_idx]
-                present.add(frozenset((c, p)))
+            while span_idx < len(spanning) and span_times[span_idx] <= t:
+                e = spanning[span_idx]
+                present.add(frozenset((e.source, e.target)))
                 span_idx += 1
             s_v, t_v = perm[l], perm[tgt]
             pair = frozenset((s_v, t_v))
@@ -391,12 +378,12 @@ class SurplusCountSampler:
         self.trajectory = trajectory
         self.q_max = q_max
         perm = trajectory.clocks.perm
-        masses = trajectory.config.masses
-        blocks = trajectory.blocks_at(q_max)
+        level = _Level.of(trajectory, q_max)
+        blocks = level.blocks
         self.components = [frozenset(perm[b.lo : b.hi + 1]) for b in blocks]
         self.n_components = len(blocks)
         starts = [b.lo for b in blocks]
-        sizes = np.asarray([masses[v] for v in perm])
+        sizes = np.asarray(level.sizes)
         events = list(takewhile(lambda ev: ev.time <= q_max, trajectory.events))
         merged = np.bincount(
             np.searchsorted(starts, [ev.left.lo for ev in events], side="right") - 1,

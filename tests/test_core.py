@@ -65,6 +65,28 @@ def test_clock_assignment_rejects_nonpositive():
         ClockAssignment.from_xi((0.5, float("nan")))
 
 
+@pytest.mark.parametrize(
+    "xi, first",
+    [
+        ((0.5, 0.0, -1.0), "0.0"),
+        ((0.5, -2.0, math.nan), "-2.0"),
+        (np.array([1.0, np.nan, 0.0], dtype=np.float32), "nan"),
+        ((2.0, math.inf), "inf"),
+        ((-math.inf, 1.0), "-inf"),
+    ],
+)
+def test_clock_assignment_names_the_first_bad_value(xi, first):
+    with pytest.raises(ValueError, match=f"got {first}$"):
+        ClockAssignment.from_xi(xi)
+
+
+def test_clock_assignment_holds_python_numbers():
+    xi = np.array([0.7, 0.2, 0.7], dtype=np.float32)
+    ca = ClockAssignment.from_xi(xi)
+    assert ca.xi == tuple(float(v) for v in xi) and ca.perm == (1, 0, 2)
+    assert all(type(v) is float for v in ca.xi) and all(type(v) is int for v in ca.perm)
+
+
 def test_rng_stream_reproducible():
     a = RngStream(42).generator().random(8)
     b = RngStream(42).generator().random(8)

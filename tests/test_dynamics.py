@@ -403,7 +403,7 @@ def test_replay_matches_dict_reference(exponents, equal, seed, ties, log_q, pick
     # lift one event above the later ones: the prefix stops there
     i = pick % (len(traj.events) - 1)
     events = list(traj.events)
-    events[i] = dataclasses.replace(events[i], time=2.0 * events[-1].time + 1.0)
+    events[i] = events[i]._replace(time=2.0 * events[-1].time + 1.0)
     unsorted = dataclasses.replace(traj, events=tuple(events))
     for q in [events[i - 1].time if i else 0.0, events[-1].time, events[i].time]:
         assert unsorted.blocks_at(q) == reference_blocks_at(unsorted, q)
@@ -499,7 +499,7 @@ def test_cut_readers_match_replay_and_generator_cut(exponents, equal, seed, ties
         return
     i = pick % (len(traj.events) - 1)
     events = list(traj.events)
-    events[i] = dataclasses.replace(events[i], time=2.0 * events[-1].time + 1.0)
+    events[i] = events[i]._replace(time=2.0 * events[-1].time + 1.0)
     unsorted = dataclasses.replace(traj, events=tuple(events))
     unsorted_forest = build_monotone_forest(unsorted)
     for q in cut_levels(unsorted):
@@ -514,13 +514,54 @@ def test_cached_columns_stay_out_of_eq_repr_and_replace():
     before = (repr(traj), repr(forest))
     fresh_traj, fresh_forest = dataclasses.replace(traj), dataclasses.replace(forest)
     traj.partition_at(1.0)
+    traj.blocks_at(1.0)
     forest.components_at(1.0)
     assert (repr(traj), repr(forest)) == before
     assert traj == fresh_traj and forest == fresh_forest
-    assert {"_stops", "_singletons"} <= vars(traj).keys()
+    assert {"_stops", "_singletons", "_level"} <= vars(traj).keys()
     assert {"_join_order", "_singletons"} <= vars(forest).keys()
     copies = dataclasses.replace(traj), dataclasses.replace(forest)
     assert not any(k.startswith("_") for c in copies for k in vars(c))
+
+
+def test_blocks_at_returns_a_fresh_list():
+    cfg, clocks = random_instance(3)
+    traj = run_trajectory(cfg, clocks, RngStream(3), 1e9)
+    q = traj.events[len(traj.events) // 2].time
+    first = traj.blocks_at(q)
+    want = list(first)
+    first[0] = ComponentBlock(0, 0, 1.0)
+    first.append(first[0])
+    again = traj.blocks_at(q)
+    assert again == want and again is not first
+
+
+def _with_time(events, i, t):
+    return events[:i] + (events[i]._replace(time=t),) + events[i + 1 :]
+
+
+def test_logs_with_a_nan_time_are_rejected():
+    """A NaN event or edge time raised nothing, and blocks_at, partition_at
+    and components_at then disagreed about it."""
+    cfg, clocks = random_instance(4)
+    traj = run_trajectory(cfg, clocks, RngStream(4), 1e9)
+    forest = build_monotone_forest(traj)
+    for i in (0, len(traj.events) - 1):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            dataclasses.replace(traj, events=_with_time(traj.events, i, math.nan))
+        with pytest.raises(ValueError, match="must not be NaN"):
+            type(traj)(traj.config, traj.clocks, traj.q_max, _with_time(traj.events, i, math.nan))
+        edges = tuple(forest.edge_log)
+        bad = edges[:i] + ((*edges[i][:2], math.nan),) + edges[i + 1 :]
+        with pytest.raises(ValueError, match="must not be NaN"):
+            dataclasses.replace(forest, edge_log=bad)
+        with pytest.raises(ValueError, match="must not be NaN"):
+            MonotoneForest(forest.n, bad)
+    # ±inf times stay accepted
+    last = len(traj.events) - 1
+    inf_traj = dataclasses.replace(traj, events=_with_time(traj.events, last, math.inf))
+    assert len(inf_traj.blocks_at(1e300)) == 2
+    MonotoneForest(forest.n, edges[:-1] + ((*edges[-1][:2], math.inf),))
 
 
 def test_repeated_reads_share_their_singleton_blocks():

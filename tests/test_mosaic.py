@@ -504,7 +504,7 @@ def test_slice_top_moved_by_a_millionth_of_the_block_raises(scale):
         else:
             continue
         mass = next(b.mass for b in traj.blocks_at(q) if b.lo <= ev.right.lo <= b.hi)
-        moved = dataclasses.replace(ev, time=ev.time - 1e-6 * mass * q / ev.left.mass)
+        moved = ev._replace(time=ev.time - 1e-6 * mass * q / ev.left.mass)
         bad = dataclasses.replace(traj, events=tuple(events[:i] + [moved] + events[i + 1 :]))
         with pytest.raises(AssertionError, match="no baseline at slice top level"):
             slice_decomposition(bad, q)

@@ -181,21 +181,23 @@ def reference_render_svg(trajectory, q, *, shade_slices=False, width=900, height
     return "\n".join(out) + "\n"
 
 
-@settings(deadline=None, max_examples=150)
-@given(
-    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=30),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-    st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=4),
-    st.floats(-3.0, 12.0),
-    st.floats(0.0, 1.0),
-    st.booleans(),
-    st.sampled_from([(900, 420), (300, 200), (61, 61), (60, 60), (13, 7), (1, 1), (0, 0)]),
-)
-def test_render_matches_object_reference(exponents, equal, seed, ties, log_q, fraction, shade, size):
-    """Masses log-uniform over 1e-6..1e6 (or all equal), n from 1, tied
-    clocks, q from 1e-3 to 1e12 over sigma2 or at a positive event time,
-    shading on and off, small canvases: the bytes equal the reference's."""
+def _render_domain(max_n):
+    """Masses log-uniform over 1e-6..1e6 (or all equal), n from 1 to max_n,
+    tied clocks, q from 1e-3 to 1e12 over sigma2 or at a positive event time,
+    shading on and off, small canvases."""
+    return (
+        st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=max_n),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(0, max_n - 1), st.integers(0, max_n - 1)), max_size=4),
+        st.floats(-3.0, 12.0),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+        st.sampled_from([(900, 420), (300, 200), (61, 61), (60, 60), (13, 7), (1, 1), (0, 0)]),
+    )
+
+
+def assert_render_matches_reference(exponents, equal, seed, ties, log_q, fraction, shade, size):
     masses = [10.0 ** exponents[0]] * len(exponents) if equal else [10.0**e for e in exponents]
     cfg = WeightedConfig(tuple(masses))
     xi = list(sample_clocks(cfg, RngStream(seed).named("clocks")).xi)
@@ -210,6 +212,23 @@ def test_render_matches_object_reference(exponents, equal, seed, ties, log_q, fr
     width, height = size
     got = render_svg(traj, q, shade_slices=shade, width=width, height=height)
     assert got == reference_render_svg(traj, q, shade_slices=shade, width=width, height=height)
+
+
+@settings(deadline=None, max_examples=150)
+@given(*_render_domain(30))
+def test_render_matches_object_reference(exponents, equal, seed, ties, log_q, fraction, shade, size):
+    """The bytes equal the reference's over the render domain, n up to 30."""
+    assert_render_matches_reference(exponents, equal, seed, ties, log_q, fraction, shade, size)
+
+
+@settings(deadline=None, max_examples=300)
+@given(*_render_domain(8))
+def test_render_matches_object_reference_on_tiny_walks(
+    exponents, equal, seed, ties, log_q, fraction, shade, size
+):
+    """n from 1 to 8, where the batched writer's fixed cost and its empty
+    and one-rank batches show: the bytes equal the reference's."""
+    assert_render_matches_reference(exponents, equal, seed, ties, log_q, fraction, shade, size)
 
 
 def test_coordinates_in_the_negative_rounding_band_print_as_zero():

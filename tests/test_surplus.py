@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import domain, domain_instance
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.dynamics import run_trajectory
+from mcmosaic.mosaic import slice_decomposition
 from mcmosaic.oracle import gillespie_graph
 from mcmosaic.stats import chi_square, chi_square_homogeneity, ks_test, poisson_mean_test
 from mcmosaic.surplus import (
@@ -634,6 +635,33 @@ def test_process_table_matches_per_event_loop(
     per_process = np.zeros(sampler.n_components)
     np.add.at(per_process, group, lam)
     np.testing.assert_allclose(sampler.expected_by_component(), per_process, rtol=1e-12, atol=0.0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(*_DOMAIN, st.floats(-3.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_level_view_readers_match_fresh_copies(exponents, equal, seed, ties, log_q, f1, f2):
+    """Every reader of the shared level view, called in turn at q1, then q2,
+    then q1 on one trajectory (the dynamic surplus simple then multigraph),
+    gives what it gives alone on a fresh copy.  q_max is at most 10 over
+    sigma2, which keeps the arrival counts small."""
+    cfg, clocks = domain_instance(exponents, equal, seed, ties)
+    q_max = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
+    traj = run_trajectory(cfg, clocks, RngStream(seed), q_max)
+    rng = RngStream(seed).named("view")
+    readers = [
+        lambda t, q: t.blocks_at(q),
+        lambda t, q: activated_processes(t, q, False),
+        lambda t, q: activated_processes(t, q, True),
+        lambda t, q: dynamic_surplus(t, rng, q, "simple"),
+        lambda t, q: dynamic_surplus(t, rng, q, "multigraph"),
+        lambda t, q: SurplusCountSampler(t, q).expected_by_component().tolist(),
+        lambda t, q: slice_decomposition(t, q) if q > 0.0 else None,
+    ]
+    for q in (q_max * f1, q_max * f2, q_max * f1):
+        shared = [read(traj, q) for read in readers]
+        # repr: at subnormal levels a slice can hold NaN, which equals nothing
+        assert repr(shared) == repr([read(dataclasses.replace(traj), q) for read in readers])
+        assert shared[3].spanning is shared[4].spanning
 
 
 def _law_trajectory():
