@@ -162,11 +162,11 @@ class _Level:
     @cached_property
     def processes(self) -> tuple[list, list, list, list, list, list]:
         """The arrival processes that the mergers up to q activate, as
-        parallel lists (l, j, k, activation, rate, target_mass): one per
-        right-block rank l, ascending, aimed at the left block j..k at rate
-        mass(l) * mass(j..k).  Shared: readers must not mutate them."""
+        parallel lists (l, j, e, activation, rate, target_mass): one per
+        right-block rank l, ascending, aimed at the left block j..e-1 at rate
+        mass(l) * mass(j..e-1).  Shared: readers must not mutate them."""
         q, sizes = self.q, self.sizes
-        ls, js, ks, acts, rates, tmass = [], [], [], [], [], []
+        ls, js, ends, acts, rates, tmass = [], [], [], [], [], []
         for ev in self.events:
             if ev.time > q:
                 break
@@ -174,11 +174,11 @@ class _Level:
             xi_left, w = left.mass, end - lo
             ls.extend(range(lo, end))
             js.extend([left.lo] * w)
-            ks.extend([left.hi] * w)
+            ends.extend([left.hi + 1] * w)
             acts.extend([ev.time] * w)
             rates.extend([m * xi_left for m in sizes[lo:end]])
             tmass.extend([xi_left] * w)
-        return ls, js, ks, acts, rates, tmass
+        return ls, js, ends, acts, rates, tmass
 
     @cached_property
     def spanning(self) -> tuple[GraphEdge, ...]:

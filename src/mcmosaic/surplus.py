@@ -1,23 +1,20 @@
 """Surplus (cycle-creating) edges, static and dynamic variants.
 
-Static: at a fixed q, each non-root vertex has an influence region — the
-later-listed vertices whose scaled clocks fall between its own jump and the
-end of the preceding listening window, one run of consecutive ranks.  Each
-candidate connects to it independently with probability
-1 - exp(-q * m_target * m_candidate): the targets whose rate (q * m_target
-times the candidate mass) is at most their candidate count share one
-Poisson superposition, the others toss one coin per candidate.
+Both simple graphs draw independent vertex pairs with one pair kernel
+(``_draw_pairs``).  Static: at a fixed q, each non-root vertex has an
+influence region — the later-listed vertices whose scaled clocks fall
+between its own jump and the end of the preceding listening window, one run
+of consecutive ranks — and each candidate joins it with probability
+1 - exp(-q * m_target * m_cand).
 
 Dynamic: every merger activates one Poisson arrival process per vertex of the
-absorbed block, pointed at the absorbing block; arrivals pick a mass-biased
-target and create a surplus edge.  The simple variant drops duplicates and
-loops; the multigraph variant keeps everything and adds per-vertex loop
-processes running from time 0 at rate mass**2 / 2.  Independent Poisson
-processes superpose: the dynamic graph draws one Poisson total over the
-process table (``_process_table``) and then one uniform call each for the
-arrivals' processes, times and targets, and the count sampler draws one
-Poisson count per component from its summed intensity, q times the area
-under the reflected walk (the augmented multiplicative coalescent).
+absorbed block, pointed at the absorbing block (the augmented multiplicative
+coalescent).  The simple variant keeps each pair's first arrival, drawn with
+the pair kernel; the multigraph variant keeps every arrival, adds per-vertex
+loop processes from time 0 at rate mass**2 / 2, and draws one Poisson total
+over the process table (``_process_table``), then each arrival's process,
+time and target.  The count sampler draws one Poisson count per component
+from its summed intensity, q times the area under the reflected walk.
 """
 from __future__ import annotations
 
@@ -25,9 +22,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat, takewhile
-from operator import mul
-from typing import Literal
+from itertools import accumulate, compress, repeat, takewhile
+from operator import itemgetter, le, mul, not_, sub
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -127,25 +124,18 @@ class LabeledGraph:
 
 def _draw_plan(
     path: WalkPath, decomposition: ExcursionDecomposition, forest: Forest
-) -> tuple[list[tuple[int, int, float]], list[tuple[int, int]], list[tuple[int, int, float]]]:
-    """Rate table of the static surplus, split into coins and pool.
+) -> tuple[list[int], list[int], list[float]]:
+    """Rows of the static surplus as columns (lo, e, rate), in rank order.
 
-    ``rows`` holds (h, e, rate) for every non-root rank h with a candidate,
-    in rank order: its candidates are the ranks h+1..e-1 and its rate is
-    q * m_h times their mass, a difference of prefix masses.  A row whose
-    rate is at most its candidate count joins ``pool`` (if the rate is
-    positive); every other one (rate above the count, inf or nan) adds one
-    coin per candidate to ``coins``, as (h, l) pairs in candidate order, so
-    a target costs at most min(rate, count) expected arrivals or coins.
-    Raises on a generation gap: breadth-first listing makes depth
+    One row per non-root rank h with a candidate: the ranks lo..e-1,
+    lo = h + 1, at rate q * m_h times their mass, a difference of prefix
+    masses.  Raises on a generation gap: breadth-first listing makes depth
     nondecreasing in rank inside an excursion, so that check plus the depth
     of each region's last candidate bounds every candidate's depth.
     """
     q, sizes, cm = path.q, path.jump_sizes, path.cummass
     depth = list(map(forest.depth.__getitem__, path.perm))  # by rank
-    rows: list[tuple[int, int, float]] = []
-    coins: list[tuple[int, int]] = []
-    pool: list[tuple[int, int, float]] = []
+    los, ends, rates = [], [], []
     for exc in decomposition.excursions:
         for h in range(exc.rank_lo + 1, exc.rank_hi + 1):
             if depth[h] < depth[h - 1]:
@@ -155,13 +145,58 @@ def _draw_plan(
                 continue
             if depth[e - 1] > depth[h] + 1:
                 raise AssertionError(f"unexpected generation gap at rank {e - 1}")
-            lam = q * sizes[h] * (cm[e - 1] - cm[h])
-            rows.append((h, e, lam))
-            if not lam <= e - h - 1:
-                coins += zip(repeat(h), range(h + 1, e))
-            elif lam > 0.0:
-                pool.append(rows[-1])
-    return rows, coins, pool
+            los.append(h + 1)
+            ends.append(e)
+            rates.append(q * sizes[h] * (cm[e - 1] - cm[h]))
+    return los, ends, rates
+
+
+def _split(los: list[int], ends: list[int], rates: list[float]) -> tuple[list, Sequence[int]]:
+    """Coin rows and pooled rows of the pair kernel, over nonnegative rates:
+    a row whose rate is at most its candidate count joins the pool (if the
+    rate is positive), every other one (rate above the count, inf or nan)
+    tosses one coin per candidate.  So a row costs at most min(rate, count)
+    expected arrivals or coins."""
+    fits = list(map(le, rates, map(sub, ends, los)))
+    rows = range(len(fits))
+    if all(fits) and all(rates):
+        return [], rows
+    pool = compress(compress(rows, fits), compress(rates, fits))  # rates > 0
+    return list(compress(rows, map(not_, fits))), list(pool)
+
+
+def _draw_pairs(rng: RngStream, name: str, los, ends, rates, weight, sizes, cum) -> tuple:
+    """The distinct (row, candidate) pairs of one independent draw, in order,
+    and the generator (None: no draw).
+
+    Row i has the candidates lo..e-1 and a rate w * (cum[e] - cum[lo]),
+    w = weight(i), ``cum`` the prefix masses from 0: candidate c is present
+    with probability 1 - exp(-w * sizes[c]), the chance that a Poisson count
+    of that mean is positive.  The pooled rows share one Poisson count; each
+    arrival picks a row and a candidate by bisection on the cumulative rates
+    and on ``cum``.  The stream ``name`` draws that count (if there is a
+    pool), then one uniform call: the coins, then two uniforms per arrival.
+    """
+    coin_rows, pool = _split(los, ends, rates)
+    if not (coin_rows or pool):
+        return [], None
+    gen = rng.named(name).generator()
+    pooled = rates if len(pool) == len(rates) else map(rates.__getitem__, pool)
+    cum_rate = list(accumulate(pooled, initial=0.0))
+    total = int(gen.poisson(cum_rate[-1])) if pool else 0
+    ws = zip(coin_rows, map(weight, coin_rows))  # w for the coin rows only
+    coins = [(i, c, w) for i, w in ws for c in range(los[i], ends[i])]
+    draws = gen.random(len(coins) + 2 * total).tolist()
+    found = [(i, c) for (i, c, w), u in zip(coins, draws) if u < -math.expm1(-w * sizes[c])]
+    if total:
+        arrived = set()
+        arrivals = iter(draws[len(coins) :])
+        for u_row, u_cand in zip(arrivals, arrivals):
+            i = pool[bisect_right(cum_rate, u_row * cum_rate[-1], 1, len(pool)) - 1]
+            lo, e = los[i], ends[i]
+            arrived.add((i, bisect_right(cum, cum[lo] + u_cand * (cum[e] - cum[lo]), lo + 1, e) - 1))
+        found = sorted(arrived.union(found))
+    return found, gen
 
 
 def static_surplus(
@@ -173,42 +208,20 @@ def static_surplus(
     """Forest at q plus independently drawn surplus edges.
 
     Candidate l of target h carries an edge with probability
-    1 - exp(-q * m_h * m_l), the chance that a Poisson count of that mean is
-    positive.  The pooled targets of ``_draw_plan`` share one Poisson count
-    whose arrivals pick a target by bisection on the cumulative rates and a
-    candidate by bisection on the prefix masses; the distinct pairs are the
-    edges.  The other targets toss one coin per candidate.  Both are exact,
-    so with the spanning edges this is, in law, the random graph with
-    independent pair probabilities 1 - exp(-q * m_i * m_j).  The
-    ``"static-surplus"`` stream draws the pool's count (if there is a pool),
-    then one uniform call: the coins in candidate order, then a target and a
-    candidate uniform per arrival.  Edges come out in (target, candidate)
-    rank order.
+    1 - exp(-q * m_h * m_l): the pair kernel (``_draw_pairs``) over the rows
+    of ``_draw_plan``, on the ``"static-surplus"`` stream.  With the
+    spanning edges this is, in law, the random graph with independent pair
+    probabilities 1 - exp(-q * m_i * m_j).  Edges come out in (target,
+    candidate) rank order.
     """
-    q = path.q
-    sizes, perm, cm = path.jump_sizes, path.perm, path.cummass
+    q, sizes, perm = path.q, path.jump_sizes, path.perm
     spanning = tuple([GraphEdge(v, p, q, "span") for v, p in forest.edges()])
-    _, coins, pool = _draw_plan(path, decomposition, forest)
-    if not (coins or pool):
-        return LabeledGraph(n=len(path), spanning=spanning, surplus=())
-    gen = rng.named("static-surplus").generator()
-    total = 0
-    if pool:
-        cum = list(accumulate((lam for _, _, lam in pool), initial=0.0))
-        total = int(gen.poisson(cum[-1]))
-    draws = gen.random(len(coins) + 2 * total).tolist()
-    found = [
-        (h, l) for (h, l), u in zip(coins, draws) if u < -math.expm1(-q * sizes[h] * sizes[l])
-    ]
-    if total:
-        arrived = set()
-        arrivals = iter(draws[len(coins) :])
-        for u_target, u_cand in zip(arrivals, arrivals):
-            h, e, _ = pool[bisect_right(cum, u_target * cum[-1], 1, len(pool)) - 1]
-            l = bisect_right(cm, cm[h] + u_cand * (cm[e - 1] - cm[h]), h + 1, e - 1)
-            arrived.add((h, l))
-        found = sorted(arrived.union(found))
-    extra = tuple([GraphEdge(perm[l], perm[h], q, "simple") for h, l in found])
+    los, ends, rates = _draw_plan(path, decomposition, forest)
+    found, _ = _draw_pairs(
+        rng, "static-surplus", los, ends, rates,
+        lambda i: q * sizes[los[i] - 1], sizes, (0.0, *path.cummass),
+    )
+    extra = tuple([GraphEdge(perm[c], perm[los[i] - 1], q, "simple") for i, c in found])
     return LabeledGraph(n=len(path), spanning=spanning, surplus=extra)
 
 
@@ -250,23 +263,20 @@ def _check_horizon(trajectory: Trajectory, q_max: float) -> None:
 def _process_table(
     trajectory: Trajectory, q_max: float, include_loops: bool
 ) -> tuple[list[int], list[int], list[int], list[float], list[float], list[float]]:
-    """Every arrival process activated by time q_max, as parallel lists.
-
-    Returns (l, j, k, activation, rate, target_mass) in activation order:
-    the loop processes first (if included) in rank order, then each merger's
-    processes, right-block ranks ascending (the level view's columns, which
-    are shared: callers must not mutate them).
-    """
+    """Every arrival process activated by time q_max, as parallel lists
+    (l, j, e, activation, rate, target_mass), each aimed at the ranks
+    j..e-1: the loop processes (if included) in rank order, then the level
+    view's shared columns, which callers must not mutate."""
     level = _Level.of(trajectory, q_max)
     if not include_loops:
         return level.processes
-    ls, js, ks, acts, rates, tmass = level.processes
+    ls, js, ends, acts, rates, tmass = level.processes
     sizes = level.sizes
     loops = range(len(sizes))
     return (
         [*loops, *ls],
         [*loops, *js],
-        [*loops, *ks],
+        [*range(1, len(sizes) + 1), *ends],
         [0.0] * len(sizes) + acts,
         [m * m / 2.0 for m in sizes] + rates,
         sizes + tmass,
@@ -283,7 +293,8 @@ def activated_processes(
     processes (multigraph only) exist from time 0 at rate mass(l)**2 / 2.
     """
     _check_horizon(trajectory, q_max)
-    return tuple(map(ZetaProcess, *_process_table(trajectory, q_max, include_loops)))
+    ls, js, ends, *rest = _process_table(trajectory, q_max, include_loops)
+    return tuple(map(ZetaProcess, ls, js, map(sub, ends, repeat(1)), *rest))
 
 
 def dynamic_surplus(
@@ -292,69 +303,57 @@ def dynamic_surplus(
     q_max: float,
     variant: Variant = "simple",
 ) -> LabeledGraph:
-    """Surplus edges from the activated arrival processes up to q_max.
+    """Surplus edges from the activated arrival processes up to q_max, by time.
 
-    Independent Poisson processes are one Poisson process of the summed
-    intensity whose arrivals pick their process in proportion to its
-    intensity, so the ``"dynamic-surplus-<variant>"`` stream draws, in this
-    order: the total arrival count (one Poisson draw), then one uniform per
-    arrival for its process (bisection on the cumulative intensities), one
-    per arrival for its time (uniform on [activation, q_max]) and one per
-    arrival for its target, each set in one call.  A target is one bisection
-    on the rank-order prefix masses inside the absorbing block, as in the
-    engine's edge draw.  Arrivals across all processes are merged
-    chronologically with the spanning-edge log so that the simple variant's
-    duplicate check sees exactly the edges present at each arrival time.
+    Given the trajectory, each vertex pair {l, v} lies in exactly one
+    non-loop process, the one of the merger (at a) that joins their blocks,
+    and arrives after a at rate m_l * m_v.  The simple variant keeps each
+    pair's first arrival: the pair kernel over one row per process (the
+    absorbing block at its rate times q_max - a, weight (q_max - a) * m_l)
+    draws the pairs, the merger's own spanning pair is dropped, and one
+    uniform call gives each pair a time, Exp(m_l * m_v) truncated to
+    [a, q_max].  The multigraph keeps every arrival, loops included: its
+    stream draws the Poisson total, then one uniform call holding every
+    arrival's process (bisection on the cumulative intensities), then its
+    time (uniform on [activation, q_max]), then its target (bisection on
+    the prefix masses, as in the engine's edge draw).
     """
     if variant not in ("simple", "multigraph"):
         raise ValueError(f"unknown variant {variant!r}")
     _check_horizon(trajectory, q_max)
-    gen = rng.named(f"dynamic-surplus-{variant}").generator()
     perm = trajectory.clocks.perm
     level = _Level.of(trajectory, q_max)
-    ls, js, ks, acts, rates, tmass = _process_table(
-        trajectory, q_max, include_loops=(variant == "multigraph")
-    )
-    spans = [q_max - a for a in acts]
-    # process i owns [cum_lam[i], cum_lam[i + 1]) of the summed intensity
-    cum_lam = list(accumulate(map(mul, rates, spans), initial=0.0))
-    total = int(gen.poisson(cum_lam[-1]))
-
-    arrivals: list[tuple[float, int, int]] = []  # (time, source rank, target rank)
-    if total:
-        which = gen.random(total).tolist()
-        times = gen.random(total).tolist()
-        picks = gen.random(total).tolist()
-        cum = list(accumulate(level.sizes, initial=0.0))
-        for u, t, p in zip(which, times, picks):
+    sizes, spanning = level.sizes, level.spanning
+    cum = list(accumulate(sizes, initial=0.0))
+    surplus: list[GraphEdge] = []
+    if variant == "simple":
+        ls, js, ends, acts, rates, _ = level.processes
+        lam = list(map(mul, rates, map(sub, repeat(q_max), acts)))
+        found, gen = _draw_pairs(
+            rng, "dynamic-surplus-simple", js, ends, lam, lambda i: (q_max - acts[i]) * sizes[ls[i]],
+            sizes, cum,
+        )
+        own = set(spanning)  # a merger's own pair: (child, parent, activation, "span")
+        found = [(i, c) for i, c in found if (perm[ls[i]], perm[c], acts[i], "span") not in own]
+        for (i, c), u in zip(found, gen.random(len(found)).tolist() if found else ()):
+            a, l, r = acts[i], ls[i], sizes[ls[i]] * sizes[c]
+            t = a - math.log1p(u * math.expm1(-r * (q_max - a))) / r
+            surplus.append(GraphEdge(perm[l], perm[c], min(t, q_max), "simple"))
+    else:
+        ls, js, ends, acts, rates, tmass = _process_table(trajectory, q_max, include_loops=True)
+        spans = [q_max - a for a in acts]
+        # process i owns [cum_lam[i], cum_lam[i + 1]) of the summed intensity
+        cum_lam = list(accumulate(map(mul, rates, spans), initial=0.0))
+        gen = rng.named("dynamic-surplus-multigraph").generator()
+        total = int(gen.poisson(cum_lam[-1]))
+        for u, t, p in zip(*gen.random((3, total)).tolist()):
             i = bisect_right(cum_lam, u * cum_lam[-1], 1, len(acts)) - 1
             j = js[i]
-            tgt = bisect_right(cum, cum[j] + p * tmass[i], j + 1, ks[i] + 1) - 1
-            arrivals.append((acts[i] + spans[i] * t, ls[i], tgt))
-        arrivals.sort()
-
-    spanning = level.spanning
-    surplus: list[GraphEdge] = []
-    if variant == "multigraph":
-        for t, l, tgt in arrivals:
-            s_v, t_v = perm[l], perm[tgt]
+            tgt = bisect_right(cum, cum[j] + p * tmass[i], j + 1, ends[i]) - 1
+            s_v, t_v = perm[ls[i]], perm[tgt]
             kind = "loop" if s_v == t_v else "multi"
-            surplus.append(GraphEdge(s_v, t_v, t, kind))
-    else:
-        present: set[frozenset[int]] = set()
-        span_times = [e.time for e in spanning]
-        span_idx = 0
-        for t, l, tgt in arrivals:
-            while span_idx < len(spanning) and span_times[span_idx] <= t:
-                e = spanning[span_idx]
-                present.add(frozenset((e.source, e.target)))
-                span_idx += 1
-            s_v, t_v = perm[l], perm[tgt]
-            pair = frozenset((s_v, t_v))
-            if len(pair) == 1 or pair in present:
-                continue
-            present.add(pair)
-            surplus.append(GraphEdge(s_v, t_v, t, "simple"))
+            surplus.append(GraphEdge(s_v, t_v, acts[i] + spans[i] * t, kind))
+    surplus.sort(key=itemgetter(2))
     return LabeledGraph(n=len(trajectory.config), spanning=spanning, surplus=tuple(surplus))
 
 

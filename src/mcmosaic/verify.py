@@ -55,10 +55,6 @@ def _with_retry(run, seed: int) -> dict:
     return again
 
 
-def _canon(partition) -> tuple:
-    return tuple(sorted(tuple(sorted(c)) for c in partition))
-
-
 def _random_instance(sub: core.RngStream, max_len: int, min_len: int = 2):
     """Shared recipe for random instances: masses in [0.5, 2], q in [0.2, 3]."""
     gen = sub.generator()
@@ -118,12 +114,17 @@ def check_static_law(seed: int = 7, reps: int = 100_000) -> dict:
     return _with_retry(run, seed)
 
 
-# -- criterion 2: two-horizon partition law ---------------------------------
+# -- criterion 2: two-horizon edge-set law ----------------------------------
+
+
+def _edge_sets(edges, levels) -> tuple:
+    """The sorted vertex pairs of the edges with time <= each level."""
+    return tuple(tuple(sorted({tuple(sorted(e[:2])) for e in edges if e.time <= q})) for q in levels)
 
 
 def check_process_law(seed: int = 7, reps: int = 100_000) -> dict:
-    """n=3 unit masses: joint partition at horizons 0.5 and 1.0, pairwise
-    clock oracle vs the event engine with its dynamic surplus graph."""
+    """n=3 unit masses: joint edge sets at horizons 0.5 and 1.0, pairwise
+    clock oracle vs the event engine with its dynamic simple graph."""
 
     def run(s: int) -> dict:
         config = core.WeightedConfig((1.0, 1.0, 1.0))
@@ -134,8 +135,8 @@ def check_process_law(seed: int = 7, reps: int = 100_000) -> dict:
 
         orng = rng.named("oracle-side")
         for rep in range(reps):
-            tr = oracle.gillespie_trajectory(config, orng.indexed(rep), q2)
-            key = (_canon(tr.partition_at(q1)), _canon(tr.partition_at(q2)))
+            graph = oracle.gillespie_graph(config, q2, orng.indexed(rep), "simple")
+            key = _edge_sets(graph.surplus, (q1, q2))
             counts_o[key] = counts_o.get(key, 0) + 1
 
         brng = rng.named("walk-side")
@@ -144,7 +145,7 @@ def check_process_law(seed: int = 7, reps: int = 100_000) -> dict:
             clocks = core.sample_clocks(config, sub.named("clocks"))
             traj = dynamics.run_trajectory(config, clocks, sub, q_max=q2)
             graph = surplus.dynamic_surplus(traj, sub, q_max=q2, variant="simple")
-            key = (_canon(graph.partition_at(q1)), _canon(graph.partition_at(q2)))
+            key = _edge_sets(graph.spanning + graph.surplus, (q1, q2))
             counts_b[key] = counts_b.get(key, 0) + 1
 
         support = sorted(set(counts_o) | set(counts_b))

@@ -304,8 +304,8 @@ _PINNED_SHA256 = {
         "36caf39334d8cf16f897c17835c72763"
     ),
     "surplus": (
-        "6aeb9e7410e8ebff752b48f9845361f3"
-        "180a27b783016592f51d4dfd695d4ff5"
+        "5e0cbe41d2e6cbf9069dd5c216a6fe61"
+        "89537858e8f11ad33bfc2733641b1a8a"
     ),
     "surplus-multigraph": (
         "df327dd174ff8d4a446a4e865d66a4fb"
@@ -339,7 +339,11 @@ def test_seeded_outputs_are_pinned(tmp_path):
     and target, each set in one call), and ``surplus-static`` when the static
     surplus began to pool its sparse targets (one Poisson count over the
     pool, then the coins of the other targets and a target and a candidate
-    uniform per arrival, in one call); the other digests did not change.
+    uniform per arrival, in one call).  ``surplus`` was re-recorded again
+    when the simple dynamic graph began to draw each vertex pair's first
+    arrival with the static surplus's pair kernel (the kernel's coins and
+    pooled arrivals, then one time uniform per pair), which bounds its work
+    by the pairs instead of the arrivals; the other digests did not change.
     """
     masses = [float(m) for m in np.random.default_rng(3).uniform(0.5, 2.0, 200)]
     q = 2.0 / math.fsum(m * m for m in masses)

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import operator
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from mcmosaic.surplus import (
     dynamic_surplus,
     influence_region,
     _draw_plan,
+    _split,
     static_surplus,
     total_intensity,
 )
@@ -114,7 +117,8 @@ def test_region_includes_a_candidate_at_the_window_end():
     region = influence_region(path, dec, forest, 1)
     assert region.ranks() == range(2, 3)
     assert tuple(region.ranks()) == reference_candidates(path, dec, forest, 1)
-    assert _draw_plan(path, dec, forest) == ([(1, 3, 1.0)], [], [(1, 3, 1.0)])
+    assert _draw_plan(path, dec, forest) == ([2], [3], [1.0])
+    assert _split([2], [3], [1.0]) == ([], range(1))
     assert_draw_plan_matches_reference(path, dec, forest)
 
 
@@ -236,8 +240,9 @@ def test_pooled_and_coin_targets_follow_the_pair_law():
     the six candidate pairs (64 edge sets) is the product of
     1 - exp(-q m_h m_l) over the pairs (chi-square)."""
     path, dec, forest = _mixed_walk()
-    _, coins, pool = _draw_plan(path, dec, forest)
-    assert {h for h, _ in coins} == {1} and [h for h, _, _ in pool] == [2, 3]
+    los, ends, rates = _draw_plan(path, dec, forest)
+    coin_rows, pool = _split(los, ends, rates)
+    assert [los[i] - 1 for i in coin_rows] == [1] and [los[i] - 1 for i in pool] == [2, 3]
     pairs = [(h, l) for h in range(1, 5) for l in range(h + 1, 5)]
     sizes, q = path.jump_sizes, path.q
     p_edge = [-math.expm1(-q * sizes[h] * sizes[l]) for h, l in pairs]
@@ -333,19 +338,23 @@ def test_dynamic_surplus_structure():
         assert times == sorted(times)
 
         simple = dynamic_surplus(traj, RngStream(seed), q, variant="simple")
-        span_pairs_by_time = [
-            (e.time, frozenset((e.source, e.target))) for e in simple.spanning
-        ]
+        span_pairs = {frozenset((e.source, e.target)) for e in simple.spanning}
+        # a pair's first arrival comes after the merger that joins its blocks
+        rank = {v: r for r, v in enumerate(clocks.perm)}
+        joined = {}
+        for ev in traj.events:
+            if ev.time <= q:
+                for l in ev.right.ranks():
+                    joined.update(((l, c), ev.time) for c in ev.left.ranks())
         seen = set()
         for e in simple.surplus:
             assert e.kind == "simple" and e.source != e.target
             pair = frozenset((e.source, e.target))
-            assert pair not in seen
+            assert pair not in seen and pair not in span_pairs
             seen.add(pair)
-            # never duplicates a spanning edge already present at that time
-            for t, sp in span_pairs_by_time:
-                if t <= e.time:
-                    assert sp != pair
+            assert joined[rank[e.source], rank[e.target]] <= e.time <= q
+        times = [e.time for e in simple.surplus]
+        assert times == sorted(times)
 
 
 def test_dynamic_surplus_edges_stay_inside_components():
@@ -531,32 +540,39 @@ _DOMAIN = domain(max_n=40, max_ties=6)
 
 
 def assert_draw_plan_matches_reference(path, dec, forest):
-    """The draw plan's rows are the non-root ranks with a candidate, in rank
-    order, with the reference's candidates as their range h+1..e-1 and rate
-    q * m_h times their mass to 1e-12 of q * m_h * cummass[e - 1] (the
-    rounding of the prefix masses the rate is a difference of); a
-    generation gap raises in both or in neither.  Only rows whose rate is
-    in (0, k] are pooled and every other row tosses one coin per candidate,
-    so the expected arrivals and coins never exceed the candidate count."""
+    """The draw plan's rows are the non-root ranks h with a candidate, in
+    rank order, with the reference's candidates as their range lo..e-1,
+    lo = h + 1, and rate q * m_h times their mass to 1e-12 of
+    q * m_h * cummass[e - 1] (the rounding of the prefix masses the rate is
+    a difference of); a generation gap raises in both or in neither.  The
+    kernel's split holds on these rows."""
     reference = [lambda h=h: reference_candidates(path, dec, forest, h) for h in range(len(path))]
     raises = _raises(_draw_plan, path, dec, forest)
     assert raises == any(_raises(ref) for ref in reference)
     if raises:
         return
-    rows, coins, pool = _draw_plan(path, dec, forest)
-    assert [h for h, _, _ in rows] == [h for h in range(len(path)) if reference[h]()]
+    los, ends, rates = _draw_plan(path, dec, forest)
+    assert [lo - 1 for lo in los] == [h for h in range(len(path)) if reference[h]()]
     q, sizes, cm = path.q, path.jump_sizes, path.cummass
-    for h, e, lam in rows:
+    for lo, e, lam in zip(los, ends, rates):
+        h = lo - 1
         cands = list(reference[h]())
-        assert cands == list(range(h + 1, e))
+        assert cands == list(range(lo, e))
         exact = q * sizes[h] * math.fsum(sizes[l] for l in cands)
         assert abs(lam - exact) <= 1e-12 * q * sizes[h] * cm[e - 1]
-    assert pool == [(h, e, lam) for h, e, lam in rows if 0.0 < lam <= e - h - 1]
-    assert coins == [
-        (h, l) for h, e, lam in rows if not lam <= e - h - 1 for l in range(h + 1, e)
-    ]
-    expected_work = math.fsum(lam for _, _, lam in pool) + len(coins)
-    assert expected_work <= sum(e - h - 1 for h, e, _ in rows)
+    assert_split_bounds_the_work(los, ends, rates, len(path))
+
+
+def assert_split_bounds_the_work(los, ends, rates, n):
+    """Only rows whose rate is in (0, k] are pooled and every other row
+    tosses one coin per candidate, so the expected arrivals and coins never
+    exceed the candidate pairs, nor these the n(n-1)/2 vertex pairs."""
+    coin_rows, pool = _split(los, ends, rates)
+    rows = list(enumerate(zip(los, ends, rates)))
+    assert list(pool) == [i for i, (lo, e, lam) in rows if 0.0 < lam <= e - lo]
+    assert coin_rows == [i for i, (lo, e, lam) in rows if not lam <= e - lo]
+    expected_work = math.fsum(rates[i] for i in pool) + sum(ends[i] - los[i] for i in coin_rows)
+    assert expected_work <= sum(map(operator.sub, ends, los)) <= n * (n - 1) // 2
 
 
 @settings(deadline=None, max_examples=150)
@@ -638,12 +654,14 @@ def test_process_table_matches_per_event_loop(
 
 
 @settings(deadline=None, max_examples=100)
-@given(*_DOMAIN, st.floats(-3.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@given(*_DOMAIN, st.floats(-3.0, 12.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_level_view_readers_match_fresh_copies(exponents, equal, seed, ties, log_q, f1, f2):
     """Every reader of the shared level view, called in turn at q1, then q2,
     then q1 on one trajectory (the dynamic surplus simple then multigraph),
-    gives what it gives alone on a fresh copy.  q_max is at most 10 over
-    sigma2, which keeps the arrival counts small."""
+    gives what it gives alone on a fresh copy, for q_max up to 1e12 over
+    sigma2.  The multigraph keeps every arrival, a Poisson count of mean
+    q_max times the area under the walk, so it reads only while q_max is at
+    most 10 over sigma2."""
     cfg, clocks = domain_instance(exponents, equal, seed, ties)
     q_max = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
     traj = run_trajectory(cfg, clocks, RngStream(seed), q_max)
@@ -653,7 +671,7 @@ def test_level_view_readers_match_fresh_copies(exponents, equal, seed, ties, log
         lambda t, q: activated_processes(t, q, False),
         lambda t, q: activated_processes(t, q, True),
         lambda t, q: dynamic_surplus(t, rng, q, "simple"),
-        lambda t, q: dynamic_surplus(t, rng, q, "multigraph"),
+        lambda t, q: dynamic_surplus(t, rng, q, "multigraph") if log_q <= 1.0 else None,
         lambda t, q: SurplusCountSampler(t, q).expected_by_component().tolist(),
         lambda t, q: slice_decomposition(t, q) if q > 0.0 else None,
     ]
@@ -661,7 +679,43 @@ def test_level_view_readers_match_fresh_copies(exponents, equal, seed, ties, log
         shared = [read(traj, q) for read in readers]
         # repr: at subnormal levels a slice can hold NaN, which equals nothing
         assert repr(shared) == repr([read(dataclasses.replace(traj), q) for read in readers])
-        assert shared[3].spanning is shared[4].spanning
+        if shared[4] is not None:
+            assert shared[3].spanning is shared[4].spanning
+
+
+@settings(deadline=None, max_examples=150)
+@given(*_DOMAIN, st.floats(-3.0, 12.0), st.floats(0.0, 1.0))
+def test_dynamic_rows_bound_the_work(exponents, equal, seed, ties, log_q, fraction):
+    """The simple variant's rows, one per non-loop process (the absorbing
+    block at the process rate times q - activation), cover each vertex pair
+    of a component at most once, so the kernel's coins plus pooled expected
+    arrivals stay within the candidate pairs and n(n-1)/2, for q up to 1e12
+    over sigma2."""
+    cfg, clocks = domain_instance(exponents, equal, seed, ties)
+    q_max = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
+    traj = run_trajectory(cfg, clocks, RngStream(seed), q_max)
+    procs = activated_processes(traj, q_max * fraction, include_loops=False)
+    rates = [z.rate * (q_max * fraction - z.activation) for z in procs]
+    assert_split_bounds_the_work([z.j for z in procs], [z.k + 1 for z in procs], rates, len(cfg))
+    pairs = [(z.l, c) for z in procs for c in range(z.j, z.k + 1)]
+    assert len(set(map(frozenset, pairs))) == len(pairs)
+
+
+def test_simple_graph_work_is_bounded_at_huge_rates():
+    """Eight equal masses 10**4.79 with q_max = 10**9.29 / sigma2, read at
+    0.26 q_max: the multigraph would draw about 1.8e9 arrivals there, while
+    the simple graph returns each of the 28 pairs once (7 spanning, 21
+    surplus) at once."""
+    cfg = WeightedConfig((10.0**4.79,) * 8)
+    q_max = 10.0**9.29 / math.fsum(m * m for m in cfg.masses)
+    clocks = sample_clocks(cfg, RngStream(3).named("clocks"))
+    traj = run_trajectory(cfg, clocks, RngStream(3), q_max)
+    start = time.perf_counter()
+    g = dynamic_surplus(traj, RngStream(4), 0.26 * q_max, "simple")
+    assert time.perf_counter() - start < 5.0
+    assert (len(g.spanning), len(g.surplus)) == (7, 21)
+    pairs = sorted(tuple(sorted(e[:2])) for e in g.spanning + g.surplus)
+    assert pairs == list(itertools.combinations(range(8), 2))
 
 
 def _law_trajectory():
@@ -702,6 +756,36 @@ def test_bulk_draws_follow_the_process_law():
     lam = float(SurplusCountSampler(traj, q_max).expected_by_component().sum())
     moments = poisson_mean_test(totals, lam)
     assert moments.passed, moments
+
+
+def test_simple_variant_draws_each_pair_at_its_first_arrival():
+    """Rank 3's pairs on the law trajectory: (3, 1), its merger's spanning
+    edge, is never a surplus edge; (3, 0) and (3, 2) are present with
+    probability 1 - exp(-1.5 m_v (q_max - a)), independently (chi-square
+    on the four joint outcomes), at times Exp(1.5 m_v) truncated to
+    [a, q_max] (KS)."""
+    traj = _law_trajectory()
+    q_max, last = 5.0, traj.events[-1]
+    a = last.time
+    assert traj.clocks.perm == (0, 1, 2, 3) and last.edge == (3, 1)
+    rate = {v: 1.5 * traj.config.masses[v] for v in (0, 2)}
+    times = {0: [], 2: []}
+    counts = dict.fromkeys(itertools.product((False, True), repeat=2), 0)
+    root = RngStream(29).named("simple-law")
+    for k in range(3000):
+        g = dynamic_surplus(traj, root.indexed(k), q_max, variant="simple")
+        mine = {e.target: e.time for e in g.surplus if e.source == 3}
+        assert 1 not in mine
+        counts[0 in mine, 2 in mine] += 1
+        for v, t in mine.items():
+            times[v].append(t)
+    p = {v: -math.expm1(-r * (q_max - a)) for v, r in rate.items()}
+    probs = [(p[0] if x else 1 - p[0]) * (p[2] if y else 1 - p[2]) for x, y in counts]
+    res = chi_square(list(counts.values()), probs)
+    assert not res.rejects(), f"pair presence off: p={res.p_value:.5f}"
+    for v, r in rate.items():
+        ks = ks_test(times[v], lambda t: np.expm1(-r * (t - a)) / np.expm1(-r * (q_max - a)))
+        assert not ks.rejects(), f"pair (3, {v}) times off: p={ks.p_value:.5f}"
 
 
 def reference_counts(sampler, rng, reps):
