@@ -328,11 +328,11 @@ def sample_limit_reference(
         done = 0
         for rows in chunk_rows(reps, times.size):
             z = gen.standard_normal((rows, times.size - 1))
-            w = np.concatenate(
-                [np.zeros((rows, 1)), np.cumsum(scale * z, axis=1)], axis=1
-            )
+            w = np.zeros((rows, times.size))
+            np.cumsum(np.multiply(z, scale, out=z), axis=1, out=w[:, 1:])
             w += drift
-            read(done, w - np.minimum.accumulate(w, axis=1), times, params.epsilon(h))
+            b = np.fmin.accumulate(w, axis=1)  # w holds no NaN
+            read(done, np.subtract(w, b, out=b), times, params.epsilon(h))
             done += rows
     marks = rng.named("limit-marks").generator().poisson(area)
     return {"largest": largest, "second": second, "marks": marks, "h": h, "params": params}

@@ -314,6 +314,39 @@ def test_reference_does_not_depend_on_chunking(monkeypatch):
         assert np.array_equal(whole[key], parts[key])
 
 
+def test_reference_is_the_direct_formula_across_chunks():
+    """The c = () reference, 2,100 paths at h = 1e-3 (three chunks of the
+    4,001-point grid), equals the straightforward formula evaluated path by
+    path from one draw of all the normals: W = cumsum(sqrt(kappa h) Z) plus
+    the parabolic drift, B = W minus its running minimum, the longest
+    excursion (earliest on ties) and the next one, then one Poisson mark per
+    path over the largest excursions' areas."""
+    p = LimitParams(kappa=1.0, tau=0.0, t=0.0)
+    h, reps = 1e-3, 2100
+    rng = RngStream(12).named("direct")
+    ref = sample_limit_reference(p, rng, h, reps)
+
+    times = h * np.arange(int(math.ceil(p.default_horizon() / h - 1e-9)) + 1)
+    assert len(limit_mod.chunk_rows(reps, times.size)) == 3
+    drift = (p.t - p.tau) * times - 0.5 * p.kappa * times * times
+    z = rng.named("limit-brownian").generator().standard_normal((reps, times.size - 1))
+    largest, second, areas = np.zeros(reps), np.zeros(reps), np.zeros(reps)
+    for r in range(reps):
+        w = np.concatenate([[0.0], np.cumsum(math.sqrt(p.kappa * h) * z[r])]) + drift
+        path = GridPath(
+            epsilon=p.epsilon(h), times=times, w=w, b=w - np.minimum.accumulate(w)
+        )
+        em = excursions_and_marks(path, np.random.default_rng(0))
+        if em.lengths.size:
+            largest[r], areas[r] = em.lengths[0], em.areas[0]
+        if em.lengths.size > 1:
+            second[r] = em.lengths[1]
+    marks = rng.named("limit-marks").generator().poisson(areas)
+    assert ref["largest"].tobytes() == largest.tobytes()
+    assert ref["second"].tobytes() == second.tobytes()
+    assert ref["marks"].tobytes() == marks.tobytes()
+
+
 def test_excursions_sorted_descending():
     p = LimitParams(kappa=1.0, t=1.0)
     for seed in range(10):
