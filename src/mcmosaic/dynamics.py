@@ -8,8 +8,9 @@ the points (mass before the rank, its clock) in one sweep, then replays the
 mergers in time order.  Each merger draws one mass-biased edge between the
 two blocks, giving a monotone (append-only) forest whose partition matches
 the static forest at every level.  The readers at one level share one view
-of the log there (``_Level``): its blocks, arrival processes and spanning
-edges are each computed once.
+of the log there (``_Level``): the events up to the first one past q, and
+the blocks, arrival processes, spanning edges, walk columns and mosaic
+geometry read from them, each computed once.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -125,24 +126,28 @@ def _check_times(times) -> None:
 class _Level:
     """The merger log read at one level q, shared by every reader at q.
 
-    ``blocks`` come from one replay of the events up to the first with time
-    > q, masses summed in log order.  ``processes`` and ``spanning`` are
-    computed on first use.  It keeps the event log and the masses in rank
-    order, not the trajectory, so the memo makes no reference cycle.
+    ``events`` is the log up to the first event with time > q, and every
+    reader at q reads that prefix: ``blocks`` come from one replay of it,
+    masses summed in log order.  The walk at q is three rank-order columns,
+    ``pos`` (xi / q), ``cum`` (prefix masses from 0.0) and ``root`` (each
+    rank's block root); they, the arrival ``processes``, the ``spanning``
+    edges and the mosaic's per-rank geometry are computed on first use.  It
+    keeps the log prefix, the clocks and the masses in rank order, not the
+    trajectory, so the memo makes no reference cycle.
     """
 
     def __init__(self, trajectory: Trajectory, q: float):
         self.q = q
-        self.events = trajectory.events
+        self.clocks = trajectory.clocks
+        events = trajectory.events
+        self.events = events[: next((k for k, ev in enumerate(events) if ev.time > q), len(events))]
         masses = trajectory.config.masses
-        self.sizes = [masses[v] for v in trajectory.clocks.perm]  # by rank
+        self.sizes = [masses[v] for v in self.clocks.perm]  # by rank
         n = len(self.sizes)
         end = list(range(n))
         mass = list(self.sizes)
         live = [True] * n
         for ev in self.events:
-            if ev.time > q:
-                break
             j, r = ev.left.lo, ev.right.lo
             end[j] = ev.right.hi
             mass[j] += mass[r]
@@ -165,11 +170,9 @@ class _Level:
         parallel lists (l, j, e, activation, rate, target_mass): one per
         right-block rank l, ascending, aimed at the left block j..e-1 at rate
         mass(l) * mass(j..e-1).  Shared: readers must not mutate them."""
-        q, sizes = self.q, self.sizes
+        sizes = self.sizes
         ls, js, ends, acts, rates, tmass = [], [], [], [], [], []
         for ev in self.events:
-            if ev.time > q:
-                break
             left, lo, end = ev.left, ev.right.lo, ev.right.hi + 1
             xi_left, w = left.mass, end - lo
             ls.extend(range(lo, end))
@@ -182,11 +185,105 @@ class _Level:
 
     @cached_property
     def spanning(self) -> tuple[GraphEdge, ...]:
-        """The merger edges with time <= q, in log order."""
-        q = self.q
-        return tuple([
-            GraphEdge(ev.edge[0], ev.edge[1], ev.time, "span") for ev in self.events if ev.time <= q
-        ])
+        """The merger edges up to q, in log order."""
+        return tuple([GraphEdge(ev.edge[0], ev.edge[1], ev.time, "span") for ev in self.events])
+
+    @cached_property
+    def pos(self) -> list[float]:
+        """Jump position of each rank, its clock over q (WalkPath.jump_times)."""
+        xi, q = self.clocks.xi, self.q
+        return [xi[v] / q for v in self.clocks.perm]
+
+    @cached_property
+    def cum(self) -> list[float]:
+        """Mass before each rank, then the total: cum[j] is sizes[0..j-1]
+        summed left to right (0.0, then WalkPath.cummass)."""
+        return list(accumulate(self.sizes, initial=0.0))
+
+    @cached_property
+    def root(self) -> list[int]:
+        """First rank of each rank's block."""
+        return list(chain.from_iterable([b.lo] * (b.hi - b.lo + 1) for b in self.blocks))
+
+    # -- the mosaic's per-rank geometry at q; every list is indexed by rank --
+
+    @cached_property
+    def level(self) -> list[float]:
+        """Raw walk value just before each jump (Baseline.level)."""
+        return [m - p for m, p in zip(self.cum, self.pos)]
+
+    @cached_property
+    def base_level(self) -> list[float]:
+        """Baseline level of each rank above its excursion's floor: the level
+        minus the root's level, summed as mass and position differences.
+        Slice.base_level and the drawn walk both read it."""
+        cum, pos = self.cum, self.pos
+        return [cum[j] - cum[a] - (pos[j] - pos[a]) for j, a in enumerate(self.root)]
+
+    @cached_property
+    def reach(self) -> list[int]:
+        """Last rank each baseline reaches."""
+        pos, cum = self.pos, self.cum
+        reach = list(range(len(pos)))
+        for b in self.blocks:
+            # reach sets are laminar (R3), so the open baselines form a stack:
+            # rank i ends the reach of every baseline its pre-jump trough undershoots
+            stack = [b.lo]
+            for i in range(b.lo + 1, b.hi + 1):
+                while stack and pos[i] - pos[stack[-1]] > cum[i] - cum[stack[-1]]:
+                    reach[stack.pop()] = i - 1
+                stack.append(i)
+            for j in stack:
+                reach[j] = b.hi
+        return reach
+
+    @cached_property
+    def extent_end(self) -> list[float]:
+        """Right end of each baseline: its jump plus the mass it reaches."""
+        pos, cum = self.pos, self.cum
+        return [pos[j] + (cum[m + 1] - cum[j]) for j, m in enumerate(self.reach)]
+
+    @cached_property
+    def block_end(self) -> list[float]:
+        """Where each block's excursion returns to its floor, per block."""
+        pos, sizes = self.pos, self.sizes
+        return [pos[b.lo] + math.fsum(sizes[b.lo : b.hi + 1]) for b in self.blocks]
+
+    @cached_property
+    def intercepts(self) -> tuple[list[float], list[float]]:
+        """z+s values of each rank's diagonal band boundaries, floor-relative."""
+        pos, cum, root = self.pos, self.cum, self.root
+        return (
+            [pos[a] + cum[l] - cum[a] for l, a in enumerate(root)],
+            [pos[a] + cum[l + 1] - cum[a] for l, a in enumerate(root)],
+        )
+
+    @cached_property
+    def parallelograms(self) -> list[list[tuple[float, float, float, float]]]:
+        """(activation, absorbed mass, top level, height) of each absorption
+        of each rank's block, in activation order, read off the events on
+        their own (not off ``processes``).  Each top must lie on the absorbed
+        root's baseline, to 1e-9 of its block's mass (AssertionError
+        otherwise)."""
+        q, level, root = self.q, self.base_level, self.root
+        mass = {b.lo: b.mass for b in self.blocks}
+        running_top = list(level)
+        rows: list[list[tuple[float, float, float, float]]] = [[] for _ in level]
+        for ev in self.events:
+            t = ev.time
+            absorbed = ev.left.mass
+            height = absorbed * (1.0 - t / q)
+            owner = ev.right.lo
+            tol = 1e-9 * mass[root[owner]]
+            for l in range(owner, ev.right.hi + 1):
+                top = running_top[l]
+                if abs(level[owner] - top) > tol:
+                    raise AssertionError(
+                        f"no baseline at slice top level {top} for rank {l}"
+                    )
+                rows[l].append((t, absorbed, top, height))
+                running_top[l] = top - height
+        return rows
 
 
 def _cut(seq, stops: np.ndarray, q: float, singletons: tuple) -> frozenset[frozenset[int]]:

@@ -12,7 +12,8 @@ end is stored.
 Structural rules checked by validate:
   R1  no two baselines of an excursion share a level;
   R2  a baseline is one contiguous segment anchored at its owner's jump;
-  R3  reach sets are gap-free and laminar.
+  R3  reach sets are gap-free and laminar, and each rank after the first is
+      reached by an earlier baseline.
 
 The reach sets order the ranks (owner above everything it reaches); the
 cover tree of that order plus a generation-major, index-descending tiebreak
@@ -20,11 +21,11 @@ gives a total order, and replay builds a merger trajectory realizing it.
 Gap-free reach sets are intervals and laminar intervals nest, so R3 and the
 cover tree are one stack pass over the (owner, end) pairs.
 
-_RankGeometry is the one pass from the walk and the event log at a horizon
-to per-rank geometry: reach ends, levels and parallelogram rows, over the
-blocks of the trajectory's level view at that horizon (dynamics._Level).
-_RankGeometry.of keeps the last one on the trajectory, so build_mosaic,
-slice_decomposition and the SVG renderer at one horizon share one pass.
+The per-rank geometry at a horizon (reach ends, levels and parallelogram
+rows) lives on the trajectory's level view there (dynamics._Level), beside
+the walk columns and the log prefix it is read from.  The trajectory keeps
+one view, so build_mosaic, slice_decomposition and the SVG renderer at one
+horizon share one pass, reached through _level, which checks the horizon.
 build_mosaic wraps its rows in Baseline dataclasses, slice_decomposition in
 Slice and Parallelogram named tuples; the SVG renderer reads them directly.
 """
@@ -33,12 +34,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .core import ClockAssignment, RngStream, WeightedConfig
 from .dynamics import Trajectory, _Level, run_trajectory
-from .walk import WalkPath
 
 __all__ = [
     "Baseline",
@@ -132,125 +131,18 @@ class OrnamentedExcursion:
         )
 
 
-class _RankGeometry:
-    """Per-rank geometry of the walk at horizon q; every list is indexed by rank.
-
-    The one place where baselines, levels, reach ends and parallelograms are
-    computed: build_mosaic, slice_decomposition and render.render_svg get it
-    from of(), so calls at one q share it, and each part is computed on
-    first use.  It keeps the event log, not the trajectory, so the memo
-    makes no reference cycle.
-    """
-
-    def __init__(self, trajectory: Trajectory, q: float):
-        if not 0.0 < q <= trajectory.q_max:
-            raise ValueError(f"q={q} outside (0, {trajectory.q_max}]")
-        self.events = trajectory.events
-        self.q = q
-        self.path = WalkPath.from_clocks(trajectory.config, trajectory.clocks, q)
-        self.pos = self.path.jump_times
-        self.sizes = self.path.jump_sizes
-        self.cm = self.path.cummass
-        self.mass_before = (0.0,) + self.cm[:-1]  # cm[j - 1], and 0.0 at rank 0
-        self.blocks = _Level.of(trajectory, q).blocks
-        self.root: list[int] = []
-        for b in self.blocks:
-            self.root += [b.lo] * (b.hi - b.lo + 1)
-
-    @classmethod
-    def of(cls, trajectory: Trajectory, q: float) -> "_RankGeometry":
-        """The geometry at q, memoized in one slot of the trajectory's
-        instance dict (as cached_property does), which the frozen record's
-        ==, repr and dataclasses.replace ignore."""
-        g = trajectory.__dict__.get("_rank_geometry")
-        if g is None or g.q != q:
-            g = trajectory.__dict__["_rank_geometry"] = cls(trajectory, q)
-        return g
-
-    @cached_property
-    def level(self) -> list[float]:
-        """Raw walk value just before each jump (Baseline.level)."""
-        return [m - p for m, p in zip(self.mass_before, self.pos)]
-
-    @cached_property
-    def base_level(self) -> list[float]:
-        """Baseline level of each rank above its excursion's floor: the level
-        minus the root's level, summed as mass and position differences.
-        Slice.base_level and the drawn walk both read it."""
-        mb, pos = self.mass_before, self.pos
-        return [mb[j] - mb[a] - (pos[j] - pos[a]) for j, a in enumerate(self.root)]
-
-    @cached_property
-    def reach(self) -> list[int]:
-        """Last rank each baseline reaches."""
-        pos, cm, mb = self.pos, self.cm, self.mass_before
-        reach = list(range(len(pos)))
-        for b in self.blocks:
-            # reach sets are laminar (R3), so the open baselines form a stack:
-            # rank i ends the reach of every baseline its pre-jump trough undershoots
-            stack = [b.lo]
-            for i in range(b.lo + 1, b.hi + 1):
-                while stack and pos[i] - pos[stack[-1]] > cm[i - 1] - mb[stack[-1]]:
-                    reach[stack.pop()] = i - 1
-                stack.append(i)
-            for j in stack:
-                reach[j] = b.hi
-        return reach
-
-    @cached_property
-    def extent_end(self) -> list[float]:
-        """Right end of each baseline: its jump plus the mass it reaches."""
-        pos, cm, mb = self.pos, self.cm, self.mass_before
-        return [pos[j] + (cm[m] - mb[j]) for j, m in enumerate(self.reach)]
-
-    @cached_property
-    def block_end(self) -> list[float]:
-        """Where each block's excursion returns to its floor, per block."""
-        pos, sizes = self.pos, self.sizes
-        return [pos[b.lo] + math.fsum(sizes[b.lo : b.hi + 1]) for b in self.blocks]
-
-    @cached_property
-    def intercepts(self) -> tuple[list[float], list[float]]:
-        """z+s values of each rank's diagonal band boundaries, floor-relative."""
-        pos, cm, mb, root = self.pos, self.cm, self.mass_before, self.root
-        return (
-            [pos[a] + mb[l] - mb[a] for l, a in enumerate(root)],
-            [pos[a] + cm[l] - mb[a] for l, a in enumerate(root)],
-        )
-
-    @cached_property
-    def parallelograms(self) -> list[list[tuple[float, float, float, float]]]:
-        """(activation, absorbed mass, top level, height) of each absorption
-        of each rank's block, in activation order, read off the events.  Each
-        top must lie on the absorbed root's baseline, to 1e-9 of its block's
-        mass (AssertionError otherwise)."""
-        q, level, root = self.q, self.base_level, self.root
-        mass = {b.lo: b.mass for b in self.blocks}
-        running_top = list(level)
-        rows: list[list[tuple[float, float, float, float]]] = [[] for _ in level]
-        for ev in self.events:
-            t = ev.time
-            if t > q:
-                continue
-            absorbed = ev.left.mass
-            height = absorbed * (1.0 - t / q)
-            owner = ev.right.lo
-            tol = 1e-9 * mass[root[owner]]
-            for l in range(owner, ev.right.hi + 1):
-                top = running_top[l]
-                if abs(level[owner] - top) > tol:
-                    raise AssertionError(
-                        f"no baseline at slice top level {top} for rank {l}"
-                    )
-                rows[l].append((t, absorbed, top, height))
-                running_top[l] = top - height
-        return rows
+def _level(trajectory: Trajectory, q: float) -> _Level:
+    """The trajectory's level view at horizon q, which holds the walk and the
+    per-rank geometry there; ValueError for q outside (0, q_max]."""
+    if not 0.0 < q <= trajectory.q_max:
+        raise ValueError(f"q={q} outside (0, {trajectory.q_max}]")
+    return _Level.of(trajectory, q)
 
 
 def build_mosaic(trajectory: Trajectory, q: float) -> list[OrnamentedExcursion]:
     """One ornamented excursion per component of the walk at horizon q."""
-    g = _RankGeometry.of(trajectory, q)
-    pos, sizes, perm = g.pos, g.sizes, g.path.perm
+    g = _level(trajectory, q)
+    pos, sizes, perm = g.pos, g.sizes, g.clocks.perm
     level, reach, extent_end = g.level, g.reach, g.extent_end
     out = []
     for block in g.blocks:
@@ -348,9 +240,11 @@ def validate(excursion: OrnamentedExcursion) -> list[str]:
     if not intervals:
         return problems  # laminarity is checked on intervals only
     # intervals nest iff each rank's reach ends inside the innermost open
-    # interval that holds it; the open intervals form a stack
+    # interval that holds it; the open intervals form a stack, empty only at
+    # the first rank (ranks as _hasse walks them; a rank with no baseline reaches none)
     stack: list[int] = []
-    for k in sorted(ends):
+    for k in range(lo, excursion.rank_hi + 1):
+        ends.setdefault(k, k)
         while stack and ends[stack[-1]] < k:
             stack.pop()
         if stack and ends[k] > ends[stack[-1]]:
@@ -359,6 +253,8 @@ def validate(excursion: OrnamentedExcursion) -> list[str]:
                 f"R3 (laminar reach): rank {j} reaches rank {k} but not "
                 f"{list(range(ends[j] + 1, ends[k] + 1))}, which rank {k} reaches"
             )
+        elif not stack and k > lo:
+            problems.append(f"R3 (reached rank): rank {k} is reached by no earlier baseline")
         stack.append(k)
     return problems
 
@@ -393,17 +289,15 @@ class HasseOrders:
 
 def _hasse(excursion: OrnamentedExcursion) -> tuple[dict[int, int], dict[int, int]]:
     """Parent (innermost earlier baseline reaching the rank) and generation
-    of every rank; the covers must be laminar intervals (validate)."""
+    of every rank; the covers must pass validate."""
     lo, hi = excursion.rank_lo, excursion.rank_hi
     ends = {b.owner_rank: _reach_end(b) for b in excursion.baselines}
     parent: dict[int, int] = {}
     gen = {lo: 0}
     stack = [lo]
     for r in range(lo + 1, hi + 1):
-        while stack and ends.get(stack[-1], stack[-1]) < r:
+        while ends.get(stack[-1], stack[-1]) < r:
             stack.pop()
-        if not stack:
-            raise ValueError(f"rank {r} is reached by no earlier baseline")
         parent[r] = stack[-1]
         gen[r] = gen[parent[r]] + 1
         stack.append(r)
@@ -424,8 +318,9 @@ def orders(excursion: OrnamentedExcursion) -> HasseOrders:
     )
 
 
-def _sequence_positions(excursion: OrnamentedExcursion) -> tuple[float, ...]:
-    """Jump positions realizing the excursion with mergers in total order.
+def _sequence_positions(excursion: OrnamentedExcursion, parent: dict, seq: tuple) -> tuple:
+    """Jump positions realizing the excursion with mergers in the order seq
+    (its orders' coalescence_order, with their cover-tree parents).
 
     Absorption times are spaced geometrically toward the horizon; the ratio
     is small enough that every non-absorption candidate always fires later,
@@ -433,8 +328,6 @@ def _sequence_positions(excursion: OrnamentedExcursion) -> tuple[float, ...]:
     """
     lo, hi = excursion.rank_lo, excursion.rank_hi
     masses = excursion.masses
-    parent, gen = _hasse(excursion)
-    seq = sorted(range(lo + 1, hi + 1), key=lambda r: (-gen[r], r))
 
     total = math.fsum(masses)
     m_min = min(masses)
@@ -465,21 +358,18 @@ def replay(excursion: OrnamentedExcursion) -> Trajectory:
     tolerance).  Without geometry, positions are synthesized so that blocks
     merge in the reversed total order.
     """
-    problems = validate(excursion)
-    if problems:
+    q, positions = excursion.q, excursion.positions
+    if positions is None:
+        od = orders(excursion)  # validates
+        seq = od.coalescence_order()
+        positions = _sequence_positions(excursion, dict(od.parents), seq)
+    elif problems := validate(excursion):
         raise ValueError("invalid ornamented excursion: " + "; ".join(problems))
-    q = excursion.q
-    if excursion.positions is not None:
-        positions = excursion.positions
-    else:
-        positions = _sequence_positions(excursion)
     config = WeightedConfig(excursion.masses)
     clocks = ClockAssignment.from_xi(tuple(q * p for p in positions))
     trajectory = run_trajectory(config, clocks, RngStream(0), q_max=q)
     if excursion.positions is None and len(excursion) > 1:
-        want = tuple(
-            r - excursion.rank_lo for r in orders(excursion).coalescence_order()
-        )
+        want = tuple(r - excursion.rank_lo for r in seq)
         got = tuple(ev.right.lo for ev in trajectory.events)
         assert got == want, f"replayed merger order {got} != {want}"
     return trajectory
@@ -584,7 +474,7 @@ class Slice(NamedTuple):
 
 def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
     """All per-rank slices of every excursion of the walk at horizon q."""
-    g = _RankGeometry.of(trajectory, q)
+    g = _level(trajectory, q)
     pos, sizes = g.pos, g.sizes
     base_level, (intercept_lo, intercept_hi) = g.base_level, g.intercepts
     # positional: a named tuple built by keyword costs about twice as much

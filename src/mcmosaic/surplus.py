@@ -22,7 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, repeat, takewhile
+from itertools import accumulate, compress, repeat
 from operator import itemgetter, le, mul, not_, sub
 from typing import Literal, Sequence
 
@@ -323,8 +323,7 @@ def dynamic_surplus(
     _check_horizon(trajectory, q_max)
     perm = trajectory.clocks.perm
     level = _Level.of(trajectory, q_max)
-    sizes, spanning = level.sizes, level.spanning
-    cum = list(accumulate(sizes, initial=0.0))
+    sizes, spanning, cum = level.sizes, level.spanning, level.cum
     surplus: list[GraphEdge] = []
     if variant == "simple":
         ls, js, ends, acts, rates, _ = level.processes
@@ -383,7 +382,7 @@ class SurplusCountSampler:
         self.n_components = len(blocks)
         starts = [b.lo for b in blocks]
         sizes = np.asarray(level.sizes)
-        events = list(takewhile(lambda ev: ev.time <= q_max, trajectory.events))
+        events = level.events
         merged = np.bincount(
             np.searchsorted(starts, [ev.left.lo for ev in events], side="right") - 1,
             weights=[ev.left.mass * ev.right.mass * (q_max - ev.time) for ev in events],

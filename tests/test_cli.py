@@ -151,6 +151,15 @@ def test_verify_single_suite(tmp_path):
     assert payload["criteria"][0]["name"] == "intensity"
 
 
+def test_verify_merge_rate_below_its_engine_sample(tmp_path):
+    """Fewer draws than the engine cross-check's 2,000 pairs: the engine
+    checks every draw instead of indexing past them."""
+    report = tmp_path / "v.json"
+    rc = main(["verify", "--suite", "merge-rate", "--reps", "500", "--json", str(report)])
+    assert rc in (0, 1)
+    assert json.loads(report.read_text())["criteria"][0]["details"]["engine_checked"] == 500
+
+
 def test_verify_determinism_prints_one_line(capsys):
     """Criterion 10 runs the CLI in process; its nested verify call does not
     print into the report."""

@@ -13,12 +13,15 @@ from conftest import domain, domain_instance
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, find, sample_clocks
 from mcmosaic.dynamics import (
     ComponentBlock,
+    GraphEdge,
     MergerEvent,
     MonotoneForest,
     build_monotone_forest,
     run_trajectory,
 )
+from mcmosaic.mosaic import slice_decomposition
 from mcmosaic.oracle import gillespie_graph, gillespie_trajectory
+from mcmosaic.surplus import activated_processes, dynamic_surplus
 from mcmosaic.walk import breadth_first_forest, decompose, WalkPath
 
 
@@ -400,14 +403,40 @@ def test_replay_matches_dict_reference(exponents, equal, seed, ties, log_q, pick
         assert traj.partition_at(q) == reference_partition_at(traj, q)
     if len(traj.events) < 2:
         return
-    # lift one event above the later ones: the prefix stops there
-    i = pick % (len(traj.events) - 1)
-    events = list(traj.events)
-    events[i] = events[i]._replace(time=2.0 * events[-1].time + 1.0)
-    unsorted = dataclasses.replace(traj, events=tuple(events))
+    unsorted, i = lift_one_event(traj, pick)
+    events = unsorted.events
     for q in [events[i - 1].time if i else 0.0, events[-1].time, events[i].time]:
         assert unsorted.blocks_at(q) == reference_blocks_at(unsorted, q)
         assert unsorted.partition_at(q) == reference_partition_at(unsorted, q)
+
+
+def lift_one_event(traj, pick):
+    """The log with one event, not the last, lifted above the later ones (so
+    the prefix at the last event's time stops there), and its index."""
+    i = pick % (len(traj.events) - 1)
+    events = list(traj.events)
+    events[i] = events[i]._replace(time=2.0 * events[-1].time + 1.0)
+    return dataclasses.replace(traj, events=tuple(events)), i
+
+
+@settings(deadline=None, max_examples=200)
+@given(*_REPLAY_DOMAIN, st.floats(-12.0, 12.0), st.integers(0, 2**16))
+def test_level_readers_read_one_prefix_of_a_lifted_log(exponents, equal, seed, ties, log_q, pick):
+    """At the last event's time on a lifted log, every reader stops where
+    blocks_at does: the spanning edges are the first k events, k = n minus
+    the number of blocks, and each activated process has one parallelogram."""
+    traj = domain_trajectory(exponents, equal, seed, ties, log_q)
+    if len(traj.events) < 2:
+        return
+    unsorted, _ = lift_one_event(traj, pick)
+    q = unsorted.events[-1].time
+    k = len(traj.config) - len(unsorted.blocks_at(q))
+    spanning = dynamic_surplus(unsorted, RngStream(seed), q, "simple").spanning
+    assert spanning == tuple(GraphEdge(*ev.edge, ev.time, "span") for ev in unsorted.events[:k])
+    if q > 0.0:
+        slices = slice_decomposition(unsorted, q)
+        n_paras = sum(len(sl.parallelograms) for sl in slices)
+        assert n_paras == len(activated_processes(unsorted, q, False))
 
 
 def off_merger_levels(traj):

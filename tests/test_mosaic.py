@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import domain, domain_instance
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
-from mcmosaic.dynamics import run_trajectory
+from mcmosaic.dynamics import _Level, run_trajectory
 from mcmosaic.mosaic import (
     OrnamentedExcursion,
     Parallelogram,
     Slice,
     _hasse,
-    _RankGeometry,
     build_mosaic,
     orders,
     replay,
@@ -400,7 +399,7 @@ def test_geometry_memo_gives_the_outputs_of_a_fresh_trajectory():
         traj, q = random_trajectory(seed)
         for at in (q, q / 3.0, q):
             assert mosaic_outputs(traj, at) == mosaic_outputs(dataclasses.replace(traj), at)
-            assert _RankGeometry.of(traj, at) is _RankGeometry.of(traj, at)
+            assert _Level.of(traj, at) is _Level.of(traj, at)
 
 
 def test_geometry_memo_still_rejects_bad_q():
@@ -554,7 +553,8 @@ def test_reach_stack_matches_per_baseline_walk(exponents, equal, seed, ties, log
 
 def pairwise_r3(excursion):
     """R3 as it was checked on reach sets: gap-free per baseline, then
-    laminar over every pair of ranks."""
+    laminar over every pair of ranks, then every rank after the first held
+    by an earlier rank's set."""
     problems = []
     cover = {b.owner_rank: frozenset(b.covers) for b in excursion.baselines}
     for b in excursion.baselines:
@@ -581,6 +581,10 @@ def pairwise_r3(excursion):
                 problems.append(
                     f"R3 (laminar reach): reach sets of ranks {j} and {k} interleave"
                 )
+    lo = excursion.rank_lo
+    for r in range(lo + 1, excursion.rank_hi + 1):
+        if not any(r in cover.get(j, ()) for j in range(lo, r)):
+            problems.append(f"R3 (reached rank): rank {r} is reached by no earlier baseline")
     return problems
 
 
@@ -636,7 +640,8 @@ def cover_fixtures(draw):
 def test_interval_checks_match_pairwise_sets(fx):
     """validate flags exactly the covers the pairwise check flags, with a
     subset of its messages (all of its rule names when every cover is an
-    interval); orders and _hasse equal the pairwise ones on valid covers."""
+    interval); orders and _hasse equal the pairwise ones on valid covers, so
+    an empty report means orders succeeds."""
     got, want = validate(fx), pairwise_r3(fx)
     assert bool(got) == bool(want)
     assert set(got) <= set(want)
@@ -648,16 +653,8 @@ def test_interval_checks_match_pairwise_sets(fx):
         with pytest.raises(ValueError):
             orders(fx)
         return
-    try:
-        ref = pairwise_hasse(fx)
-    except ValueError as e:
-        with pytest.raises(ValueError, match=str(e)):
-            _hasse(fx)
-        with pytest.raises(ValueError, match=str(e)):
-            orders(fx)
-        return
+    parent, gen = ref = pairwise_hasse(fx)
     assert _hasse(fx) == ref
-    parent, gen = ref
     od = orders(fx)
     assert od.parents == tuple(sorted(parent.items()))
     assert od.generations == tuple(sorted(gen.items()))
@@ -670,6 +667,16 @@ def test_validate_rejects_a_reach_at_or_before_its_owner():
     fx = OrnamentedExcursion.from_covers((1.0, 1.0, 1.0), {2: (1,)})
     assert pairwise_r3(fx) == []
     assert [_rule(p) for p in validate(fx)] == ["R3 (gap-free reach)"]
+
+
+def test_validate_reports_a_rank_no_baseline_reaches():
+    """A root that reaches rank 1 only leaves rank 2 without a parent:
+    validate says so, and orders and replay reject it by that report."""
+    fx = OrnamentedExcursion.from_covers((1.0, 1.0, 1.0), {0: (1,)})
+    assert validate(fx) == ["R3 (reached rank): rank 2 is reached by no earlier baseline"]
+    for call in (orders, replay):
+        with pytest.raises(ValueError, match="invalid ornamented excursion: R3"):
+            call(fx)
 
 
 def test_built_covers_are_ranges():

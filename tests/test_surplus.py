@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from conftest import domain, domain_instance
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.dynamics import run_trajectory
-from mcmosaic.mosaic import slice_decomposition
+from mcmosaic.mosaic import build_mosaic, slice_decomposition
 from mcmosaic.oracle import gillespie_graph
+from mcmosaic.render import render_svg
 from mcmosaic.stats import chi_square, chi_square_homogeneity, ks_test, poisson_mean_test
 from mcmosaic.surplus import (
     GraphEdge,
@@ -657,11 +658,12 @@ def test_process_table_matches_per_event_loop(
 @given(*_DOMAIN, st.floats(-3.0, 12.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_level_view_readers_match_fresh_copies(exponents, equal, seed, ties, log_q, f1, f2):
     """Every reader of the shared level view, called in turn at q1, then q2,
-    then q1 on one trajectory (the dynamic surplus simple then multigraph),
-    gives what it gives alone on a fresh copy, for q_max up to 1e12 over
-    sigma2.  The multigraph keeps every arrival, a Poisson count of mean
-    q_max times the area under the walk, so it reads only while q_max is at
-    most 10 over sigma2."""
+    then q1 on one trajectory (the dynamic surplus simple then multigraph,
+    then the slices, the mosaic and the shaded drawing), gives what it gives
+    alone on a fresh copy, for q_max up to 1e12 over sigma2.  The
+    multigraph keeps every arrival, a Poisson count of mean q_max times the
+    area under the walk, so it reads only while q_max is at most 10 over
+    sigma2."""
     cfg, clocks = domain_instance(exponents, equal, seed, ties)
     q_max = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
     traj = run_trajectory(cfg, clocks, RngStream(seed), q_max)
@@ -674,6 +676,8 @@ def test_level_view_readers_match_fresh_copies(exponents, equal, seed, ties, log
         lambda t, q: dynamic_surplus(t, rng, q, "multigraph") if log_q <= 1.0 else None,
         lambda t, q: SurplusCountSampler(t, q).expected_by_component().tolist(),
         lambda t, q: slice_decomposition(t, q) if q > 0.0 else None,
+        lambda t, q: build_mosaic(t, q) if q > 0.0 else None,
+        lambda t, q: render_svg(t, q, shade_slices=True) if q > 0.0 else None,
     ]
     for q in (q_max * f1, q_max * f2, q_max * f1):
         shared = [read(traj, q) for read in readers]
