@@ -197,7 +197,7 @@ class _Level:
     @cached_property
     def cum(self) -> list[float]:
         """Mass before each rank, then the total: cum[j] is sizes[0..j-1]
-        summed left to right (0.0, then WalkPath.cummass)."""
+        summed left to right, the same doubles as WalkPath.cum."""
         return list(accumulate(self.sizes, initial=0.0))
 
     @cached_property

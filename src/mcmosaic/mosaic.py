@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .core import ClockAssignment, RngStream, WeightedConfig
@@ -339,9 +340,7 @@ def _sequence_positions(excursion: OrnamentedExcursion, parent: dict, seq: tuple
         )
     phase = {r: 1.0 - 0.5 * gamma ** (i + 1) for i, r in enumerate(seq)}
 
-    prefix = [0.0]
-    for m in masses:
-        prefix.append(prefix[-1] + m)
+    prefix = list(accumulate(masses, initial=0.0))
 
     pos = {lo: 0.25 * m_min}
     for r in range(lo + 1, hi + 1):

@@ -46,8 +46,8 @@ def gillespie_graph(
     """
     n = len(config)
     _guard(n)
-    if q < 0:
-        raise ValueError("q must be nonnegative")
+    if not q >= 0:
+        raise ValueError(f"q must be nonnegative, got {q!r}")
     m = config.masses
     gen = rng.named(f"oracle-graph-{variant}").generator()
     edges: list[GraphEdge] = []
@@ -119,8 +119,8 @@ def gillespie_trajectory(
     """All pair-clock arrivals up to q_max, with the component mergers extracted."""
     n = len(config)
     _guard(n)
-    if q_max <= 0:
-        raise ValueError("q_max must be positive")
+    if not q_max > 0:
+        raise ValueError(f"q_max must be positive, got {q_max!r}")
     m = np.asarray(config.masses)
     gen = rng.named("oracle-trajectory").generator()
     pairs = list(itertools.combinations(range(n), 2))

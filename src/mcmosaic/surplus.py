@@ -68,32 +68,29 @@ def influence_region(
 ) -> InfluenceRegion:
     """Region of rank h: ranks l > h with t_l in (t_h, window_end(h-1)].
 
+    Those are the ranks l > h with cum[h] - t_l >= floor, the excursion's
+    floor cum[root] - t_root: the ranks the forest hangs on a rank below h.
     Roots get an empty region.  Candidates are always in the same tree and,
     by the breadth-first structure, either in the target's generation or the
     next one; any other depth raises.
     """
     exc = decomposition.excursion_of_rank(h)
-    if h == exc.rank_lo:
-        return InfluenceRegion(target_rank=h, end=h + 1)
-    end = _region_end(path, exc, h)
-    perm, depth = path.perm, forest.depth
-    depth_h = depth[perm[h]]
-    for l in range(h + 1, end):
-        if depth[perm[l]] - depth_h not in (0, 1):
-            raise AssertionError(f"unexpected generation gap at rank {l}")
+    root, end = exc.rank_lo, h + 1
+    if h == root:
+        return InfluenceRegion(target_rank=h, end=end)
+    times, cum, perm, depth = path.jump_times, path.cum, path.perm, forest.depth
+    floor, depth_h = cum[root] - times[root], depth[perm[h]]
+    while end <= exc.rank_hi and cum[h] - times[end] >= floor:
+        if depth[perm[end]] - depth_h not in (0, 1):
+            raise AssertionError(f"unexpected generation gap at rank {end}")
+        end += 1
     return InfluenceRegion(target_rank=h, end=end)
 
 
 def _window_end(path: WalkPath, exc: Excursion, h: int) -> float:
     """End of the listening window that non-root rank h fell into."""
-    cm = path.cummass
     root = exc.rank_lo
-    return path.jump_times[root] + (cm[h - 1] - (cm[root - 1] if root else 0.0))
-
-
-def _region_end(path: WalkPath, exc: Excursion, h: int) -> int:
-    """One past the last candidate of rank h: the jump times are sorted."""
-    return bisect_right(path.jump_times, _window_end(path, exc, h), h + 1, exc.rank_hi + 1)
+    return path.jump_times[root] + (path.cum[h] - path.cum[root])
 
 
 @dataclass(frozen=True)
@@ -129,25 +126,31 @@ def _draw_plan(
 
     One row per non-root rank h with a candidate: the ranks lo..e-1,
     lo = h + 1, at rate q * m_h times their mass, a difference of prefix
-    masses.  Raises on a generation gap: breadth-first listing makes depth
-    nondecreasing in rank inside an excursion, so that check plus the depth
-    of each region's last candidate bounds every candidate's depth.
+    masses.  The region ends e (``influence_region``'s test) never fall as h
+    grows inside an excursion, so one forward scan finds them all; rank h
+    itself passes the test, being in the tree.  Raises
+    on a generation gap: breadth-first listing makes depth nondecreasing in
+    rank inside an excursion, so that check plus the depth of each region's
+    last candidate bounds every candidate's depth.
     """
-    q, sizes, cm = path.q, path.jump_sizes, path.cummass
+    q, sizes, cum, times = path.q, path.jump_sizes, path.cum, path.jump_times
     depth = list(map(forest.depth.__getitem__, path.perm))  # by rank
     los, ends, rates = [], [], []
     for exc in decomposition.excursions:
-        for h in range(exc.rank_lo + 1, exc.rank_hi + 1):
+        root, hi = exc.rank_lo, exc.rank_hi
+        floor, e = cum[root] - times[root], root + 1
+        for h in range(root + 1, hi + 1):
             if depth[h] < depth[h - 1]:
                 raise AssertionError(f"unexpected generation gap at rank {h}")
-            e = _region_end(path, exc, h)
+            while e <= hi and cum[h] - times[e] >= floor:
+                e += 1
             if e - h == 1:
                 continue
             if depth[e - 1] > depth[h] + 1:
                 raise AssertionError(f"unexpected generation gap at rank {e - 1}")
             los.append(h + 1)
             ends.append(e)
-            rates.append(q * sizes[h] * (cm[e - 1] - cm[h]))
+            rates.append(q * sizes[h] * (cum[e] - cum[h + 1]))
     return los, ends, rates
 
 
@@ -219,7 +222,7 @@ def static_surplus(
     los, ends, rates = _draw_plan(path, decomposition, forest)
     found, _ = _draw_pairs(
         rng, "static-surplus", los, ends, rates,
-        lambda i: q * sizes[los[i] - 1], sizes, (0.0, *path.cummass),
+        lambda i: q * sizes[los[i] - 1], sizes, path.cum,
     )
     extra = tuple([GraphEdge(perm[c], perm[los[i] - 1], q, "simple") for i, c in found])
     return LabeledGraph(n=len(path), spanning=spanning, surplus=extra)

@@ -481,9 +481,10 @@ def check_merge_rate(seed: int = 7, reps: int = 100_000) -> dict:
                 agree += 1
 
         # edge endpoint law: in the final merger of three unit masses the
-        # two-vertex side picks each vertex with prob 1/2
+        # two-vertex side picks each vertex with prob 1/2 (on 30,000
+        # trajectories, or reps when fewer)
         cfg3 = core.WeightedConfig((1.0, 1.0, 1.0))
-        m = 30_000
+        m = min(reps, 30_000)
         merges = []  # (rank -> vertex, event) with a two-vertex side
         erng = rng.named("endpoints")
         for i in range(m):

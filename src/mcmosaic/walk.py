@@ -15,6 +15,8 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from operator import sub
 from typing import Optional
 
 import numpy as np
@@ -61,21 +63,17 @@ class WalkPath:
         return len(self.jump_times)
 
     @cached_property
-    def cummass(self) -> tuple[float, ...]:
-        """Prefix sums of the jump sizes."""
-        acc, out = 0.0, []
-        for s in self.jump_sizes:
-            acc += s
-            out.append(acc)
-        return tuple(out)
+    def cum(self) -> tuple[float, ...]:
+        """Mass before each rank, then the total: cum[r] is the jump sizes of
+        ranks 0..r-1 summed left to right, from 0.0 (n + 1 entries)."""
+        return tuple(accumulate(self.jump_sizes, initial=0.0))
 
     @cached_property
     def trough_mins(self) -> tuple[float, ...]:
-        """Running min over r of Z(t_r-), i.e. of cummass[r-1] - t_r, floored at 0."""
-        cm = self.cummass
-        best, out = 0.0, []
-        for r, t in enumerate(self.jump_times):
-            trough = (cm[r - 1] if r else 0.0) - t
+        """Running min of Z(0) = 0 and the pre-jump troughs Z(t_r-) =
+        cum[r] - t_r: entry r + 1 holds the min through rank r (n + 1 entries)."""
+        best, out = 0.0, [0.0]
+        for trough in map(sub, self.cum, self.jump_times):
             if trough < best:
                 best = trough
             out.append(best)
@@ -89,8 +87,7 @@ class WalkPath:
             idx = bisect.bisect_left(self.jump_times, s)
         else:
             idx = bisect.bisect_right(self.jump_times, s)
-        carried = self.cummass[idx - 1] if idx else 0.0
-        return carried - s
+        return self.cum[idx] - s
 
     def running_min(self, s: float, left_limit: bool = False) -> float:
         """inf of Z over [0, s] (over [0, s) for the left limit)."""
@@ -98,8 +95,7 @@ class WalkPath:
             idx = bisect.bisect_left(self.jump_times, s)
         else:
             idx = bisect.bisect_right(self.jump_times, s)
-        prior = self.trough_mins[idx - 1] if idx else 0.0
-        return min(prior, self.eval_Z(s, left_limit=left_limit))
+        return min(self.trough_mins[idx], self.eval_Z(s, left_limit=left_limit))
 
     def eval_B(self, s: float, left_limit: bool = False) -> float:
         """Reflection above the running minimum; >= 0 everywhere."""
@@ -137,40 +133,19 @@ class ExcursionDecomposition:
 def decompose(path: WalkPath) -> ExcursionDecomposition:
     """Split the reflected walk into excursions.
 
-    A rank opens a new excursion exactly when its jump lands strictly after
-    the listening window of the previous tree, which is the same as its
-    pre-jump trough Z(t_r-) undershooting every earlier trough.
+    Rank 0 opens the first excursion, and a later rank opens one exactly
+    where the running minimum of the troughs falls: its pre-jump trough
+    Z(t_r-) undershoots the floor cum[root] - t_root of the open excursion,
+    so its jump lands after every listening window of that tree.
     """
-    times = path.jump_times
-    cm = path.cummass
+    times, cum, mins, perm = path.jump_times, path.cum, path.trough_mins, path.perm
     n = len(path)
-
-    roots = [0]
-    best_trough = -times[0]  # Z(t_0-); sentinel Z(0) = 0 already beaten
-    for r in range(1, n):
-        trough = cm[r - 1] - times[r]
-        if trough < best_trough:
-            best_trough = trough
-            roots.append(r)
-
+    roots = [0, *[r for r in range(1, n) if mins[r + 1] < mins[r]], n]
     excursions = []
-    for i, lo in enumerate(roots):
-        hi = (roots[i + 1] - 1) if i + 1 < len(roots) else n - 1
-        excursions.append(_close_excursion(path, lo, hi, cm))
+    for lo, end in zip(roots, roots[1:]):
+        mass = cum[end] - cum[lo]
+        excursions.append(Excursion(times[lo], times[lo] + mass, lo, end - 1, perm[lo:end], mass))
     return ExcursionDecomposition(excursions=tuple(excursions))
-
-
-def _close_excursion(path: WalkPath, lo: int, hi: int, cm) -> Excursion:
-    mass = cm[hi] - (cm[lo - 1] if lo else 0.0)
-    start = path.jump_times[lo]
-    return Excursion(
-        start=start,
-        end=start + mass,
-        rank_lo=lo,
-        rank_hi=hi,
-        vertices=tuple(path.perm[lo : hi + 1]),
-        mass=mass,
-    )
 
 
 @dataclass(frozen=True)
@@ -203,16 +178,17 @@ def breadth_first_forest(
     """Single left-to-right sweep attaching each rank to its parent.
 
     Returns the forest plus the carried-mass vector (one entry per tree, in
-    excursion order).  Listening windows share the root's left endpoint and
-    extend by one mass per attached vertex; a rank falling in the slice
-    belonging to rank i becomes a child of perm[i].  The sweep is O(len)
-    after sorting because both the probe times and the window ends are
-    nondecreasing within a tree.
+    excursion order: cum[end] - cum[root], the excursion masses).  The
+    listening windows of a tree's ranks root..i-1 cover the times up to
+    t_root + (cum[i] - cum[root]), so rank l falls in them exactly when
+    cum[i] - t_l >= floor, the root's trough cum[root] - t_root.  A rank in
+    the windows of all earlier ranks of the open tree joins it (decompose's
+    test), as a child of the first rank i whose window holds it.  The sweep
+    is O(len) after sorting because the probe rank never decreases.
     """
     path = WalkPath.from_clocks(config, clocks, q)
     n = len(path)
-    times = path.jump_times
-    sizes = path.jump_sizes
+    times, cum, perm = path.jump_times, path.cum, path.perm
 
     parent: list[Optional[int]] = [None] * n
     depth = [0] * n
@@ -220,22 +196,17 @@ def breadth_first_forest(
 
     r = 0
     while r < n:
-        root = r
-        # window_end[i - root] = end of the listening window of rank i
-        window_end = [times[root] + sizes[root]]
-        tree_mass = sizes[root]
-        probe = root  # rank whose window we are currently matching against
+        root = probe = r  # probe: the rank whose window we are matching against
+        floor = cum[root] - times[root]
         r += 1
-        while r < n and times[r] <= window_end[-1]:
-            while times[r] > window_end[probe - root]:
+        while r < n and cum[r] - times[r] >= floor:
+            while cum[probe + 1] - times[r] < floor:
                 probe += 1
-            v, p = path.perm[r], path.perm[probe]
+            v, p = perm[r], perm[probe]
             parent[v] = p
             depth[v] = depth[p] + 1
-            tree_mass += sizes[r]
-            window_end.append(window_end[-1] + sizes[r])
             r += 1
-        masses.append(tree_mass)
+        masses.append(cum[r] - cum[root])
 
     forest = Forest(parent=tuple(parent), depth=tuple(depth))
     return forest, tuple(masses)
@@ -297,7 +268,7 @@ def component_stats(
     (stable) rank order.
 
     New excursions start exactly at strict running minima of the pre-jump
-    troughs cummass[r] - t_r, which one accumulate exposes in O(n).  The rest
+    troughs cum[r] - t_r, which one accumulate exposes in O(n).  The rest
     are whole-array passes over all rows: in flat order a block ends at the
     next root (column 0 is always one), and the top two per row are segment
     maxima of the block sizes.  The largest of tied blocks is the earliest;

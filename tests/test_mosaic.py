@@ -516,10 +516,10 @@ def test_slice_top_moved_by_a_millionth_of_the_block_raises(scale):
 
 def reference_reach_ends(path, lo, hi):
     """Last rank each baseline of block lo..hi reaches, one walk per baseline."""
-    pos, cm = path.jump_times, path.cummass
+    pos, cum = path.jump_times, path.cum
 
     def mass_between(j, m):
-        return cm[m] - (cm[j - 1] if j else 0.0)
+        return cum[m + 1] - cum[j]
 
     ends = []
     for j in range(lo, hi + 1):

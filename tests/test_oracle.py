@@ -32,6 +32,28 @@ def test_graph_validation():
         gillespie_trajectory(cfg, RngStream(0), 0.0)
 
 
+def test_graph_rejects_a_nan_level():
+    """A NaN level raises; an infinite one still keeps every pair clock."""
+    cfg = WeightedConfig((1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="nan"):
+        gillespie_graph(cfg, math.nan, RngStream(0))
+    with pytest.raises(ValueError):
+        gillespie_graph(cfg, -math.inf, RngStream(0))
+    assert len(gillespie_graph(cfg, math.inf, RngStream(0)).surplus) == 6
+
+
+def test_trajectory_rejects_a_nan_horizon():
+    """A NaN q_max raises, as in run_trajectory; an infinite one keeps every
+    arrival (6 for n = 4) and n - 1 mergers."""
+    cfg = WeightedConfig((1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="nan"):
+        gillespie_trajectory(cfg, RngStream(0), math.nan)
+    with pytest.raises(ValueError):
+        gillespie_trajectory(cfg, RngStream(0), -math.inf)
+    traj = gillespie_trajectory(cfg, RngStream(0), math.inf)
+    assert (len(traj.arrivals), len(traj.mergers)) == (6, 3)
+
+
 def test_simple_graph_edge_probability():
     """Pair present iff its clock beat q: frequency 1 - exp(-q m_i m_j)."""
     cfg = WeightedConfig((1.0, 2.0))

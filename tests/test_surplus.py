@@ -79,13 +79,11 @@ def test_region_matches_window_scan():
     the end of the window that rank h itself fell into."""
     for seed in range(40):
         path, dec, forest = built(seed, n_max=14)
-        cm = path.cummass
+        cum = path.cum
         for e in dec.excursions:
             root = e.rank_lo
             for h in range(root + 1, e.rank_hi + 1):
-                w_end = path.jump_times[root] + (
-                    cm[h - 1] - (cm[root - 1] if root else 0.0)
-                )
+                w_end = path.jump_times[root] + (cum[h] - cum[root])
                 want = [
                     l
                     for l in range(h + 1, e.rank_hi + 1)
@@ -463,8 +461,8 @@ def reference_candidates(path, dec, forest, h):
     root = exc.rank_lo
     if h == root:
         return ()
-    times, cm = path.jump_times, path.cummass
-    window_end = times[root] + (cm[h - 1] - (cm[root - 1] if root else 0.0))
+    times, cum = path.jump_times, path.cum
+    window_end = times[root] + (cum[h] - cum[root])
     depth_h = forest.depth[path.perm[h]]
     out = []
     l = h + 1
@@ -544,7 +542,7 @@ def assert_draw_plan_matches_reference(path, dec, forest):
     """The draw plan's rows are the non-root ranks h with a candidate, in
     rank order, with the reference's candidates as their range lo..e-1,
     lo = h + 1, and rate q * m_h times their mass to 1e-12 of
-    q * m_h * cummass[e - 1] (the rounding of the prefix masses the rate is
+    q * m_h * cum[e] (the rounding of the prefix masses the rate is
     a difference of); a generation gap raises in both or in neither.  The
     kernel's split holds on these rows."""
     reference = [lambda h=h: reference_candidates(path, dec, forest, h) for h in range(len(path))]
@@ -554,13 +552,13 @@ def assert_draw_plan_matches_reference(path, dec, forest):
         return
     los, ends, rates = _draw_plan(path, dec, forest)
     assert [lo - 1 for lo in los] == [h for h in range(len(path)) if reference[h]()]
-    q, sizes, cm = path.q, path.jump_sizes, path.cummass
+    q, sizes, cum = path.q, path.jump_sizes, path.cum
     for lo, e, lam in zip(los, ends, rates):
         h = lo - 1
         cands = list(reference[h]())
         assert cands == list(range(lo, e))
         exact = q * sizes[h] * math.fsum(sizes[l] for l in cands)
-        assert abs(lam - exact) <= 1e-12 * q * sizes[h] * cm[e - 1]
+        assert abs(lam - exact) <= 1e-12 * q * sizes[h] * cum[e]
     assert_split_bounds_the_work(los, ends, rates, len(path))
 
 
@@ -623,7 +621,7 @@ def test_total_intensity_identity_over_the_domain(exponents, equal, seed, ties, 
     forest, _ = breadth_first_forest(cfg, clocks, q)
     for e in dec.excursions:
         assert total_intensity(path, dec, e.rank_lo) == 0.0
-        tol = 1e-9 * q * max(path.cummass[e.rank_hi], e.end)
+        tol = 1e-9 * q * max(path.cum[e.rank_hi + 1], e.end)
         for h in range(e.rank_lo + 1, e.rank_hi + 1):
             region = influence_region(path, dec, forest, h)
             want = q * math.fsum(path.jump_sizes[l] for l in region.ranks())

@@ -1,4 +1,5 @@
-"""Retry bookkeeping of the acceptance suites, on runs stubbed to fail once."""
+"""Bookkeeping of the acceptance suites: retries, on runs stubbed to fail
+once, and the work that a suite's budget bounds."""
 
 from dataclasses import replace
 
@@ -49,3 +50,10 @@ def test_surplus_poisson_lists_first_draw_failures(monkeypatch):
             "variance": first.variance,
         }
     ]
+
+
+def test_merge_rate_reps_bound_the_endpoint_draws():
+    """The endpoint-law part draws min(reps, 30,000) three-vertex
+    trajectories, one merger with a two-vertex side each."""
+    out = verify.check_merge_rate(reps=500)
+    assert out["details"]["endpoint_events"] == 500

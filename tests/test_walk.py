@@ -4,6 +4,7 @@ The reference implementations here are deliberately naive nested loops so
 that agreement with the O(n log n) production code is meaningful.
 """
 
+import bisect
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import domain, domain_instance
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.stats import chi_square_homogeneity
+from mcmosaic.surplus import _draw_plan, influence_region
 from mcmosaic.walk import (
     _CHUNK_BYTES,
     WalkPath,
@@ -240,6 +242,145 @@ def test_forest_edges_and_birth():
     forest, _ = breadth_first_forest(cfg, clocks, path.q)
     for child, par in forest.edges():
         assert forest.parent[child] == par
+
+
+# -- one window test ----------------------------------------------------------
+# The loops below are the walk's earlier formulation: prefix masses without
+# the leading zero, every reader branching on rank 0, and decompose keeping
+# its own trough minimum.  The single column from zero must give their bytes.
+
+
+def reference_cummass(path):
+    acc, out = 0.0, []
+    for s in path.jump_sizes:
+        acc += s
+        out.append(acc)
+    return out
+
+
+def reference_troughs(path):
+    """Running min over r of cummass[r-1] - t_r, floored at 0."""
+    cm = reference_cummass(path)
+    best, out = 0.0, []
+    for r, t in enumerate(path.jump_times):
+        trough = (cm[r - 1] if r else 0.0) - t
+        if trough < best:
+            best = trough
+        out.append(best)
+    return out
+
+
+def reference_eval_Z_and_min(path, s, left_limit):
+    find = bisect.bisect_left if left_limit else bisect.bisect_right
+    idx = find(path.jump_times, s)
+    z = (reference_cummass(path)[idx - 1] if idx else 0.0) - s
+    return z, min(reference_troughs(path)[idx - 1] if idx else 0.0, z)
+
+
+def reference_decompose(path):
+    """(start, end, rank_lo, rank_hi, vertices, mass) per excursion."""
+    times, cm, n = path.jump_times, reference_cummass(path), len(path)
+    roots = [0]
+    best_trough = -times[0]
+    for r in range(1, n):
+        trough = cm[r - 1] - times[r]
+        if trough < best_trough:
+            best_trough = trough
+            roots.append(r)
+    out = []
+    for i, lo in enumerate(roots):
+        hi = (roots[i + 1] - 1) if i + 1 < len(roots) else n - 1
+        mass = cm[hi] - (cm[lo - 1] if lo else 0.0)
+        out.append((times[lo], times[lo] + mass, lo, hi, tuple(path.perm[lo : hi + 1]), mass))
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(*domain(max_n=40, max_ties=6), st.floats(-12.0, 12.0))
+def test_cum_and_troughs_give_the_old_loops_bytes(exponents, equal, seed, ties, log_q):
+    """The shared domain at q up to 1e12 over sigma2: cum is (0.0, *cummass)
+    and trough_mins (0.0, *troughs), bit for bit; eval_Z and running_min at
+    0, at every jump (and its left limit), between jumps and past the end,
+    and decompose's excursions are the old loops' bytes."""
+    cfg, clocks = domain_instance(exponents, equal, seed, ties)
+    q = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
+    path = WalkPath.from_clocks(cfg, clocks, q)
+    assert repr(path.cum) == repr((0.0, *reference_cummass(path)))
+    assert repr(path.trough_mins) == repr((0.0, *reference_troughs(path)))
+    times = path.jump_times
+    mids = [(a + b) / 2.0 for a, b in zip(times, times[1:])]
+    for s in (0.0, *times, *mids, times[-1] + path.cum[-1]):
+        for left in (False, True):
+            got = (path.eval_Z(s, left), path.running_min(s, left))
+            assert repr(got) == repr(reference_eval_Z_and_min(path, s, left))
+    got = [
+        (e.start, e.end, e.rank_lo, e.rank_hi, e.vertices, e.mass)
+        for e in decompose(path).excursions
+    ]
+    assert repr(got) == repr(reference_decompose(path))
+
+
+def window_end_instance(exponents, equal, seed, ties, log_q, moves):
+    """A domain instance at a power-of-two level (xi / q is then exact),
+    with clocks moved one at a time onto the end of a listening window: for
+    each (i, l), the vertex at rank l > i jumps where the window of rank i
+    ends, t_root + (cum[i + 1] - cum[root]), as the summed masses round."""
+    cfg, clocks = domain_instance(exponents, equal, seed, ties)
+    q = 2.0 ** round(log_q - math.log2(math.fsum(m * m for m in cfg.masses)))
+    xi = list(clocks.xi)
+    for a, b in moves:
+        i, l = sorted((a % len(xi), b % len(xi)))
+        if i == l:
+            continue
+        path = WalkPath.from_clocks(cfg, ClockAssignment.from_xi(xi), q)
+        root = decompose(path).excursion_of_rank(i).rank_lo
+        end = path.jump_times[root] + (path.cum[i + 1] - path.cum[root])
+        xi[path.perm[l]] = q * end
+    return cfg, ClockAssignment.from_xi(xi), q
+
+
+def assert_one_window_test(cfg, clocks, q):
+    """Forest trees are decompose's excursions, carried masses are the
+    excursion masses bit for bit, and each rank's influence region (and
+    draw-plan row) is the later ranks the forest hangs on an earlier rank."""
+    path = WalkPath.from_clocks(cfg, clocks, q)
+    dec = decompose(path)
+    forest, carried = breadth_first_forest(cfg, clocks, q)
+    assert set(forest.components()) == {frozenset(e.vertices) for e in dec.excursions}
+    assert repr(carried) == repr(tuple(e.mass for e in dec.excursions))
+    rank = {v: r for r, v in enumerate(path.perm)}
+    hung = [None if p is None else rank[p] for p in map(forest.parent.__getitem__, path.perm)]
+    rows = []
+    for h in range(len(path)):
+        want = [l for l in range(h + 1, len(path)) if hung[l] is not None and hung[l] < h]
+        region = influence_region(path, dec, forest, h)
+        assert list(region.ranks()) == want
+        rows += [(h + 1, region.end)] if want else []
+    los, ends, _ = _draw_plan(path, dec, forest)
+    assert list(zip(los, ends)) == rows
+
+
+def test_window_end_example_forest_matches_excursions():
+    """A light rank at the end of its root's window after a heavy one: the
+    forest, the excursions and the regions read the same rounding of it."""
+    cfg = WeightedConfig((1e4, 0.103, 0.074))
+    clocks = ClockAssignment.from_xi((1.0, 40000.0, 40000.103))
+    assert_one_window_test(cfg, clocks, 1.0)
+    assert len(decompose(WalkPath.from_clocks(cfg, clocks, 1.0)).excursions) == 3
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    *domain(max_n=30, max_ties=4),
+    st.floats(-3.0, 3.0),
+    st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=8),
+)
+def test_one_window_test_on_window_ends(exponents, equal, seed, ties, log_q, moves):
+    """The shared domain at a power-of-two q with q sigma2 within a factor
+    sqrt(2) of 2**U(-3, 3), with clocks moved onto window ends, where
+    one-by-one window sums, trough comparisons and bisections on a window
+    end round apart."""
+    assert_one_window_test(*window_end_instance(exponents, equal, seed, ties, log_q, moves))
 
 
 # -- areas --------------------------------------------------------------------
