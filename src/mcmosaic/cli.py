@@ -81,8 +81,8 @@ def _seed(args, settings: dict) -> int:
     v = getattr(args, "seed", None)
     if v is None:
         v = settings.get("seed", 0)
-    if not _is_int(v):
-        raise ValueError(f"seed must be an integer, got {v!r}")
+    if not _is_int(v) or v < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {v!r}")
     return v
 
 
@@ -188,7 +188,7 @@ def _cmd_mosaic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else 7
+    seed = _seed(args, {"seed": 7})
     flags = {
         "reps": args.reps,
         "instances": args.instances,

@@ -9,7 +9,7 @@ mergers in time order.  Each merger draws one mass-biased edge between the
 two blocks, giving a monotone (append-only) forest whose partition matches
 the static forest at every level.  The readers at one level share one view
 of the log there (``_Level``): the events up to the first one past q, and
-the blocks, arrival processes, spanning edges, walk columns and mosaic
+the blocks, arrival-process table, spanning edges, walk columns and mosaic
 geometry read from them, each computed once.
 """
 from __future__ import annotations
@@ -18,8 +18,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress
-from operator import itemgetter
+from itertools import accumulate, chain, compress, repeat
+from operator import itemgetter, mul, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -130,8 +130,10 @@ class _Level:
     reader at q reads that prefix: ``blocks`` come from one replay of it,
     masses summed in log order.  The walk at q is three rank-order columns,
     ``pos`` (xi / q), ``cum`` (prefix masses from 0.0) and ``root`` (each
-    rank's block root); they, the arrival ``processes``, the ``spanning``
-    edges and the mosaic's per-rank geometry are computed on first use.  It
+    rank's block root); they, the ``spanning`` edges, the mosaic's per-rank
+    geometry and ``processes``, the one table of the canonical multigraph's
+    arrival processes (loops, then mergers, each with its intensity at q)
+    that every surplus reader slices, are computed on first use.  It
     keeps the log prefix, the clocks and the masses in rank order, not the
     trajectory, so the memo makes no reference cycle.
     """
@@ -165,13 +167,17 @@ class _Level:
         return v
 
     @cached_property
-    def processes(self) -> tuple[list, list, list, list, list, list]:
-        """The arrival processes that the mergers up to q activate, as
-        parallel lists (l, j, e, activation, rate, target_mass): one per
+    def processes(self) -> tuple[list, list, list, list, list, list, list]:
+        """Every arrival process of the canonical multigraph at q, as parallel
+        lists (l, j, e, activation, rate, target_mass, intensity), each aimed
+        at the ranks j..e-1: first the n loop processes (l, l, l + 1, 0.0,
+        m_l**2 / 2, m_l) in rank order, then per merger up to q one per
         right-block rank l, ascending, aimed at the left block j..e-1 at rate
-        mass(l) * mass(j..e-1).  Shared: readers must not mutate them."""
-        sizes = self.sizes
-        ls, js, ends, acts, rates, tmass = [], [], [], [], [], []
+        mass(l) * mass(j..e-1).  The intensity is rate * (q - activation).
+        Shared: readers must not mutate them."""
+        sizes, n = self.sizes, len(self.sizes)
+        ls, js, ends = list(range(n)), list(range(n)), list(range(1, n + 1))
+        acts, rates, tmass = [0.0] * n, [m * m / 2.0 for m in sizes], list(sizes)
         for ev in self.events:
             left, lo, end = ev.left, ev.right.lo, ev.right.hi + 1
             xi_left, w = left.mass, end - lo
@@ -181,7 +187,8 @@ class _Level:
             acts.extend([ev.time] * w)
             rates.extend([m * xi_left for m in sizes[lo:end]])
             tmass.extend([xi_left] * w)
-        return ls, js, ends, acts, rates, tmass
+        lam = list(map(mul, rates, map(sub, repeat(self.q), acts)))
+        return ls, js, ends, acts, rates, tmass, lam
 
     @cached_property
     def spanning(self) -> tuple[GraphEdge, ...]:

@@ -178,6 +178,13 @@ def validate(excursion: OrnamentedExcursion) -> list[str]:
     Geometric rules (R1 levels, R2 extents) are checked where the data is
     present; the reach rule (R3) is always checked.
     """
+    return _checked(excursion)[0]
+
+
+def _checked(excursion: OrnamentedExcursion) -> tuple[list[str], dict[int, int], dict[int, int]]:
+    """validate's report, then the parent (innermost earlier baseline
+    reaching the rank) and generation of every rank, read off R3's stack
+    pass; the two maps are the cover tree only when the report is empty."""
     problems: list[str] = []
     lo = excursion.rank_lo
     scale = math.fsum(excursion.masses)
@@ -239,25 +246,31 @@ def validate(excursion: OrnamentedExcursion) -> list[str]:
                 f"ranks {sorted(r for r in reach if r <= b.owner_rank)} at or before itself"
             )
     if not intervals:
-        return problems  # laminarity is checked on intervals only
+        return problems, {}, {}  # laminarity is checked on intervals only
     # intervals nest iff each rank's reach ends inside the innermost open
-    # interval that holds it; the open intervals form a stack, empty only at
-    # the first rank (ranks as _hasse walks them; a rank with no baseline reaches none)
+    # interval that holds it, its parent; the open intervals form a stack,
+    # empty only at the first rank (a rank with no baseline reaches none)
     stack: list[int] = []
+    parent: dict[int, int] = {}
+    gen: dict[int, int] = {}
     for k in range(lo, excursion.rank_hi + 1):
         ends.setdefault(k, k)
         while stack and ends[stack[-1]] < k:
             stack.pop()
-        if stack and ends[k] > ends[stack[-1]]:
-            j = stack[-1]
-            problems.append(
-                f"R3 (laminar reach): rank {j} reaches rank {k} but not "
-                f"{list(range(ends[j] + 1, ends[k] + 1))}, which rank {k} reaches"
-            )
-        elif not stack and k > lo:
-            problems.append(f"R3 (reached rank): rank {k} is reached by no earlier baseline")
+        if stack:
+            j = parent[k] = stack[-1]
+            gen[k] = gen[j] + 1
+            if ends[k] > ends[j]:
+                problems.append(
+                    f"R3 (laminar reach): rank {j} reaches rank {k} but not "
+                    f"{list(range(ends[j] + 1, ends[k] + 1))}, which rank {k} reaches"
+                )
+        else:
+            gen[k] = 0
+            if k > lo:
+                problems.append(f"R3 (reached rank): rank {k} is reached by no earlier baseline")
         stack.append(k)
-    return problems
+    return problems, parent, gen
 
 
 def _reach_end(b: Baseline) -> int | None:
@@ -288,29 +301,11 @@ class HasseOrders:
         return tuple(reversed(self.sequence))
 
 
-def _hasse(excursion: OrnamentedExcursion) -> tuple[dict[int, int], dict[int, int]]:
-    """Parent (innermost earlier baseline reaching the rank) and generation
-    of every rank; the covers must pass validate."""
-    lo, hi = excursion.rank_lo, excursion.rank_hi
-    ends = {b.owner_rank: _reach_end(b) for b in excursion.baselines}
-    parent: dict[int, int] = {}
-    gen = {lo: 0}
-    stack = [lo]
-    for r in range(lo + 1, hi + 1):
-        while ends.get(stack[-1], stack[-1]) < r:
-            stack.pop()
-        parent[r] = stack[-1]
-        gen[r] = gen[parent[r]] + 1
-        stack.append(r)
-    return parent, gen
-
-
 def orders(excursion: OrnamentedExcursion) -> HasseOrders:
-    problems = validate(excursion)
+    problems, parent, gen = _checked(excursion)
     if problems:
         raise ValueError("invalid ornamented excursion: " + "; ".join(problems))
     lo, hi = excursion.rank_lo, excursion.rank_hi
-    parent, gen = _hasse(excursion)
     return HasseOrders(
         root_rank=lo,
         parents=tuple(sorted(parent.items())),

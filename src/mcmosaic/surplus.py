@@ -9,12 +9,15 @@ of consecutive ranks — and each candidate joins it with probability
 
 Dynamic: every merger activates one Poisson arrival process per vertex of the
 absorbed block, pointed at the absorbing block (the augmented multiplicative
-coalescent).  The simple variant keeps each pair's first arrival, drawn with
-the pair kernel; the multigraph variant keeps every arrival, adds per-vertex
-loop processes from time 0 at rate mass**2 / 2, and draws one Poisson total
-over the process table (``_process_table``), then each arrival's process,
-time and target.  The count sampler draws one Poisson count per component
-from its summed intensity, q times the area under the reflected walk.
+coalescent), and each vertex has a loop process from time 0 at rate
+mass**2 / 2.  The level view holds them all in one table, loops first, with
+their intensities (``dynamics._Level.processes``), and every reader here
+slices it.  The simple variant keeps each pair's first arrival of the merger
+rows, drawn with the pair kernel; the multigraph variant keeps every arrival
+and draws one Poisson total over the whole table, then each arrival's
+process, time and target.  The count sampler draws one Poisson count per
+component from its summed intensity, q times the area under the reflected
+walk.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, repeat
-from operator import itemgetter, le, mul, not_, sub
+from operator import itemgetter, le, not_, sub
 from typing import Literal, Sequence
 
 import numpy as np
@@ -263,29 +266,6 @@ def _check_horizon(trajectory: Trajectory, q_max: float) -> None:
         raise ValueError(f"q_max={q_max} outside the horizon [0, {trajectory.q_max}]")
 
 
-def _process_table(
-    trajectory: Trajectory, q_max: float, include_loops: bool
-) -> tuple[list[int], list[int], list[int], list[float], list[float], list[float]]:
-    """Every arrival process activated by time q_max, as parallel lists
-    (l, j, e, activation, rate, target_mass), each aimed at the ranks
-    j..e-1: the loop processes (if included) in rank order, then the level
-    view's shared columns, which callers must not mutate."""
-    level = _Level.of(trajectory, q_max)
-    if not include_loops:
-        return level.processes
-    ls, js, ends, acts, rates, tmass = level.processes
-    sizes = level.sizes
-    loops = range(len(sizes))
-    return (
-        [*loops, *ls],
-        [*loops, *js],
-        [*range(1, len(sizes) + 1), *ends],
-        [0.0] * len(sizes) + acts,
-        [m * m / 2.0 for m in sizes] + rates,
-        sizes + tmass,
-    )
-
-
 def activated_processes(
     trajectory: Trajectory, q_max: float, include_loops: bool
 ) -> tuple[ZetaProcess, ...]:
@@ -296,7 +276,9 @@ def activated_processes(
     processes (multigraph only) exist from time 0 at rate mass(l)**2 / 2.
     """
     _check_horizon(trajectory, q_max)
-    ls, js, ends, *rest = _process_table(trajectory, q_max, include_loops)
+    level = _Level.of(trajectory, q_max)
+    skip = 0 if include_loops else len(level.sizes)
+    ls, js, ends, *rest = (col[skip:] for col in level.processes[:6])
     return tuple(map(ZetaProcess, ls, js, map(sub, ends, repeat(1)), *rest))
 
 
@@ -311,8 +293,8 @@ def dynamic_surplus(
     Given the trajectory, each vertex pair {l, v} lies in exactly one
     non-loop process, the one of the merger (at a) that joins their blocks,
     and arrives after a at rate m_l * m_v.  The simple variant keeps each
-    pair's first arrival: the pair kernel over one row per process (the
-    absorbing block at its rate times q_max - a, weight (q_max - a) * m_l)
+    pair's first arrival: the pair kernel over one row per merger process
+    (the absorbing block at the process's intensity, weight (q_max - a) * m_l)
     draws the pairs, the merger's own spanning pair is dropped, and one
     uniform call gives each pair a time, Exp(m_l * m_v) truncated to
     [a, q_max].  The multigraph keeps every arrival, loops included: its
@@ -329,8 +311,7 @@ def dynamic_surplus(
     sizes, spanning, cum = level.sizes, level.spanning, level.cum
     surplus: list[GraphEdge] = []
     if variant == "simple":
-        ls, js, ends, acts, rates, _ = level.processes
-        lam = list(map(mul, rates, map(sub, repeat(q_max), acts)))
+        ls, js, ends, acts, _, _, lam = (col[len(sizes) :] for col in level.processes)
         found, gen = _draw_pairs(
             rng, "dynamic-surplus-simple", js, ends, lam, lambda i: (q_max - acts[i]) * sizes[ls[i]],
             sizes, cum,
@@ -342,10 +323,9 @@ def dynamic_surplus(
             t = a - math.log1p(u * math.expm1(-r * (q_max - a))) / r
             surplus.append(GraphEdge(perm[l], perm[c], min(t, q_max), "simple"))
     else:
-        ls, js, ends, acts, rates, tmass = _process_table(trajectory, q_max, include_loops=True)
-        spans = [q_max - a for a in acts]
+        ls, js, ends, acts, _, tmass, lam = level.processes
         # process i owns [cum_lam[i], cum_lam[i + 1]) of the summed intensity
-        cum_lam = list(accumulate(map(mul, rates, spans), initial=0.0))
+        cum_lam = list(accumulate(lam, initial=0.0))
         gen = rng.named("dynamic-surplus-multigraph").generator()
         total = int(gen.poisson(cum_lam[-1]))
         for u, t, p in zip(*gen.random((3, total)).tolist()):
@@ -354,7 +334,7 @@ def dynamic_surplus(
             tgt = bisect_right(cum, cum[j] + p * tmass[i], j + 1, ends[i]) - 1
             s_v, t_v = perm[ls[i]], perm[tgt]
             kind = "loop" if s_v == t_v else "multi"
-            surplus.append(GraphEdge(s_v, t_v, acts[i] + spans[i] * t, kind))
+            surplus.append(GraphEdge(s_v, t_v, acts[i] + (q_max - acts[i]) * t, kind))
     surplus.sort(key=itemgetter(2))
     return LabeledGraph(n=len(trajectory.config), spanning=spanning, surplus=tuple(surplus))
 
@@ -395,9 +375,9 @@ class SurplusCountSampler:
 
     @cached_property
     def lam(self) -> np.ndarray:
-        """Intensity of each activated process, in activation order."""
-        _, _, _, acts, rates, _ = _process_table(self.trajectory, self.q_max, include_loops=True)
-        return np.asarray(rates) * (self.q_max - np.asarray(acts))
+        """Intensity of each activated process, loops first (the level view's
+        process table)."""
+        return np.asarray(_Level.of(self.trajectory, self.q_max).processes[6])
 
     def expected_by_component(self) -> np.ndarray:
         """Surplus intensity of each component (``components`` order): q_max

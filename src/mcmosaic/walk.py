@@ -154,22 +154,26 @@ class Forest:
 
     ``parent[v]`` is the parent vertex of v, or None for roots.  ``depth``
     gives the generation of each vertex inside its tree (roots at 0).
+    ``roots`` lists the roots in rank order, the order of the carried
+    masses and of the walk's excursions.
     """
 
     parent: tuple[Optional[int], ...]
     depth: tuple[int, ...]
+    roots: tuple[int, ...]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(v, p) for v, p in enumerate(self.parent) if p is not None]
 
     def components(self) -> list[frozenset[int]]:
-        groups: dict[int, set[int]] = {}
+        """Vertex set of each tree, in the order of ``roots``."""
+        groups: dict[int, list[int]] = {r: [] for r in self.roots}
         for v in range(len(self.parent)):
             r = v
             while self.parent[r] is not None:
                 r = self.parent[r]
-            groups.setdefault(r, set()).add(v)
-        return [frozenset(g) for _, g in sorted(groups.items())]
+            groups[r].append(v)
+        return [frozenset(g) for g in groups.values()]
 
 
 def breadth_first_forest(
@@ -178,13 +182,14 @@ def breadth_first_forest(
     """Single left-to-right sweep attaching each rank to its parent.
 
     Returns the forest plus the carried-mass vector (one entry per tree, in
-    excursion order: cum[end] - cum[root], the excursion masses).  The
-    listening windows of a tree's ranks root..i-1 cover the times up to
-    t_root + (cum[i] - cum[root]), so rank l falls in them exactly when
-    cum[i] - t_l >= floor, the root's trough cum[root] - t_root.  A rank in
-    the windows of all earlier ranks of the open tree joins it (decompose's
-    test), as a child of the first rank i whose window holds it.  The sweep
-    is O(len) after sorting because the probe rank never decreases.
+    excursion order, which is the order of the forest's roots: cum[end] -
+    cum[root], the excursion masses).  The listening windows of a tree's
+    ranks root..i-1 cover the times up to t_root + (cum[i] - cum[root]), so
+    rank l falls in them exactly when cum[i] - t_l >= floor, the root's
+    trough cum[root] - t_root.  A rank in the windows of all earlier ranks
+    of the open tree joins it (decompose's test), as a child of the first
+    rank i whose window holds it.  The sweep is O(len) after sorting
+    because the probe rank never decreases.
     """
     path = WalkPath.from_clocks(config, clocks, q)
     n = len(path)
@@ -193,6 +198,7 @@ def breadth_first_forest(
     parent: list[Optional[int]] = [None] * n
     depth = [0] * n
     masses: list[float] = []
+    roots: list[int] = []
 
     r = 0
     while r < n:
@@ -207,8 +213,9 @@ def breadth_first_forest(
             depth[v] = depth[p] + 1
             r += 1
         masses.append(cum[r] - cum[root])
+        roots.append(perm[root])
 
-    forest = Forest(parent=tuple(parent), depth=tuple(depth))
+    forest = Forest(parent=tuple(parent), depth=tuple(depth), roots=tuple(roots))
     return forest, tuple(masses)
 
 
@@ -273,9 +280,17 @@ def component_stats(
     next root (column 0 is always one), and the top two per row are segment
     maxima of the block sizes.  The largest of tied blocks is the earliest;
     with ``want_areas`` its excursion area is returned too, as "largest_area".
+    ValueError unless q and every mass are finite and > 0, there is at least
+    one column and a mass sequence has one entry per column.
     """
     rows, n = exp.shape
     m = np.asarray(mass, dtype=float)
+    if not (q > 0.0) or not math.isfinite(q):
+        raise ValueError(f"q must be finite and > 0, got {q!r}")
+    if n == 0 or m.shape not in ((), (n,)):
+        raise ValueError(f"need n >= 1 columns and one mass or n masses, got {n} and {m.shape}")
+    if not (np.isfinite(m).all() and (m > 0.0).all()):
+        raise ValueError("masses must be finite and > 0")
     t = exp / m
     equal = m.ndim == 0
     if equal:

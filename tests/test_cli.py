@@ -185,6 +185,28 @@ def test_verify_rejects_budgets_below_one(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "{cfg}", "--seed", "-1", "--out", "{out}"],
+        ["limit", "--seed", "-1", "--reps", "2", "--out", "{out}"],
+        ["verify", "--suite", "merge-rate", "--reps", "500", "--seed", "-1"],
+        ["forest", "--config", "{neg}", "--out", "{out}"],
+    ],
+    ids=["flag", "limit", "verify", "config"],
+)
+def test_negative_seed_is_named_in_the_error(argv, config_file, tmp_path, capsys):
+    """A negative seed, as a flag or in the config, is refused by name
+    before anything runs, not by numpy's seeding."""
+    neg = tmp_path / "neg.json"
+    neg.write_text(json.dumps({**_SCALARS, "seed": -1}))
+    out = tmp_path / "out"
+    argv = [a.format(cfg=config_file, neg=neg, out=out) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_missing_config_is_usage_error(tmp_path):
     rc = main(["simulate", "--out", str(tmp_path / "x.csv")])
     assert rc == 2

@@ -346,7 +346,7 @@ def assert_one_window_test(cfg, clocks, q):
     path = WalkPath.from_clocks(cfg, clocks, q)
     dec = decompose(path)
     forest, carried = breadth_first_forest(cfg, clocks, q)
-    assert set(forest.components()) == {frozenset(e.vertices) for e in dec.excursions}
+    assert forest.components() == [frozenset(e.vertices) for e in dec.excursions]
     assert repr(carried) == repr(tuple(e.mass for e in dec.excursions))
     rank = {v: r for r, v in enumerate(path.perm)}
     hung = [None if p is None else rank[p] for p in map(forest.parent.__getitem__, path.perm)]
@@ -358,6 +358,17 @@ def assert_one_window_test(cfg, clocks, q):
         rows += [(h + 1, region.end)] if want else []
     los, ends, _ = _draw_plan(path, dec, forest)
     assert list(zip(los, ends)) == rows
+
+
+def test_forest_lists_trees_in_the_order_of_the_carried_masses():
+    """The heavier vertex 1 jumps first, so its tree is listed first, with
+    its own mass: trees come in rank order, not by root label."""
+    cfg = WeightedConfig((1.0, 2.0))
+    clocks = ClockAssignment.from_xi((3.0, 0.088))
+    forest, carried = breadth_first_forest(cfg, clocks, 1.0)
+    assert forest.roots == (1, 0)
+    assert list(zip(forest.components(), carried)) == [({1}, 2.0), ({0}, 1.0)]
+    assert_one_window_test(cfg, clocks, 1.0)
 
 
 def test_window_end_example_forest_matches_excursions():
@@ -573,6 +584,29 @@ def test_component_stats_of_no_rows_is_empty(mass):
     assert {k: v.shape for k, v in out.items()} == {
         "largest": (0,), "second": (0,), "largest_area": (0,)
     }
+
+
+@pytest.mark.parametrize(
+    "exp, mass, q, match",
+    [
+        (np.ones((2, 3)), 1.0, 0.0, "q must be"),
+        (np.ones((2, 3)), 1.0, -1.0, "q must be"),
+        (np.ones((2, 3)), 1.0, math.inf, "q must be"),
+        (np.ones((2, 3)), 1.0, math.nan, "q must be"),
+        (np.ones((2, 3)), 0.0, 1.0, "masses must be"),
+        (np.ones((2, 3)), [1.0, math.inf, 1.0], 1.0, "masses must be"),
+        (np.ones((2, 3)), [1.0, 1.0], 1.0, "n masses"),
+        (np.ones((2, 0)), 1.0, 1.0, "n >= 1 columns"),
+    ],
+    ids=["q-zero", "q-negative", "q-inf", "q-nan", "mass-zero", "mass-inf", "mass-length",
+         "no-columns"],
+)
+def test_component_stats_rejects_inputs_it_cannot_read(exp, mass, q, match):
+    """A level or a mass that is not finite and > 0, a mass vector of the
+    wrong length or no columns raise a ValueError that names the input,
+    instead of a warning, a numpy error or a silent answer."""
+    with pytest.raises(ValueError, match=match):
+        component_stats(exp, mass, q)
 
 
 @pytest.mark.parametrize("want_areas", [False, True])
