@@ -9,8 +9,8 @@ mergers in time order.  Each merger draws one mass-biased edge between the
 two blocks, giving a monotone (append-only) forest whose partition matches
 the static forest at every level.  The readers at one level share one view
 of the log there (``_Level``): the events up to the first one past q, and
-the blocks, arrival-process table, spanning edges, walk columns and mosaic
-geometry read from them, each computed once.
+the blocks, arrival-process table, spanning edges and mosaic geometry read
+from them, beside the walk at q (one ``WalkPath``), each computed once.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ClockAssignment, RngStream, WeightedConfig, check_level, find
+from .walk import WalkPath
 
 __all__ = [
     "ComponentBlock",
@@ -128,18 +129,21 @@ class _Level:
 
     ``events`` is the log up to the first event with time > q, and every
     reader at q reads that prefix: ``blocks`` come from one replay of it,
-    masses summed in log order.  The walk at q is three rank-order columns,
-    ``pos`` (xi / q), ``cum`` (prefix masses from 0.0) and ``root`` (each
-    rank's block root); they, the ``spanning`` edges, the mosaic's per-rank
-    geometry and ``processes``, the one table of the canonical multigraph's
-    arrival processes (loops, then mergers, each with its intensity at q)
-    that every surplus reader slices, are computed on first use.  It
-    keeps the log prefix, the clocks and the masses in rank order, not the
-    trajectory, so the memo makes no reference cycle.
+    masses summed in log order.  ``walk`` is the walk at q, one
+    ``WalkPath`` whose jump times, prefix masses and troughs every reader
+    at q shares, and ``root`` each rank's block root; they, the
+    ``spanning`` edges, the mosaic's per-rank geometry and ``processes``,
+    the one table of the canonical multigraph's arrival processes (loops,
+    then mergers, each with its intensity at q) that every surplus reader
+    slices, are computed on first use.  ``blocks`` and ``sizes`` (the
+    masses in rank order) need no walk, so they answer at any q, ±inf and
+    0 included.  It keeps the log prefix, the config and the clocks, not
+    the trajectory, so the memo makes no reference cycle.
     """
 
     def __init__(self, trajectory: Trajectory, q: float):
         self.q = q
+        self.config = trajectory.config
         self.clocks = trajectory.clocks
         events = trajectory.events
         self.events = events[: next((k for k, ev in enumerate(events) if ev.time > q), len(events))]
@@ -196,16 +200,9 @@ class _Level:
         return tuple([GraphEdge(ev.edge[0], ev.edge[1], ev.time, "span") for ev in self.events])
 
     @cached_property
-    def pos(self) -> list[float]:
-        """Jump position of each rank, its clock over q (WalkPath.jump_times)."""
-        xi, q = self.clocks.xi, self.q
-        return [xi[v] / q for v in self.clocks.perm]
-
-    @cached_property
-    def cum(self) -> list[float]:
-        """Mass before each rank, then the total: cum[j] is sizes[0..j-1]
-        summed left to right, the same doubles as WalkPath.cum."""
-        return list(accumulate(self.sizes, initial=0.0))
+    def walk(self) -> WalkPath:
+        """The walk at q; ValueError unless q is finite and > 0."""
+        return WalkPath.from_clocks(self.config, self.clocks, self.q)
 
     @cached_property
     def root(self) -> list[int]:
@@ -215,22 +212,17 @@ class _Level:
     # -- the mosaic's per-rank geometry at q; every list is indexed by rank --
 
     @cached_property
-    def level(self) -> list[float]:
-        """Raw walk value just before each jump (Baseline.level)."""
-        return [m - p for m, p in zip(self.cum, self.pos)]
-
-    @cached_property
     def base_level(self) -> list[float]:
-        """Baseline level of each rank above its excursion's floor: the level
-        minus the root's level, summed as mass and position differences.
+        """Baseline level of each rank above its excursion's floor: its
+        trough minus the root's, summed as mass and position differences.
         Slice.base_level and the drawn walk both read it."""
-        cum, pos = self.cum, self.pos
+        cum, pos = self.walk.cum, self.walk.jump_times
         return [cum[j] - cum[a] - (pos[j] - pos[a]) for j, a in enumerate(self.root)]
 
     @cached_property
     def reach(self) -> list[int]:
         """Last rank each baseline reaches."""
-        pos, cum = self.pos, self.cum
+        pos, cum = self.walk.jump_times, self.walk.cum
         reach = list(range(len(pos)))
         for b in self.blocks:
             # reach sets are laminar (R3), so the open baselines form a stack:
@@ -247,19 +239,19 @@ class _Level:
     @cached_property
     def extent_end(self) -> list[float]:
         """Right end of each baseline: its jump plus the mass it reaches."""
-        pos, cum = self.pos, self.cum
+        pos, cum = self.walk.jump_times, self.walk.cum
         return [pos[j] + (cum[m + 1] - cum[j]) for j, m in enumerate(self.reach)]
 
     @cached_property
     def block_end(self) -> list[float]:
         """Where each block's excursion returns to its floor, per block."""
-        pos, sizes = self.pos, self.sizes
+        pos, sizes = self.walk.jump_times, self.sizes
         return [pos[b.lo] + math.fsum(sizes[b.lo : b.hi + 1]) for b in self.blocks]
 
     @cached_property
     def intercepts(self) -> tuple[list[float], list[float]]:
         """z+s values of each rank's diagonal band boundaries, floor-relative."""
-        pos, cum, root = self.pos, self.cum, self.root
+        pos, cum, root = self.walk.jump_times, self.walk.cum, self.root
         return (
             [pos[a] + cum[l] - cum[a] for l, a in enumerate(root)],
             [pos[a] + cum[l + 1] - cum[a] for l, a in enumerate(root)],

@@ -247,8 +247,10 @@ def hypothesis_report(masses, kappa: float = 1.0, c: tuple[float, ...] = (), rto
 
     Reports sigma moments, the third-to-second-cubed ratio against
     kappa + sum(c_j^3), and the leading scaled masses against c.
+    ValueError, as from ``WeightedConfig``, unless there is at least one
+    mass and every mass is finite and > 0.
     """
-    m = np.sort(np.asarray(masses, dtype=float))[::-1]
+    m = np.sort(WeightedConfig(tuple(masses)).as_array())[::-1]
     s1 = float(m.sum())
     s2 = float((m**2).sum())
     s3 = float((m**3).sum())

@@ -21,11 +21,12 @@ gives a total order, and replay builds a merger trajectory realizing it.
 Gap-free reach sets are intervals and laminar intervals nest, so R3 and the
 cover tree are one stack pass over the (owner, end) pairs.
 
-The per-rank geometry at a horizon (reach ends, levels and parallelogram
+The per-rank geometry at a horizon (reach ends, extents and parallelogram
 rows) lives on the trajectory's level view there (dynamics._Level), beside
-the walk columns and the log prefix it is read from.  The trajectory keeps
-one view, so build_mosaic, slice_decomposition and the SVG renderer at one
-horizon share one pass, reached through _level, which checks the horizon.
+the log prefix and the one WalkPath (its troughs are the levels) it reads.
+The trajectory keeps one view, so build_mosaic, slice_decomposition and the
+SVG renderer at one horizon share one walk and one pass, through _level,
+which checks the horizon.
 build_mosaic wraps its rows in Baseline dataclasses, slice_decomposition in
 Slice and Parallelogram named tuples; the SVG renderer reads them directly.
 """
@@ -143,8 +144,8 @@ def _level(trajectory: Trajectory, q: float) -> _Level:
 def build_mosaic(trajectory: Trajectory, q: float) -> list[OrnamentedExcursion]:
     """One ornamented excursion per component of the walk at horizon q."""
     g = _level(trajectory, q)
-    pos, sizes, perm = g.pos, g.sizes, g.clocks.perm
-    level, reach, extent_end = g.level, g.reach, g.extent_end
+    pos, level, sizes, perm = g.walk.jump_times, g.walk.troughs, g.sizes, g.clocks.perm
+    reach, extent_end = g.reach, g.extent_end
     out = []
     for block in g.blocks:
         lo, hi = block.lo, block.hi
@@ -165,7 +166,7 @@ def build_mosaic(trajectory: Trajectory, q: float) -> list[OrnamentedExcursion]:
                 rank_hi=hi,
                 vertices=tuple(perm[lo : hi + 1]),
                 masses=tuple(sizes[lo : hi + 1]),
-                positions=tuple(pos[lo : hi + 1]),
+                positions=pos[lo : hi + 1],
                 baselines=baselines,
             )
         )
@@ -469,7 +470,7 @@ class Slice(NamedTuple):
 def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
     """All per-rank slices of every excursion of the walk at horizon q."""
     g = _level(trajectory, q)
-    pos, sizes = g.pos, g.sizes
+    pos, sizes = g.walk.jump_times, g.sizes
     base_level, (intercept_lo, intercept_hi) = g.base_level, g.intercepts
     # positional: a named tuple built by keyword costs about twice as much
     return [

@@ -4,7 +4,7 @@ Output depends only on the trajectory, horizon, and options: shapes are
 emitted in rank order, coordinates are rounded to 2 decimals in the file
 (layout only, the underlying geometry is exact), and the viewport scaling
 is fixed by the data bounding box.  No timestamps, ids, or random styling.
-The drawing reads the walk columns and per-rank geometry of the trajectory's
+The drawing reads the walk and the per-rank geometry of the trajectory's
 level view at q (dynamics._Level) directly, as the mosaic does.  Shapes
 share their corners, so each distinct pixel coordinate is formatted once, in
 one batched % call for the walk and its lines and one for the slices, and
@@ -55,7 +55,7 @@ def render_svg(
     are filled from a fixed palette.
     """
     g = _level(trajectory, q)
-    pos, sizes, before = g.pos, g.sizes, g.base_level  # walk just before each jump
+    pos, sizes, before = g.walk.jump_times, g.sizes, g.base_level  # walk just before each jump
     tops = [b + s for b, s in zip(before, sizes)]
     span_end = max([0.0] + g.block_end)
     ymax = max([0.0] + tops)

@@ -82,7 +82,7 @@ def influence_region(
     if h == root:
         return InfluenceRegion(target_rank=h, end=end)
     times, cum, perm, depth = path.jump_times, path.cum, path.perm, forest.depth
-    floor, depth_h = cum[root] - times[root], depth[perm[h]]
+    floor, depth_h = path.troughs[root], depth[perm[h]]
     while end <= exc.rank_hi and cum[h] - times[end] >= floor:
         if depth[perm[end]] - depth_h not in (0, 1):
             raise AssertionError(f"unexpected generation gap at rank {end}")
@@ -141,7 +141,7 @@ def _draw_plan(
     los, ends, rates = [], [], []
     for exc in decomposition.excursions:
         root, hi = exc.rank_lo, exc.rank_hi
-        floor, e = cum[root] - times[root], root + 1
+        floor, e = path.troughs[root], root + 1
         for h in range(root + 1, hi + 1):
             if depth[h] < depth[h - 1]:
                 raise AssertionError(f"unexpected generation gap at rank {h}")
@@ -301,14 +301,18 @@ def dynamic_surplus(
     stream draws the Poisson total, then one uniform call holding every
     arrival's process (bisection on the cumulative intensities), then its
     time (uniform on [activation, q_max]), then its target (bisection on
-    the prefix masses, as in the engine's edge draw).
+    the prefix masses, as in the engine's edge draw).  At q_max = 0 no
+    arrival has come yet: the spanning edges logged at 0, no surplus.
     """
     if variant not in ("simple", "multigraph"):
         raise ValueError(f"unknown variant {variant!r}")
     _check_horizon(trajectory, q_max)
     perm = trajectory.clocks.perm
     level = _Level.of(trajectory, q_max)
-    sizes, spanning, cum = level.sizes, level.spanning, level.cum
+    sizes, spanning = level.sizes, level.spanning
+    if q_max == 0.0:  # and there is no walk at 0
+        return LabeledGraph(n=len(trajectory.config), spanning=spanning, surplus=())
+    cum = level.walk.cum
     surplus: list[GraphEdge] = []
     if variant == "simple":
         ls, js, ends, acts, _, _, lam = (col[len(sizes) :] for col in level.processes)

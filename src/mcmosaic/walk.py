@@ -69,37 +69,31 @@ class WalkPath:
         return tuple(accumulate(self.jump_sizes, initial=0.0))
 
     @cached_property
+    def troughs(self) -> tuple[float, ...]:
+        """The walk just before each rank's jump, Z(t_r-) = cum[r] - t_r
+        (n entries): the mosaic's baseline levels, and each root's is its
+        excursion's floor."""
+        return tuple(map(sub, self.cum, self.jump_times))
+
+    @cached_property
     def trough_mins(self) -> tuple[float, ...]:
-        """Running min of Z(0) = 0 and the pre-jump troughs Z(t_r-) =
-        cum[r] - t_r: entry r + 1 holds the min through rank r (n + 1 entries)."""
+        """Running min of Z(0) = 0 and the troughs: entry r + 1 holds the
+        min through rank r (n + 1 entries)."""
         best, out = 0.0, [0.0]
-        for trough in map(sub, self.cum, self.jump_times):
+        for trough in self.troughs:
             if trough < best:
                 best = trough
             out.append(best)
         return tuple(out)
 
-    def eval_Z(self, s: float, left_limit: bool = False) -> float:
-        """Walk value at s (right-continuous), or its left limit at s."""
-        if s < 0.0:
-            raise ValueError("walk is defined on s >= 0")
-        if left_limit:
-            idx = bisect.bisect_left(self.jump_times, s)
-        else:
-            idx = bisect.bisect_right(self.jump_times, s)
-        return self.cum[idx] - s
-
-    def running_min(self, s: float, left_limit: bool = False) -> float:
-        """inf of Z over [0, s] (over [0, s) for the left limit)."""
-        if left_limit:
-            idx = bisect.bisect_left(self.jump_times, s)
-        else:
-            idx = bisect.bisect_right(self.jump_times, s)
-        return min(self.trough_mins[idx], self.eval_Z(s, left_limit=left_limit))
-
-    def eval_B(self, s: float, left_limit: bool = False) -> float:
-        """Reflection above the running minimum; >= 0 everywhere."""
-        return self.eval_Z(s, left_limit) - self.running_min(s, left_limit)
+    def eval_B(self, s: float) -> float:
+        """Reflection of the walk (right-continuous) above its running
+        minimum at s; >= 0 everywhere.  ValueError unless 0 <= s < inf."""
+        if not 0.0 <= s < math.inf:
+            raise ValueError(f"the walk is defined on 0 <= s < inf, got {s!r}")
+        idx = bisect.bisect_right(self.jump_times, s)
+        z = self.cum[idx] - s
+        return z - min(self.trough_mins[idx], z)
 
 
 @dataclass(frozen=True)
@@ -225,8 +219,8 @@ def area_under_reflection(path: WalkPath, start: float, end: float) -> float:
     Piecewise-linear between jumps, so each segment contributes
     value * dt - dt**2 / 2; accumulated with compensated summation.
     """
-    if end < start:
-        raise ValueError("empty interval")
+    if not start <= end:  # NaN fails too
+        raise ValueError(f"need start <= end, got [{start!r}, {end!r}]")
     times = path.jump_times
     lo = bisect.bisect_right(times, start)
     pieces = []

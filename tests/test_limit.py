@@ -617,3 +617,11 @@ def test_scaling_experiment_rejects_a_mismatched_reference():
         scaling_experiment((8,), 0.0, 10, rng, h=5e-3, reference=ref_t2)
     out = scaling_experiment((8,), 0.0, 10, rng, h=5e-3, reference=ref)
     assert (out["h"], out["epsilon"]) == (5e-3, LimitParams(kappa=1.0).epsilon(5e-3))
+
+
+@pytest.mark.parametrize("masses", [[1.0, math.nan], [], [0.0, 1.0], [-1.0, 2.0]])
+def test_hypothesis_report_rejects_what_no_configuration_holds(masses):
+    """A NaN, zero or negative mass, or no mass at all, raises as
+    ``WeightedConfig`` does instead of reading as a profile."""
+    with pytest.raises(ValueError, match="mass"):
+        hypothesis_report(masses)

@@ -24,7 +24,7 @@ from mcmosaic.mosaic import (
     validate,
 )
 from mcmosaic.render import render_svg
-from mcmosaic.surplus import activated_processes
+from mcmosaic.surplus import activated_processes, dynamic_surplus
 from mcmosaic.walk import WalkPath, area_under_reflection, decompose
 
 UNIT4 = (1.0, 1.0, 1.0, 1.0)
@@ -64,8 +64,8 @@ def test_build_rejects_bad_q():
 
 
 def test_build_levels_and_statuses():
-    """Root baseline is active at the excursion floor; each later level is
-    the walk value just below that rank's jump."""
+    """Root baseline is active at the excursion floor; each level is the
+    walk value just below that rank's jump, its trough."""
     for seed in range(20):
         traj, q = random_trajectory(seed)
         path = WalkPath.from_clocks(traj.config, traj.clocks, q)
@@ -75,12 +75,13 @@ def test_build_levels_and_statuses():
             assert all(b.status == "gray" for b in fx.baselines[1:])
             assert fx.floor == root.level
             for b in fx.baselines:
-                pos = fx.positions[b.owner_rank - fx.rank_lo]
-                want = path.eval_Z(pos, left_limit=True)
-                assert b.level == pytest.approx(want, abs=1e-12)
-                # reflected height of the baseline above the floor
+                assert b.level == path.troughs[b.owner_rank]
+            for b in fx.baselines[1:]:
+                # reflected height of the baseline above the floor, the
+                # running minimum of the troughs before it
+                r = b.owner_rank
                 assert b.level - fx.floor == pytest.approx(
-                    path.eval_B(pos, left_limit=True), abs=1e-9
+                    path.troughs[r] - path.trough_mins[r], abs=1e-9
                 )
 
 
@@ -399,6 +400,29 @@ def test_geometry_memo_gives_the_outputs_of_a_fresh_trajectory():
         for at in (q, q / 3.0, q):
             assert mosaic_outputs(traj, at) == mosaic_outputs(dataclasses.replace(traj), at)
             assert _Level.of(traj, at) is _Level.of(traj, at)
+
+
+def test_level_view_builds_one_walk(monkeypatch):
+    """Both dynamic surplus variants, the mosaic, the slices and the shaded
+    SVG at one q build one walk between them, the level view's, and it is
+    the walk a fresh WalkPath.from_clocks gives, bit for bit."""
+    traj, q = random_trajectory(3)
+    assert traj.events
+    fresh = WalkPath.from_clocks(traj.config, traj.clocks, q)
+    build, calls = WalkPath.from_clocks.__func__, []
+
+    def counted(cls, *args):
+        calls.append(args)
+        return build(cls, *args)
+
+    monkeypatch.setattr(WalkPath, "from_clocks", classmethod(counted))
+    for variant in ("simple", "multigraph"):
+        dynamic_surplus(traj, RngStream(0), q, variant)
+    mosaic_outputs(traj, q)
+    assert len(calls) == 1
+    walk = _Level.of(traj, q).walk
+    for column in ("jump_times", "cum", "troughs"):
+        assert repr(getattr(walk, column)) == repr(getattr(fresh, column))
 
 
 def test_geometry_memo_still_rejects_bad_q():

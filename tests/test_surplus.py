@@ -842,6 +842,15 @@ def test_surplus_layer_rejects_levels_past_the_horizon():
             with pytest.raises(ValueError, match="horizon"):
                 read()
     assert SurplusCountSampler(short, 0.05).n_components == 4
+    # tied clocks merge at q = 0, a level the readers take although no walk
+    # exists there: the time-0 spanning edge and no surplus
+    tied_clocks = ClockAssignment.from_xi((0.5, 0.5))
+    tied = run_trajectory(WeightedConfig((1.0, 1.0)), tied_clocks, RngStream(0), q_max=1.0)
+    assert [ev.time for ev in tied.events] == [0.0]
+    for variant in ("simple", "multigraph"):
+        graph = dynamic_surplus(tied, RngStream(0), 0.0, variant=variant)
+        assert graph.spanning == (GraphEdge(1, 0, 0.0, "span"),)
+        assert graph.surplus == ()
     # on the full log the answer is one component with mean q times the area
     full = run_trajectory(cfg, clocks, RngStream(0), q_max=50.0)
     sampler = SurplusCountSampler(full, 50.0)

@@ -69,12 +69,12 @@ def test_from_clocks_validates():
 def test_eval_hand_values():
     # unit masses, jumps at 0.5 and 0.9
     path = make_path([1.0, 1.0], [0.5, 0.9], q=1.0)
-    assert path.eval_Z(0.0) == 0.0
-    assert path.eval_Z(0.25) == pytest.approx(-0.25)
-    assert path.eval_Z(0.5, left_limit=True) == pytest.approx(-0.5)
-    assert path.eval_Z(0.5) == pytest.approx(0.5)
-    assert path.eval_Z(0.9) == pytest.approx(1.1)
-    assert path.running_min(0.7) == pytest.approx(-0.5)
+    # the walk just before each jump: 0 - 0.5, then 1 - 0.9
+    assert path.troughs == pytest.approx((-0.5, 0.1))
+    assert path.trough_mins == pytest.approx((0.0, -0.5, -0.5))
+    assert path.eval_B(0.0) == 0.0
+    assert path.eval_B(0.25) == 0.0  # the walk is at its running minimum
+    assert path.eval_B(0.5) == pytest.approx(1.0)
     assert path.eval_B(0.7) == pytest.approx(0.8)
     assert path.eval_B(0.9) == pytest.approx(1.6)
     # reflection hits zero at 2.5 and stays there
@@ -93,7 +93,28 @@ def test_eval_B_nonnegative_everywhere():
 def test_eval_rejects_negative_time():
     path = make_path([1.0], [0.5], q=1.0)
     with pytest.raises(ValueError):
-        path.eval_Z(-0.1)
+        path.eval_B(-0.1)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda path: path.eval_B(math.nan),
+        lambda path: path.eval_B(math.inf),
+        lambda path: path.eval_B(-math.inf),
+        lambda path: area_under_reflection(path, 0.0, math.nan),
+        lambda path: area_under_reflection(path, math.nan, 1.0),
+        lambda path: area_under_reflection(path, math.nan, math.nan),
+        lambda path: area_under_reflection(path, math.inf, math.inf),
+    ],
+    ids=["B-nan", "B-inf", "B-minus-inf", "area-to-nan", "area-from-nan", "area-nan", "area-inf"],
+)
+def test_evaluators_reject_nan_and_infinite_times(evaluate):
+    """The walk lives on 0 <= s < inf: a NaN or infinite time raises instead
+    of coming back as a number (an infinite end of an area never reads B)."""
+    path = make_path([1.0, 2.0, 0.5], [0.3, 0.1, 0.7], q=1.0)
+    with pytest.raises(ValueError):
+        evaluate(path)
 
 
 # -- excursion decomposition --------------------------------------------------
@@ -162,7 +183,9 @@ def test_reflection_positive_inside_excursion():
         for e in decompose(path).excursions:
             for s in np.linspace(e.start, e.end, 37)[1:-1]:
                 assert path.eval_B(float(s)) > 0.0
-            assert path.eval_B(e.start, left_limit=True) == pytest.approx(0.0, abs=1e-12)
+            # B is 0 just before the root's jump: its trough is a new minimum
+            lo = e.rank_lo
+            assert path.troughs[lo] == path.trough_mins[lo + 1] < path.trough_mins[lo]
             assert path.eval_B(e.end) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -259,22 +282,26 @@ def reference_cummass(path):
 
 
 def reference_troughs(path):
-    """Running min over r of cummass[r-1] - t_r, floored at 0."""
+    """cummass[r-1] - t_r per rank r, the walk just before its jump."""
     cm = reference_cummass(path)
+    return [(cm[r - 1] if r else 0.0) - t for r, t in enumerate(path.jump_times)]
+
+
+def reference_trough_mins(path):
+    """Running min over r of the troughs, floored at 0."""
     best, out = 0.0, []
-    for r, t in enumerate(path.jump_times):
-        trough = (cm[r - 1] if r else 0.0) - t
+    for trough in reference_troughs(path):
         if trough < best:
             best = trough
         out.append(best)
     return out
 
 
-def reference_eval_Z_and_min(path, s, left_limit):
-    find = bisect.bisect_left if left_limit else bisect.bisect_right
-    idx = find(path.jump_times, s)
+def reference_eval_B(path, s):
+    """The walk z at s less its running minimum over [0, s]."""
+    idx = bisect.bisect_right(path.jump_times, s)
     z = (reference_cummass(path)[idx - 1] if idx else 0.0) - s
-    return z, min(reference_troughs(path)[idx - 1] if idx else 0.0, z)
+    return z - min(reference_trough_mins(path)[idx - 1] if idx else 0.0, z)
 
 
 def reference_decompose(path):
@@ -298,21 +325,20 @@ def reference_decompose(path):
 @settings(deadline=None, max_examples=150)
 @given(*domain(max_n=40, max_ties=6), st.floats(-12.0, 12.0))
 def test_cum_and_troughs_give_the_old_loops_bytes(exponents, equal, seed, ties, log_q):
-    """The shared domain at q up to 1e12 over sigma2: cum is (0.0, *cummass)
-    and trough_mins (0.0, *troughs), bit for bit; eval_Z and running_min at
-    0, at every jump (and its left limit), between jumps and past the end,
-    and decompose's excursions are the old loops' bytes."""
+    """The shared domain at q up to 1e12 over sigma2: cum is (0.0, *cummass),
+    troughs the rank-wise troughs and trough_mins (0.0, *their running
+    mins), bit for bit; eval_B at 0, at every jump, between jumps and past
+    the end, and decompose's excursions are the old loops' bytes."""
     cfg, clocks = domain_instance(exponents, equal, seed, ties)
     q = 10.0**log_q / math.fsum(m * m for m in cfg.masses)
     path = WalkPath.from_clocks(cfg, clocks, q)
     assert repr(path.cum) == repr((0.0, *reference_cummass(path)))
-    assert repr(path.trough_mins) == repr((0.0, *reference_troughs(path)))
+    assert repr(path.troughs) == repr(tuple(reference_troughs(path)))
+    assert repr(path.trough_mins) == repr((0.0, *reference_trough_mins(path)))
     times = path.jump_times
     mids = [(a + b) / 2.0 for a, b in zip(times, times[1:])]
     for s in (0.0, *times, *mids, times[-1] + path.cum[-1]):
-        for left in (False, True):
-            got = (path.eval_Z(s, left), path.running_min(s, left))
-            assert repr(got) == repr(reference_eval_Z_and_min(path, s, left))
+        assert repr(path.eval_B(s)) == repr(reference_eval_B(path, s))
     got = [
         (e.start, e.end, e.rank_lo, e.rank_hi, e.vertices, e.mass)
         for e in decompose(path).excursions
@@ -404,6 +430,7 @@ def test_area_hand_value():
     assert area_under_reflection(path, 0.0, 2.5) == pytest.approx(1.6)
     # B is flat zero beyond the last excursion
     assert area_under_reflection(path, 0.0, 10.0) == pytest.approx(1.6)
+    assert area_under_reflection(path, 0.0, math.inf) == pytest.approx(1.6)
     with pytest.raises(ValueError):
         area_under_reflection(path, 1.0, 0.5)
 
