@@ -112,11 +112,11 @@ class GridPath:
 def _grid(params: LimitParams, h: float, horizon: float | None) -> np.ndarray:
     """Step-h grid times 0, h, 2h, ... reaching the horizon S (by default
     params.default_horizon()): ceil(S / h - 1e-9) steps."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < math.inf:  # NaN fails too
+        raise ValueError(f"h must be positive and finite, got {h!r}")
     S = params.default_horizon() if horizon is None else horizon
-    if S <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < S < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {S!r}")
     return h * np.arange(int(math.ceil(S / h - 1e-9)) + 1)
 
 
@@ -177,22 +177,20 @@ class ExcursionMarks:
 def _excursion_intervals(b: np.ndarray, eps: float):
     """Excursions of every row of ``b`` as index arrays (row, lo, hi).
 
-    A detection opens at an above-epsilon point whose gap from the previous
+    Each row of ``b`` is one path followed by two zero pad columns.  A
+    detection opens at an above-epsilon point whose gap from the previous
     above-epsilon point of its row is at least 3 (the first one of a row
     always opens), and closes at the two-below pair that follows its last
     above-epsilon point.  Its ends then widen to the nearest exact zeros of
     b: the last zero before the opening point and the first zero at or after
-    the closing pair, clipped to the row.  Detections sharing one widened
-    interval collapse into one.  Two zero columns padded onto each row make
-    the last excursion of a row close and separate it from the next row, so
-    one flattened pass serves every row.  Intervals come in row order, and
-    in time order within a row.
+    the closing pair, clipped to the path.  Detections sharing one widened
+    interval collapse into one.  The pad columns make the last excursion of a
+    row close and separate it from the next row, so one flattened pass serves
+    every row.  Intervals come in row order, and in time order within a row.
     """
-    rows, n = b.shape
-    width = n + 2
-    flat = np.zeros((rows, width))
-    flat[:, :n] = b
-    flat = flat.ravel()
+    rows, width = b.shape
+    n = width - 2
+    flat = b.ravel()
     above = np.flatnonzero(flat > eps)
     first = above[np.diff(above, prepend=-3) >= 3]
     last = above[np.diff(above, append=flat.size + 2) >= 3]
@@ -209,13 +207,18 @@ def _excursion_intervals(b: np.ndarray, eps: float):
     return row[new], lo[new], hi[new]
 
 
-def _read_excursions(b: np.ndarray, times: np.ndarray, eps: float):
-    """(row, length, area) of every excursion of every row of ``b``, in the
-    order of _excursion_intervals.  Areas are differences of one cumulative
-    trapezoid per row."""
+def _read_excursions(b: np.ndarray, times: np.ndarray, eps: float, cum=None):
+    """(row, length, area) of every excursion of every padded row of ``b``, in
+    the order of _excursion_intervals.  Areas are differences of one
+    cumulative trapezoid per row, built in ``cum`` when given (one row of
+    len(times) columns per row of b, overwritten) and in a new array if not."""
     row, lo, hi = _excursion_intervals(b, eps)
-    cum = np.zeros(b.shape)
-    np.cumsum(np.diff(times) * (b[:, 1:] + b[:, :-1]) / 2.0, axis=1, out=cum[:, 1:])
+    cum = np.empty((b.shape[0], times.size)) if cum is None else cum
+    steps = np.add(b[:, 1:-2], b[:, :-3], out=cum[:, 1:])
+    steps *= np.diff(times)  # (b[i - 1] + b[i]) dt / 2 in place, the same doubles
+    steps /= 2.0
+    np.cumsum(steps, axis=1, out=steps)
+    cum[:, 0] = 0.0
     return row, times[hi] - times[lo], cum[row, hi] - cum[row, lo]
 
 
@@ -236,7 +239,7 @@ def excursions_and_marks(path: GridPath, rng) -> ExcursionMarks:
     calling repeatedly so the mark stream advances across calls.
     """
     gen = rng.named("limit-marks").generator() if isinstance(rng, RngStream) else rng
-    _, len_arr, area_arr = _read_excursions(path.b[None, :], path.times, path.epsilon)
+    _, len_arr, area_arr = _read_excursions(np.pad(path.b, (0, 2))[None, :], path.times, path.epsilon)
     counts = gen.poisson(area_arr)
     order = np.argsort(-len_arr, kind="stable")
     return ExcursionMarks(len_arr[order], counts[order], area_arr[order])
@@ -248,9 +251,14 @@ def hypothesis_report(masses, kappa: float = 1.0, c: tuple[float, ...] = (), rto
     Reports sigma moments, the third-to-second-cubed ratio against
     kappa + sum(c_j^3), and the leading scaled masses against c.
     ValueError, as from ``WeightedConfig``, unless there is at least one
-    mass and every mass is finite and > 0.
+    mass and every mass is finite and > 0; as from ``LimitParams``, unless
+    kappa and c are finite, nonnegative and c nonincreasing; and unless
+    rtol is finite and >= 0.
     """
     m = np.sort(WeightedConfig(tuple(masses)).as_array())[::-1]
+    c = LimitParams(kappa=kappa, c=tuple(c)).c
+    if not 0.0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
     s1 = float(m.sum())
     s2 = float((m**2).sum())
     s3 = float((m**3).sum())
@@ -307,8 +315,8 @@ def sample_limit_reference(
     second = np.zeros(reps)
     area = np.zeros(reps)
 
-    def read(r0: int, b: np.ndarray, times: np.ndarray, eps: float) -> None:
-        row, length, ar = _read_excursions(b, times, eps)
+    def read(r0: int, b: np.ndarray, times: np.ndarray, eps: float, cum=None) -> None:
+        row, length, ar = _read_excursions(b, times, eps, cum)
         # rows in order, longest first within a row, earliest first on ties
         order = np.lexsort((-length, row))
         row, length, ar = row[order], length[order], ar[order]
@@ -321,20 +329,28 @@ def sample_limit_reference(
     if params.c:
         for r in range(reps):
             path = sample_limit_path(params, rng.indexed(r), h, horizon)
-            read(r, path.b[None, :], path.times, path.epsilon)
+            read(r, np.pad(path.b, (0, 2))[None, :], path.times, path.epsilon)
     else:
         times = _grid(params, h, horizon)
         drift = _drift(params, times)
         gen = rng.named("limit-brownian").generator()
         scale = math.sqrt(params.kappa * h)
+        points = times.size
+        chunks = chunk_rows(reps, points)
+        # the walk, padded for the excursion reader, and one work buffer for
+        # the normals, the running minimum and the trapezoid, for every chunk
+        walk = np.zeros((chunks[0], points + 2))
+        work = np.empty((chunks[0], points))
         done = 0
-        for rows in chunk_rows(reps, times.size):
-            z = gen.standard_normal((rows, times.size - 1))
-            w = np.zeros((rows, times.size))
+        for rows in chunks:
+            padded, buf = walk[:rows], work[:rows]
+            w = padded[:, :points]
+            z = gen.standard_normal(out=buf.reshape(-1)[: rows * (points - 1)].reshape(rows, -1))
             np.cumsum(np.multiply(z, scale, out=z), axis=1, out=w[:, 1:])
             w += drift
-            b = np.fmin.accumulate(w, axis=1)  # w holds no NaN
-            read(done, np.subtract(w, b, out=b), times, params.epsilon(h))
+            np.fmin.accumulate(w, axis=1, out=buf)  # w holds no NaN
+            np.subtract(w, buf, out=w)  # reflected in place
+            read(done, padded, times, params.epsilon(h), buf)
             done += rows
     marks = rng.named("limit-marks").generator().poisson(area)
     return {"largest": largest, "second": second, "marks": marks, "h": h, "params": params}

@@ -244,9 +244,9 @@ def area_under_reflection(path: WalkPath, start: float, end: float) -> float:
 
 
 # One replications-by-n float64 block (32 MiB).  A chunk's working set, by
-# tracemalloc, is about 3.1 blocks in component_stats (2.1 without areas) and
-# 6.0 in the limit reference, so peak memory does not grow with the replication
-# count; chunking by rows leaves the draws unchanged.
+# tracemalloc, is at most 2.9 blocks in component_stats (1.9 without areas)
+# and 3.0 in the limit reference, so peak memory does not grow with the
+# replication count; chunking by rows leaves the draws unchanged.
 _CHUNK_BYTES = 1 << 25
 
 
@@ -269,11 +269,12 @@ def component_stats(
     (stable) rank order.
 
     New excursions start exactly at strict running minima of the pre-jump
-    troughs cum[r] - t_r, which one accumulate exposes in O(n).  The rest
-    are whole-array passes over all rows: in flat order a block ends at the
-    next root (column 0 is always one), and the top two per row are segment
-    maxima of the block sizes.  The largest of tied blocks is the earliest;
-    with ``want_areas`` its excursion area is returned too, as "largest_area".
+    troughs cum[r] - t_r, which one accumulate exposes in O(n).  The block
+    sizes are whole-array passes over all rows: in flat order a block ends at
+    the next root (column 0 is always one).  A row's largest block is the
+    earliest of its largest sizes, and the second is the segment maximum with
+    that one block masked; with ``want_areas`` the largest block's excursion
+    area is returned too, as "largest_area".
     ValueError unless q and every mass are finite and > 0, there is at least
     one column and a mass sequence has one entry per column.
     """
@@ -305,29 +306,33 @@ def component_stats(
     del run
 
     start = np.flatnonzero(is_root)
+    del is_root
     first = np.searchsorted(start, np.arange(rows) * n)  # each row's first block
+    ends = np.append(first, start.size)[1:]  # and the end of its blocks
     if equal:  # sizes in ranks, up to the next root; the common mass scales the top two
-        size = np.append(start, rows * n)[1:]
-        size -= start
+        size = np.empty_like(start)
+        np.subtract(start[1:], start[:-1], out=size[:-1])
+        size[-1:] = rows * n - start[-1:]
     else:  # gaps of the prefix mass before each block (cm has n + 1 columns)
         start += start // n
         size = cm.ravel()[start]
         np.subtract(size[1:], size[:-1], out=size[:-1])
         size[-1:] = -size[-1:]  # a row's last block reads 0 - its start: add the row's total
-        size[np.append(first, size.size)[1:] - 1] += cm[:, -1]
-    del start
-    top = np.maximum.reduceat(size, first)
-    tied = np.flatnonzero(size == np.repeat(top, np.diff(first, append=size.size)))
-    at = np.searchsorted(tied, first)  # each row's earliest largest block
-    size[tied] = 0
-    second = np.where(np.diff(at, append=tied.size) > 1, top, np.maximum.reduceat(size, first))
-    largest, second = (top * m, second * m) if equal else (top, second)
+        size[ends - 1] += cm[:, -1]
+    bounds = zip(first.tolist(), ends.tolist())  # np.argmax takes the earliest largest block
+    top = np.array([lo + np.argmax(size[lo:hi]) for lo, hi in bounds], dtype=np.intp)
+    largest = size[top]
+    size[top] = 0  # a block tied with it stays, so second == largest there
+    second = np.maximum.reduceat(size, first)
+    del size
+    largest, second = (largest * m, second * m) if equal else (largest, second)
     result = {"largest": largest, "second": second}
     if want_areas:
+        width = n if equal else n + 1  # start indexes t's rows, or cm's
         area = np.empty(rows)
-        for i, j in enumerate(tied[at] - first):
-            bounds = np.append(np.flatnonzero(is_root[i]), n)
-            k, k_end = bounds[j], bounds[j + 1]  # the largest block's ranks
+        for i, (j, hi) in enumerate(zip(top.tolist(), ends.tolist())):
+            k = start[j] - i * width  # the largest block's ranks k..k_end-1
+            k_end = start[j + 1] - i * width if j + 1 < hi else n
             ti = t[i, k:k_end]
             cm_local = cm[i, k + 1 : k_end + 1] - cm[i, k]
             bvals = cm_local - (ti - ti[0])  # B right after each jump

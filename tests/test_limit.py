@@ -1,6 +1,7 @@
 """Scaling-limit path sampler, excursion detection, and the comparison rig."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mcmosaic.limit import (
     sample_limit_reference,
     scaling_experiment,
 )
+from mcmosaic.walk import _CHUNK_BYTES, chunk_rows
 
 
 def test_params_validation():
@@ -126,11 +128,15 @@ def test_limit_path_validation():
         (-1e-3, None, "h must be positive"),
         (1e-3, 0.0, "horizon must be positive"),
         (1e-3, -2.0, "horizon must be positive"),
+        (math.inf, None, "h must be positive"),
+        (math.nan, None, "h must be positive"),
+        (1e-3, math.inf, "horizon must be positive"),
+        (1e-3, math.nan, "horizon must be positive"),
     ],
 )
 def test_reference_checks_the_grid_like_the_path_sampler(c, h, horizon, message):
     """Both reference branches reject the grids the path sampler rejects,
-    with its message."""
+    with its message: a step or a horizon that is not positive and finite."""
     p = LimitParams(kappa=1.0, c=c)
     with pytest.raises(ValueError, match=message):
         sample_limit_path(p, RngStream(1), h, horizon)
@@ -260,7 +266,7 @@ def _rows(draw):
 @example([[0.0, 2.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 2.0]])
 def test_row_reader_matches_per_path_loop(rows):
     b = np.asarray(rows)
-    row, lo, hi = _excursion_intervals(b, 1.0)
+    row, lo, hi = _excursion_intervals(np.pad(b, ((0, 0), (0, 2))), 1.0)
     want = [(r, l, h) for r in range(len(b)) for l, h in _loop_intervals(b[r], 1.0)]
     assert list(zip(row.tolist(), lo.tolist(), hi.tolist())) == want
 
@@ -294,7 +300,7 @@ def test_excursion_areas_match_per_excursion_trapezoid(c):
     for seed in range(20):
         path = sample_limit_path(p, RngStream(seed).named("areas"), 2e-3)
         em = excursions_and_marks(path, RngStream(seed).named("areas-m"))
-        _, lo, hi = _excursion_intervals(path.b[None, :], path.epsilon)
+        _, lo, hi = _excursion_intervals(np.pad(path.b, (0, 2))[None, :], path.epsilon)
         want = np.asarray(
             [trapezoid(path.b[l : r + 1], path.times[l : r + 1]) for l, r in zip(lo, hi)]
         )
@@ -625,3 +631,40 @@ def test_hypothesis_report_rejects_what_no_configuration_holds(masses):
     ``WeightedConfig`` does instead of reading as a profile."""
     with pytest.raises(ValueError, match="mass"):
         hypothesis_report(masses)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"kappa": math.nan}, "kappa"),
+        ({"kappa": -1.0}, "kappa"),
+        ({"c": (math.nan,)}, "c entries"),
+        ({"c": (-0.5,)}, "c entries"),
+        ({"rtol": math.nan}, "rtol"),
+        ({"rtol": -1.0}, "rtol"),
+        ({"rtol": math.inf}, "rtol"),
+    ],
+    ids=["kappa-nan", "kappa-negative", "c-nan", "c-negative", "rtol-nan", "rtol-negative",
+         "rtol-inf"],
+)
+def test_hypothesis_report_rejects_parameters_no_limit_holds(kwargs, match):
+    """A NaN or negative kappa or c entry, or an rtol that is not finite and
+    >= 0, raises instead of turning every comparison false (masses that
+    give two warnings at the defaults gave none with c = (nan,))."""
+    with pytest.raises(ValueError, match=match):
+        hypothesis_report([1.0, 1.0, 1.0], **kwargs)
+
+
+def test_reference_peak_memory_stays_within_its_chunk_budget():
+    """One full chunk of the c = () reference (chunk_rows' first chunk of the
+    4,001-point grid at h = 1e-3): the tracemalloc peak of one call stays
+    within 4.0 chunk blocks.  Fresh chunk temporaries read 6.0; the walk and
+    work buffers read 3.0."""
+    rows = chunk_rows(10**6, 4001)[0]
+    tracemalloc.start()
+    try:
+        sample_limit_reference(LimitParams(kappa=1.0), RngStream(9).named("peak"), 1e-3, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * _CHUNK_BYTES
