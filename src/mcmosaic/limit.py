@@ -13,6 +13,7 @@ consecutive grid points at or below epsilon = 10*sqrt(kappa*h).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -117,6 +118,8 @@ def _grid(params: LimitParams, h: float, horizon: float | None) -> np.ndarray:
     S = params.default_horizon() if horizon is None else horizon
     if not 0.0 < S < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {S!r}")
+    if not S / h < sys.maxsize:  # inf fails too
+        raise ValueError(f"h = {h!r} is too small for the horizon {S!r}: S / h = {S / h!r} steps")
     return h * np.arange(int(math.ceil(S / h - 1e-9)) + 1)
 
 

@@ -3,6 +3,10 @@
 Everything here is a pure function of its input data; randomness stays in
 the samplers.  The suite-wide significance level is ALPHA; moment tests use
 the explicit standard-error windows stated with them.
+
+scipy.stats is loaded at the first p-value (chi_square,
+chi_square_homogeneity, ks_test), not at import: it costs several times the
+rest of the package, and the simulation paths never read it.
 """
 from __future__ import annotations
 
@@ -10,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
 
 __all__ = [
     "ALPHA",
@@ -37,6 +40,12 @@ class ChiSquareResult:
 
     def rejects(self, alpha: float = ALPHA) -> bool:
         return not self.inconclusive and self.p_value < alpha
+
+
+def _scipy_stats():
+    from scipy import stats
+
+    return stats
 
 
 def _pool_cells(weights, columns, key, min_cell) -> list[list[float]]:
@@ -79,6 +88,9 @@ def chi_square(
     probs = np.asarray(expected_probs, dtype=float)
     if obs.shape != probs.shape:
         raise ValueError("observed and expected shapes differ")
+    for name, arr in (("observed counts", obs), ("expected probabilities", probs)):
+        if not np.all(np.isfinite(arr) & (arr >= 0)):
+            raise ValueError(f"{name} must be finite and >= 0")
     total = obs.sum()
     if total <= 0:
         raise ValueError("no observations")
@@ -91,7 +103,7 @@ def chi_square(
         return ChiSquareResult(math.nan, math.nan, 0, cells, inconclusive=True)
     stat = float(sum((o - e) ** 2 / e for o, e in merged if e > 0))
     dof = cells - 1
-    return ChiSquareResult(stat, float(_sps.chi2.sf(stat, dof)), dof, cells, False)
+    return ChiSquareResult(stat, float(_scipy_stats().chi2.sf(stat, dof)), dof, cells, False)
 
 
 def chi_square_homogeneity(
@@ -106,6 +118,9 @@ def chi_square_homogeneity(
     b = np.asarray(counts_b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("count vectors must align on the same categories")
+    for name, arr in (("counts_a", a), ("counts_b", b)):
+        if not np.all(np.isfinite(arr) & (arr >= 0)):
+            raise ValueError(f"{name} must be finite and >= 0")
     na, nb = a.sum(), b.sum()
     if na <= 0 or nb <= 0:
         raise ValueError("both samples must be nonempty")
@@ -125,7 +140,7 @@ def chi_square_homogeneity(
         eb = tot * (1.0 - share_a)
         stat += (oa - ea) ** 2 / ea + (ob - eb) ** 2 / eb
     dof = k - 1
-    return ChiSquareResult(float(stat), float(_sps.chi2.sf(stat, dof)), dof, k, False)
+    return ChiSquareResult(float(stat), float(_scipy_stats().chi2.sf(stat, dof)), dof, k, False)
 
 
 @dataclass(frozen=True)
@@ -142,7 +157,7 @@ def ks_test(sample, cdf) -> KsResult:
     arr = np.asarray(sample, dtype=float)
     if arr.size == 0:
         raise ValueError("empty sample")
-    res = _sps.kstest(arr, cdf)
+    res = _scipy_stats().kstest(arr, cdf)
     return KsResult(float(res.statistic), float(res.pvalue))
 
 
@@ -158,6 +173,9 @@ def ks_distance(sample_a, sample_b) -> float:
     n_a, n_b = a.size, b.size
     if not (n_a and n_b):
         raise ValueError("empty sample")
+    for name, arr in (("sample_a", a), ("sample_b", b)):
+        if np.isnan(arr[-1]):  # sorted: a NaN sorts last
+            raise ValueError(f"{name} holds NaN")
     both = np.concatenate([a, b])
     diff = np.searchsorted(a, both, side="right") / n_a - np.searchsorted(b, both, side="right") / n_b
     d = float(np.abs(diff).max())
@@ -186,6 +204,8 @@ def poisson_mean_test(counts, target_mean: float) -> PoissonMomentResult:
     arr = np.asarray(counts, dtype=float)
     if arr.size == 0:
         raise ValueError("empty sample")
+    if not 0.0 <= target_mean < math.inf:  # NaN fails too
+        raise ValueError(f"target_mean must be finite and >= 0, got {target_mean!r}")
     reps = arr.size
     mean = float(arr.mean())
     var = float(arr.var(ddof=1)) if reps > 1 else 0.0

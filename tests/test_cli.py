@@ -3,10 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcmosaic
 from mcmosaic.cli import main
 
 
@@ -479,3 +484,45 @@ def test_every_subcommand_runs_on_one_vertex(argv, tmp_path):
         assert text.count("stroke-dasharray") == 1 and text.count("<polygon") == 1
     else:
         assert text.startswith("source,rep,rank,excursion_length,mark_count\n")
+
+
+_COLD_START = """
+import sys
+
+import mcmosaic
+import mcmosaic.cli
+
+cfg, out = sys.argv[1], sys.argv[2]
+for argv in (
+    ["simulate", "--out"],
+    ["forest", "--out"],
+    ["surplus", "--out"],
+    ["surplus", "--variant", "multigraph", "--out"],
+    ["surplus", "--static", "--out"],
+    ["mosaic", "--shade", "--svg"],
+    ["limit", "--reps", "2", "--h", "0.01", "--out"],
+):
+    assert mcmosaic.cli.main(argv + [out, "--config", cfg]) == 0, argv
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+
+from mcmosaic.stats import chi_square_homogeneity
+
+res = chi_square_homogeneity([40, 30, 30], [20, 50, 30])
+assert "scipy.stats" in sys.modules
+from scipy import stats
+
+assert res.p_value == float(stats.chi2.sf(res.statistic, res.dof)), res
+"""
+
+
+def test_import_and_data_subcommands_leave_scipy_unloaded(tmp_path):
+    """A fresh interpreter imports the package and runs the data subcommands
+    on numpy alone; the first p-value loads scipy and returns its double."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"masses": [1.0, 1.5, 0.75, 2.0, 1.25], "seed": 3, "q": 1.5,
+                               "q_max": 1.5, "reps": 2}))
+    src = str(Path(mcmosaic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(cfg), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -132,11 +132,14 @@ def test_limit_path_validation():
         (math.nan, None, "h must be positive"),
         (1e-3, math.inf, "horizon must be positive"),
         (1e-3, math.nan, "horizon must be positive"),
+        (1e-320, None, "h = 1e-320 is too small for the horizon"),
+        (1e-300, None, "h = 1e-300 is too small for the horizon"),
     ],
 )
 def test_reference_checks_the_grid_like_the_path_sampler(c, h, horizon, message):
     """Both reference branches reject the grids the path sampler rejects,
-    with its message: a step or a horizon that is not positive and finite."""
+    with its message: a step or a horizon that is not positive and finite,
+    or a step too small for the horizon to count its steps."""
     p = LimitParams(kappa=1.0, c=c)
     with pytest.raises(ValueError, match=message):
         sample_limit_path(p, RngStream(1), h, horizon)

@@ -238,6 +238,7 @@ def _ks_cases():
         if i < len(sizes) - 3:
             # shared values tie across the samples
             yield a * 0.5, np.concatenate([a[: n_b // 2] * 0.5, b[n_b // 2 :]])[:n_b]
+    yield np.array([-math.inf, 1.0]), np.array([0.5, math.inf])
 
 
 def test_ks_distance_equals_scipy_statistic():
@@ -272,3 +273,28 @@ def test_poisson_moment_rejects_wrong_variance():
 
 def test_alpha_is_suite_level():
     assert ALPHA == 1e-3
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ks_distance([math.nan, 1.0], [0.5, 2.0]), "sample_a holds NaN"),
+        (lambda: ks_distance([0.5, 2.0], [1.0, math.nan]), "sample_b holds NaN"),
+        (lambda: chi_square([-5, 20], [0.5, 0.5]), "observed counts"),
+        (lambda: chi_square([5, math.inf], [0.5, 0.5]), "observed counts"),
+        (lambda: chi_square([5, math.nan], [0.5, 0.5]), "observed counts"),
+        (lambda: chi_square([5, 20], [math.nan, 1.0]), "expected probabilities"),
+        (lambda: chi_square([5, 20], [-0.5, 1.5]), "expected probabilities"),
+        (lambda: chi_square_homogeneity([-3, 10, 10], [10, 10, 10]), "counts_a"),
+        (lambda: chi_square_homogeneity([10, 10, 10], [10, math.nan, 10]), "counts_b"),
+        (lambda: chi_square_homogeneity([10, math.inf, 10], [10, 10, 10]), "counts_a"),
+        (lambda: poisson_mean_test([1, 2, 3], -1.0), "target_mean"),
+        (lambda: poisson_mean_test([1, 2, 3], math.nan), "target_mean"),
+        (lambda: poisson_mean_test([1, 2, 3], math.inf), "target_mean"),
+    ],
+)
+def test_stats_reject_inputs_no_sample_can_hold(call, message):
+    """NaN, infinite or negative counts, probabilities and means raise a
+    ValueError that names the input instead of giving a verdict."""
+    with pytest.raises(ValueError, match=message):
+        call()
