@@ -37,9 +37,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComponentBlock:
-    """Consecutive rank range lo..hi (inclusive) forming one component."""
+class ComponentBlock(NamedTuple):
+    """Consecutive rank range lo..hi (inclusive) forming one component;
+    ``len()`` is its rank count."""
 
     lo: int
     hi: int
@@ -50,6 +50,10 @@ class ComponentBlock:
 
     def ranks(self) -> range:
         return range(self.lo, self.hi + 1)
+
+
+# namedtuple's _make checks len() against the field count; _replace calls it
+ComponentBlock._make = classmethod(tuple.__new__)
 
 
 class MergerEvent(NamedTuple):

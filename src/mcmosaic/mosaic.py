@@ -27,8 +27,11 @@ the log prefix and the one WalkPath (its troughs are the levels) it reads.
 The trajectory keeps one view, so build_mosaic, slice_decomposition and the
 SVG renderer at one horizon share one walk and one pass, through _level,
 which checks the horizon.
-build_mosaic wraps its rows in Baseline dataclasses, slice_decomposition in
-Slice and Parallelogram named tuples; the SVG renderer reads them directly.
+Per-element records (Baseline, OrnamentedExcursion, Slice, Parallelogram)
+are named tuples built positionally, as the per-element records of the other
+modules are; per-call containers (HasseOrders) stay frozen dataclasses.
+build_mosaic wraps its rows in Baselines, slice_decomposition in Slices and
+Parallelograms; the SVG renderer reads them directly.
 """
 from __future__ import annotations
 
@@ -56,8 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Baseline:
+class Baseline(NamedTuple):
     """Horizontal decoration owned by one rank of an excursion.
 
     level is the raw walk value just before the owner's jump; pieces are the
@@ -75,8 +77,10 @@ class Baseline:
     covers: Sequence[int]
 
 
-@dataclass(frozen=True)
-class OrnamentedExcursion:
+class OrnamentedExcursion(NamedTuple):
+    """One excursion with its per-rank baselines; ``len()`` is its rank
+    count."""
+
     q: float
     rank_lo: int
     rank_hi: int
@@ -102,9 +106,13 @@ class OrnamentedExcursion:
         """Combinatorial-only excursion on local ranks 0..n-1, root 0.
 
         covers maps a rank to the ranks its baseline reaches; rank 0
-        defaults to reaching everything, and a key outside 0..n-1 raises.
-        No geometry is attached.
+        defaults to reaching everything, and a key outside 0..n-1 raises,
+        as do no masses and a mass or q that is not finite and > 0.  No
+        geometry is attached.
         """
+        WeightedConfig(masses)  # built for its mass checks only
+        if not (q > 0.0) or not math.isfinite(q):
+            raise ValueError(f"q must be finite and > 0, got {q!r}")
         n = len(masses)
         if not set(covers) <= set(range(n)):
             raise ValueError(f"cover keys must be ranks 0..{n - 1}, got {list(covers)}")
@@ -113,24 +121,13 @@ class OrnamentedExcursion:
         if 0 in covers:
             full[0] = tuple(sorted(covers[0]))
         baselines = tuple(
-            Baseline(
-                owner_rank=r,
-                status="active" if r == 0 else "gray",
-                level=None,
-                pieces=None,
-                covers=full[r],
-            )
-            for r in range(n)
+            Baseline(r, "active" if r == 0 else "gray", None, None, full[r]) for r in range(n)
         )
-        return cls(
-            q=q,
-            rank_lo=0,
-            rank_hi=n - 1,
-            vertices=tuple(range(n)),
-            masses=tuple(masses),
-            positions=None,
-            baselines=baselines,
-        )
+        return cls(q, 0, n - 1, tuple(range(n)), tuple(masses), None, baselines)
+
+
+# namedtuple's _make checks len() against the field count; _replace calls it
+OrnamentedExcursion._make = classmethod(tuple.__new__)
 
 
 def _level(trajectory: Trajectory, q: float) -> _Level:
@@ -148,28 +145,16 @@ def build_mosaic(trajectory: Trajectory, q: float) -> list[OrnamentedExcursion]:
     reach, extent_end = g.reach, g.extent_end
     out = []
     for block in g.blocks:
-        lo, hi = block.lo, block.hi
+        lo, end = block.lo, block.hi + 1
         baselines = tuple(
             Baseline(
-                owner_rank=j,
-                status="active" if j == lo else "gray",
-                level=level[j],
-                pieces=((pos[j], extent_end[j]),),
-                covers=range(j + 1, reach[j] + 1),
+                j, "active" if j == lo else "gray", level[j],
+                ((pos[j], extent_end[j]),), range(j + 1, reach[j] + 1),
             )
-            for j in range(lo, hi + 1)
+            for j in range(lo, end)
         )
-        out.append(
-            OrnamentedExcursion(
-                q=q,
-                rank_lo=lo,
-                rank_hi=hi,
-                vertices=tuple(perm[lo : hi + 1]),
-                masses=tuple(sizes[lo : hi + 1]),
-                positions=pos[lo : hi + 1],
-                baselines=baselines,
-            )
-        )
+        masses = tuple(sizes[lo:end])
+        out.append(OrnamentedExcursion(q, lo, end - 1, perm[lo:end], masses, pos[lo:end], baselines))
     return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, repeat
 from operator import itemgetter, le, not_, sub
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,8 +51,7 @@ __all__ = [
 Variant = Literal["simple", "multigraph"]
 
 
-@dataclass(frozen=True)
-class InfluenceRegion:
+class InfluenceRegion(NamedTuple):
     """Candidate surplus sources of one target rank: the consecutive ranks
     target_rank+1..end-1, empty for a root (end == target_rank + 1)."""
 
@@ -80,14 +79,14 @@ def influence_region(
     exc = decomposition.excursion_of_rank(h)
     root, end = exc.rank_lo, h + 1
     if h == root:
-        return InfluenceRegion(target_rank=h, end=end)
+        return InfluenceRegion(h, end)
     times, cum, perm, depth = path.jump_times, path.cum, path.perm, forest.depth
     floor, depth_h = path.troughs[root], depth[perm[h]]
     while end <= exc.rank_hi and cum[h] - times[end] >= floor:
         if depth[perm[end]] - depth_h not in (0, 1):
             raise AssertionError(f"unexpected generation gap at rank {end}")
         end += 1
-    return InfluenceRegion(target_rank=h, end=end)
+    return InfluenceRegion(h, end)
 
 
 def _window_end(path: WalkPath, exc: Excursion, h: int) -> float:
@@ -244,8 +243,7 @@ def total_intensity(path: WalkPath, decomposition: ExcursionDecomposition, h: in
     return path.q * (path.eval_B(_window_end(path, exc, h)) - path.jump_sizes[h])
 
 
-@dataclass(frozen=True)
-class ZetaProcess:
+class ZetaProcess(NamedTuple):
     """One arrival process: source rank l shooting at absorbed range j..k.
 
     Activated at ``activation`` (0 for loop processes, where j == k == l);

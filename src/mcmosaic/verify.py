@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -410,12 +409,8 @@ def check_mosaic_roundtrip(seed: int = 7, instances: int = 1000) -> dict:
     b0 = exc.baselines[1]
     (a0, a1) = b0.pieces[0]
     mid = (a0 + a1) / 2.0
-    broken_extent = replace(
-        exc,
-        baselines=(
-            exc.baselines[0],
-            replace(b0, pieces=((a0, mid - 0.05), (mid + 0.05, a1))),
-        ),
+    broken_extent = exc._replace(
+        baselines=(exc.baselines[0], b0._replace(pieces=((a0, mid - 0.05), (mid + 0.05, a1))))
     )
     msgs_extent = mosaic.validate(broken_extent)
     extent_named = any("R2" in m for m in msgs_extent)

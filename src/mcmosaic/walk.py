@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -96,8 +96,7 @@ class WalkPath:
         return z - min(self.trough_mins[idx], z)
 
 
-@dataclass(frozen=True)
-class Excursion:
+class Excursion(NamedTuple):
     """One excursion of the reflected walk: consecutive ranks lo..hi."""
 
     start: float

@@ -19,7 +19,7 @@ from mcmosaic.dynamics import (
     build_monotone_forest,
     run_trajectory,
 )
-from mcmosaic.mosaic import slice_decomposition
+from mcmosaic.mosaic import OrnamentedExcursion, slice_decomposition
 from mcmosaic.oracle import gillespie_graph, gillespie_trajectory
 from mcmosaic.surplus import activated_processes, dynamic_surplus
 from mcmosaic.walk import breadth_first_forest, decompose, WalkPath
@@ -34,9 +34,12 @@ def random_instance(seed, n_max=10):
 
 
 def test_block_helpers():
-    b = ComponentBlock(lo=2, hi=4, mass=3.0)
-    assert len(b) == 3
-    assert list(b.ranks()) == [2, 3, 4]
+    """len() is the rank count, which differs here from the field count (3
+    for a block, 7 for an ornamented excursion)."""
+    b = ComponentBlock(lo=2, hi=6, mass=3.0)
+    assert len(b) == 5
+    assert list(b.ranks()) == [2, 3, 4, 5, 6]
+    assert len(OrnamentedExcursion.from_covers((1.0, 1.0, 1.0, 1.0), {})) == 4
 
 
 def test_run_trajectory_validates_q():

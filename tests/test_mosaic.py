@@ -120,8 +120,8 @@ def test_validate_r1_duplicate_levels():
     fx = build_mosaic(*random_trajectory(2))[0]
     if len(fx) < 2:
         fx = next(f for f in build_mosaic(*random_trajectory(4)) if len(f) >= 2)
-    twin = dataclasses.replace(fx.baselines[1], level=fx.baselines[0].level)
-    bad = dataclasses.replace(fx, baselines=(fx.baselines[0], twin) + fx.baselines[2:])
+    twin = fx.baselines[1]._replace(level=fx.baselines[0].level)
+    bad = fx._replace(baselines=(fx.baselines[0], twin) + fx.baselines[2:])
     assert any(p.startswith("R1") for p in validate(bad))
 
 
@@ -135,10 +135,8 @@ def test_validate_r2_split_extent():
     assert len(fx) == 2
     (a0, a1) = fx.baselines[1].pieces[0]
     mid = (a0 + a1) / 2.0
-    split = dataclasses.replace(
-        fx.baselines[1], pieces=((a0, mid - 0.05), (mid + 0.05, a1))
-    )
-    bad = dataclasses.replace(fx, baselines=(fx.baselines[0], split))
+    split = fx.baselines[1]._replace(pieces=((a0, mid - 0.05), (mid + 0.05, a1)))
+    bad = fx._replace(baselines=(fx.baselines[0], split))
     msgs = validate(bad)
     assert any(p.startswith("R2") for p in msgs)
 
@@ -146,8 +144,8 @@ def test_validate_r2_split_extent():
 def test_validate_r2_detached_extent():
     fx = next(f for f in build_mosaic(*random_trajectory(4)) if len(f) >= 2)
     (a0, a1) = fx.baselines[1].pieces[0]
-    shifted = dataclasses.replace(fx.baselines[1], pieces=((a0 + 0.1, a1 + 0.1),))
-    bad = dataclasses.replace(fx, baselines=(fx.baselines[0], shifted) + fx.baselines[2:])
+    shifted = fx.baselines[1]._replace(pieces=((a0 + 0.1, a1 + 0.1),))
+    bad = fx._replace(baselines=(fx.baselines[0], shifted) + fx.baselines[2:])
     assert any(p.startswith("R2") for p in validate(bad))
 
 
@@ -201,6 +199,21 @@ def test_from_covers_rejects_unknown_ranks():
     for key in (-1, 3, 7):
         with pytest.raises(ValueError, match="cover keys"):
             OrnamentedExcursion.from_covers((1.0, 1.0, 1.0), {key: (key + 1,)})
+
+
+@pytest.mark.parametrize("masses,q,match", [
+    ((), 1.0, "non-empty"),
+    ((1.0, -1.0), 1.0, "masses must be finite and > 0"),
+    ((1.0, math.nan), 1.0, "masses must be finite and > 0"),
+    (UNIT4, 0.0, "q must be finite and > 0"),
+    (UNIT4, -1.0, "q must be finite and > 0"),
+    (UNIT4, math.nan, "q must be finite and > 0"),
+], ids=["no-masses", "negative-mass", "nan-mass", "zero-q", "negative-q", "nan-q"])
+def test_from_covers_rejects_inputs_no_excursion_has(masses, q, match):
+    """No ranks, a mass or a q that is not finite and > 0 raise at once,
+    naming the input, instead of passing validate and orders."""
+    with pytest.raises(ValueError, match=match):
+        OrnamentedExcursion.from_covers(masses, {}, q)
 
 
 def test_orders_rejects_invalid():
@@ -267,7 +280,7 @@ def test_replay_rejects_invalid():
 def test_same_shape_detects_mass_change():
     traj, q = random_trajectory(7)
     fx = build_mosaic(traj, q)[0]
-    other = dataclasses.replace(fx, masses=tuple(m * 1.01 for m in fx.masses))
+    other = fx._replace(masses=tuple(m * 1.01 for m in fx.masses))
     assert not same_shape(fx, other)
     assert same_shape(fx, fx)
 
@@ -284,9 +297,7 @@ def test_same_shape_compares_reach_sets_as_sequences():
         (tuple(b.covers), True),
         (tuple(b.covers) + (fx.rank_hi + 1,), False),
     ):
-        other = dataclasses.replace(
-            fx, baselines=(fx.baselines[0], dataclasses.replace(b, covers=covers)) + fx.baselines[2:]
-        )
+        other = fx._replace(baselines=(fx.baselines[0], b._replace(covers=covers)) + fx.baselines[2:])
         assert same_shape(fx, other) is same
         assert same_shape(other, fx) is same
 
@@ -508,7 +519,7 @@ def test_mosaic_checks_hold_at_any_mass_scale(scale):
 def test_same_shape_tolerance_is_relative(scale):
     traj, q = scaled_trajectory(7, scale)
     fx = build_mosaic(traj, q)[0]
-    other = dataclasses.replace(fx, masses=tuple(m * (1 + 1e-9) for m in fx.masses))
+    other = fx._replace(masses=tuple(m * (1 + 1e-9) for m in fx.masses))
     assert same_shape(fx, fx)
     assert not same_shape(fx, other)
 
