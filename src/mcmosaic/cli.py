@@ -38,17 +38,24 @@ def _load_config(args) -> tuple[core.WeightedConfig, dict]:
     return core.load_config(args.config)
 
 
-def _pick(args, settings: dict, key: str, required: bool = True):
+_NEEDED = object()
+
+
+def _setting(args, settings: dict, key: str, check, default=_NEEDED):
+    """The flag, else the config's key, else the default (none: required).
+
+    The flag or the config's value goes through ``check(key, value)``; a
+    config key set to null is refused, not taken as absent."""
     v = getattr(args, key, None)
     if v is None:
-        v = settings.get(key)
-    if v is None and required:
-        raise ValueError(f"missing --{key.replace('_', '-')} (or config {key!r})")
-    return v
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+        if key not in settings:
+            if default is _NEEDED:
+                raise ValueError(f"missing --{key.replace('_', '-')} (or config {key!r})")
+            return default
+        v = settings[key]
+        if v is None:
+            raise ValueError(f"config {key!r} must not be null")
+    return check(key, v)
 
 
 def _real(key: str, v, positive: bool = False) -> float:
@@ -63,27 +70,32 @@ def _real(key: str, v, positive: bool = False) -> float:
     return float(v)
 
 
-def _level(args, settings: dict, key: str) -> float:
-    """q or q_max: a finite number > 0."""
-    return _real(key, _pick(args, settings, key), positive=True)
+def _level(key: str, v) -> float:
+    """q, q_max, h or horizon: a finite number > 0."""
+    return _real(key, v, positive=True)
 
 
-def _reps(args, settings: dict) -> int:
-    v = _pick(args, settings, "reps", required=False)
-    if v is None:
-        return 1
-    if not _is_int(v) or v < 1:
-        raise ValueError(f"reps must be an integer >= 1, got {v!r}")
-    return v
+def _count(least: int):
+    """The check of an integer >= least (bools are not integers here)."""
+
+    def check(key: str, v) -> int:
+        if isinstance(v, bool) or not isinstance(v, int) or v < least:
+            raise ValueError(f"{key} must be an integer >= {least}, got {v!r}")
+        return v
+
+    return check
 
 
-def _seed(args, settings: dict) -> int:
-    v = getattr(args, "seed", None)
-    if v is None:
-        v = settings.get("seed", 0)
-    if not _is_int(v) or v < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {v!r}")
-    return v
+def _root(args, settings: dict) -> core.RngStream:
+    return core.RngStream(_setting(args, settings, "seed", _count(0), 0))
+
+
+def _replicates(args, config: core.WeightedConfig, settings: dict):
+    """(rep, stream, clocks) per replicate, on the seed's stream indexed by rep."""
+    root = _root(args, settings)
+    for rep in range(_setting(args, settings, "reps", _count(1), 1)):
+        sub = root.indexed(rep)
+        yield rep, sub, core.sample_clocks(config, sub.named("clocks"))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -91,14 +103,9 @@ def _seed(args, settings: dict) -> int:
 
 def _cmd_simulate(args) -> int:
     config, settings = _load_config(args)
-    seed = _seed(args, settings)
-    q_max = _level(args, settings, "q_max")
-    reps = _reps(args, settings)
-    root = core.RngStream(seed)
+    q_max = _setting(args, settings, "q_max", _level)
     lines = ["rep,event,time,left_lo,left_hi,left_mass,right_lo,right_hi,right_mass,child,parent"]
-    for rep in range(reps):
-        sub = root.indexed(rep)
-        clocks = core.sample_clocks(config, sub.named("clocks"))
+    for rep, sub, clocks in _replicates(args, config, settings):
         traj = dynamics.run_trajectory(config, clocks, sub, q_max=q_max)
         for idx, ev in enumerate(traj.events):
             lines.append(
@@ -111,13 +118,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_forest(args) -> int:
     config, settings = _load_config(args)
-    seed = _seed(args, settings)
-    q = _level(args, settings, "q")
-    reps = _reps(args, settings)
-    root = core.RngStream(seed)
+    q = _setting(args, settings, "q", _level)
     lines = ["rep,vertex,parent,depth"]
-    for rep in range(reps):
-        clocks = core.sample_clocks(config, root.indexed(rep).named("clocks"))
+    for rep, _sub, clocks in _replicates(args, config, settings):
         forest, _ = walk.breadth_first_forest(config, clocks, q)
         for v, (p, d) in enumerate(zip(forest.parent, forest.depth)):
             lines.append(f"{rep},{v},{'' if p is None else p},{d}")
@@ -130,39 +133,31 @@ _KIND_ORDER = {"span": 0, "simple": 1, "multi": 1, "loop": 2}
 
 def _cmd_surplus(args) -> int:
     config, settings = _load_config(args)
-    seed = _seed(args, settings)
-    reps = _reps(args, settings)
-    root = core.RngStream(seed)
-
     if args.static:
         for flag, value in (("--variant", args.variant), ("--q-max", args.q_max)):
             if value is not None:
                 raise ValueError(f"{flag} applies to the dynamic graph only, not --static")
-        q = _level(args, settings, "q")
+        q = _setting(args, settings, "q", _level)
 
-        def work(rep: int):
-            sub = root.indexed(rep)
-            clocks = core.sample_clocks(config, sub.named("clocks"))
+        def graph(sub, clocks) -> surplus.LabeledGraph:
             path = walk.WalkPath.from_clocks(config, clocks, q)
             dec = walk.decompose(path)
             forest, _ = walk.breadth_first_forest(config, clocks, q)
-            g = surplus.static_surplus(path, dec, forest, sub)
-            return _graph_rows(rep, g)
+            return surplus.static_surplus(path, dec, forest, sub)
 
     else:
-        q_max = _level(args, settings, "q_max")
-        variant = _pick(args, settings, "variant", required=False) or "simple"
-        if variant not in ("simple", "multigraph"):
-            raise ValueError(f"unknown variant {variant!r}")
+        q_max = _setting(args, settings, "q_max", _level)
+        # dynamic_surplus refuses an unknown variant before any output is written
+        variant = _setting(args, settings, "variant", lambda _key, v: v, "simple")
 
-        def work(rep: int):
-            sub = root.indexed(rep)
-            clocks = core.sample_clocks(config, sub.named("clocks"))
+        def graph(sub, clocks) -> surplus.LabeledGraph:
             traj = dynamics.run_trajectory(config, clocks, sub, q_max=q_max)
-            g = surplus.dynamic_surplus(traj, sub, q_max=q_max, variant=variant)
-            return _graph_rows(rep, g)
+            return surplus.dynamic_surplus(traj, sub, q_max=q_max, variant=variant)
 
-    rows = [row for rep in range(reps) for row in work(rep)]
+    rows = []
+    for rep, sub, clocks in _replicates(args, config, settings):
+        g = graph(sub, clocks)
+        rows += [(rep, e.time, e.kind, e.source, e.target) for e in g.spanning + g.surplus]
     rows.sort(key=lambda r: (r[0], r[1], _KIND_ORDER[r[2]], r[3], r[4]))
     lines = ["rep,time,kind,source,target"]
     for rep, t, kind, s_v, t_v in rows:
@@ -171,15 +166,10 @@ def _cmd_surplus(args) -> int:
     return 0
 
 
-def _graph_rows(rep: int, g: surplus.LabeledGraph) -> list[tuple]:
-    return [(rep, e.time, e.kind, e.source, e.target) for e in g.spanning + g.surplus]
-
-
 def _cmd_mosaic(args) -> int:
     config, settings = _load_config(args)
-    seed = _seed(args, settings)
-    q = _level(args, settings, "q")
-    root = core.RngStream(seed)
+    q = _setting(args, settings, "q", _level)
+    root = _root(args, settings)
     clocks = core.sample_clocks(config, root.named("clocks"))
     traj = dynamics.run_trajectory(config, clocks, root, q_max=q)
     svg = render.render_svg(traj, q, shade_slices=args.shade)
@@ -188,35 +178,39 @@ def _cmd_mosaic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = _seed(args, {"seed": 7})
-    flags = {
-        "reps": args.reps,
-        "instances": args.instances,
-        "trajectories": args.trajectories,
-        "batches": args.batches,
-    }
-    for k, v in flags.items():
-        if v is not None and v < 1:
-            raise ValueError(f"{k} must be an integer >= 1, got {v!r}")
-
-    def accepted(fn) -> dict:
-        sig = inspect.signature(fn).parameters
-        return {k: v for k, v in flags.items() if v is not None and k in sig}
-
-    if args.suite == "all":
-        overrides = {
-            name: accepted(fn) for name, (_n, fn) in verify.SUITES.items()
-        }
-        report = verify.run_all(seed, overrides)
-    else:
-        result = verify.run_suite(args.suite, seed=seed, **accepted(verify.SUITES[args.suite][1]))
-        report = {"seed": seed, "passed": result["passed"], "criteria": [result]}
+    seed = _setting(args, {}, "seed", _count(0), 7)
+    flags = {k: getattr(args, k) for k in ("reps", "instances", "trajectories", "batches")}
+    budgets = {k: _setting(args, {}, k, _count(1)) for k, v in flags.items() if v is not None}
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    takes = {name: inspect.signature(verify.SUITES[name][1]).parameters for name in names}
+    extra = [f"--{k}" for k in budgets if args.suite != "all" and k not in takes[args.suite]]
+    if extra:
+        raise ValueError(f"suite {args.suite} does not take {', '.join(extra)}")
+    criteria = []
+    for name in names:  # SUITES is in criterion order
+        own = {k: v for k, v in budgets.items() if k in takes[name]}
+        criteria.append(verify.SUITES[name][1](seed=seed, **own))
+    report = {"seed": seed, "passed": all(r["passed"] for r in criteria), "criteria": criteria}
     if args.json:
         _write_json(args.json, report)
-    for r in report["criteria"]:
+    for r in criteria:
         status = "pass" if r["passed"] else "FAIL"
         print(f"criterion {r['criterion']} {r['name']}: {status}")
     return 0 if report["passed"] else 1
+
+
+_LIMIT_KEYS = ("kappa", "tau", "t", "c", "h", "horizon")
+
+
+def _numbers(text: str) -> list[float]:
+    """--c: the config's list of jump sizes as one comma-separated flag."""
+    return [float(x) for x in text.split(",") if x.strip()]
+
+
+def _jumps(key: str, v) -> tuple[float, ...]:
+    if not isinstance(v, list):
+        raise ValueError(f"{key} must be a list of numbers, got {v!r}")
+    return tuple(_real(f"{key} entry", x) for x in v)
 
 
 def _cmd_limit(args) -> int:
@@ -224,42 +218,26 @@ def _cmd_limit(args) -> int:
     settings = payload.get("limit", {})
     if not isinstance(settings, dict):
         raise ValueError(f"config 'limit' must be a JSON object, got {settings!r}")
-
-    def opt(key, default=None):
-        v = getattr(args, key, None)
-        return settings.get(key, default) if v is None else v
-
-    kappa = _real("kappa", opt("kappa", 1.0))
-    tau = _real("tau", opt("tau", 0.0))
-    t = _real("t", opt("t", 0.0))
-    if args.c is not None:  # the flag is comma-separated; the config gives a list
-        c_raw = [float(x) for x in args.c.split(",") if x.strip()]
-    else:
-        c_raw = settings.get("c", [])
-        if not isinstance(c_raw, list):
-            raise ValueError(f"config c must be a list of numbers, got {c_raw!r}")
-    c = tuple(_real("c entry", x) for x in c_raw)
-    h = _real("h", opt("h", 1e-3), positive=True)
-    horizon = opt("horizon")
-    horizon = None if horizon is None else _real("horizon", horizon, positive=True)
-    if args.reps < 1:
-        raise ValueError(f"reps must be an integer >= 1, got {args.reps!r}")
-    reps = args.reps
-    seed = _seed(args, payload)
-
-    params = limit_mod.LimitParams(kappa=kappa, tau=tau, t=t, c=c)
-    root = core.RngStream(seed)
-    marks_gen = root.named("limit-marks").generator()
+    unknown = ", ".join(repr(k) for k in settings if k not in _LIMIT_KEYS)
+    if unknown:
+        raise ValueError(f"config 'limit' takes only {', '.join(_LIMIT_KEYS)}, not {unknown}")
+    params = limit_mod.LimitParams(
+        kappa=_setting(args, settings, "kappa", _real, 1.0),
+        tau=_setting(args, settings, "tau", _real, 0.0),
+        t=_setting(args, settings, "t", _real, 0.0),
+        c=_setting(args, settings, "c", _jumps, ()),
+    )
+    h = _setting(args, settings, "h", _level, 1e-3)
+    horizon = _setting(args, settings, "horizon", _level, None)
+    reps = _setting(args, {}, "reps", _count(1))
+    root = _root(args, payload)
+    paths, marks_gen = root.named("limit-path"), root.named("limit-marks").generator()
     lines = ["source,rep,rank,excursion_length,mark_count"]
     for rep in range(reps):
-        path = limit_mod.sample_limit_path(
-            params, root.named("limit-path").indexed(rep), h, horizon
-        )
+        path = limit_mod.sample_limit_path(params, paths.indexed(rep), h, horizon)
         em = limit_mod.excursions_and_marks(path, marks_gen)
         for rank in range(len(em.lengths)):
-            lines.append(
-                f"limit,{rep},{rank},{_f(em.lengths[rank])},{int(em.counts[rank])}"
-            )
+            lines.append(f"limit,{rep},{rank},{_f(em.lengths[rank])},{int(em.counts[rank])}")
     _write_lines(args.out, lines)
     return 0
 
@@ -274,9 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, config=True):
-        if config:
-            p.add_argument("--config", help="JSON config with masses and defaults")
+    def common(p):
+        p.add_argument("--config", help="JSON config with masses and defaults")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
 
     p = sub.add_parser("simulate", help="merger event log CSV")
@@ -325,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--t", type=float)
-    p.add_argument("--c", help="comma-separated jump sizes")
+    p.add_argument("--c", type=_numbers, help="comma-separated jump sizes")
     p.add_argument("--h", type=float)
     p.add_argument("--horizon", type=float)
     p.add_argument("--reps", type=int, default=100)

@@ -17,8 +17,6 @@ from . import limit as limit_mod
 
 __all__ = [
     "SUITES",
-    "run_suite",
-    "run_all",
     "check_static_law",
     "check_process_law",
     "check_slice_rates",
@@ -609,55 +607,29 @@ def check_determinism(seed: int = 7) -> dict:
     with tempfile.TemporaryDirectory() as td:
         base = Path(td)
         cfg = base / "config.json"
-        cfg.write_text(
-            json.dumps({"masses": [1.0, 0.5, 2.0, 1.5, 1.0], "seed": int(seed)})
-        )
-
-        def run_twice(tag: str, argv_for) -> None:
-            outs = []
+        cfg.write_text(json.dumps({"masses": [1.0, 0.5, 2.0, 1.5, 1.0], "seed": int(seed)}))
+        c, s = str(cfg), str(seed)
+        runs = {  # each argv ends in its output flag; the path goes last
+            "simulate": ["simulate", "--config", c, "--q-max", "2.0", "--reps", "5", "--out"],
+            "forest": ["forest", "--config", c, "--q", "1.0", "--out"],
+            "surplus": ["surplus", "--config", c, "--q-max", "1.5", "--variant", "multigraph",
+                        "--out"],
+            "mosaic": ["mosaic", "--config", c, "--q", "1.5", "--shade", "--svg"],
+            "limit": ["limit", "--kappa", "1.0", "--t", "0.0", "--h", "0.05", "--reps", "20",
+                      "--seed", s, "--out"],
+            "verify": ["verify", "--suite", "intensity", "--instances", "40", "--seed", s,
+                       "--json"],
+        }
+        for tag, argv in runs.items():
+            outs = set()
             for k in (0, 1):
                 out = base / f"{tag}-{k}"
                 with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(argv_for(str(out)))
+                    code = cli.main(argv + [str(out)])
                 if code != 0:
-                    details[tag] = False
-                    return
-                outs.append(out.read_bytes())
-            details[tag] = outs[0] == outs[1]
-
-        run_twice(
-            "simulate",
-            lambda o: ["simulate", "--config", str(cfg), "--q-max", "2.0", "--reps", "5", "--out", o],
-        )
-        run_twice(
-            "forest",
-            lambda o: ["forest", "--config", str(cfg), "--q", "1.0", "--out", o],
-        )
-        run_twice(
-            "surplus",
-            lambda o: [
-                "surplus", "--config", str(cfg), "--q-max", "1.5",
-                "--variant", "multigraph", "--out", o,
-            ],
-        )
-        run_twice(
-            "mosaic",
-            lambda o: ["mosaic", "--config", str(cfg), "--q", "1.5", "--shade", "--svg", o],
-        )
-        run_twice(
-            "limit",
-            lambda o: [
-                "limit", "--kappa", "1.0", "--t", "0.0", "--h", "0.05",
-                "--reps", "20", "--seed", str(seed), "--out", o,
-            ],
-        )
-        run_twice(
-            "verify",
-            lambda o: [
-                "verify", "--suite", "intensity", "--instances", "40",
-                "--seed", str(seed), "--json", o,
-            ],
-        )
+                    break
+                outs.add(out.read_bytes())
+            details[tag] = code == 0 and len(outs) == 1
 
     passed = all(details.values())
     return _result(10, "determinism", passed, details)
@@ -676,22 +648,3 @@ SUITES = {
     "determinism": (10, check_determinism),
 }
 
-
-def run_suite(name: str, seed: int = 7, **overrides) -> dict:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    _, fn = SUITES[name]
-    return fn(seed=seed, **overrides)
-
-
-def run_all(seed: int = 7, overrides: dict | None = None) -> dict:
-    """Every criterion in numeric order; overrides maps suite name to kwargs."""
-    overrides = overrides or {}
-    results = []
-    for name, (_num, fn) in sorted(SUITES.items(), key=lambda kv: kv[1][0]):
-        results.append(fn(seed=seed, **overrides.get(name, {})))
-    return {
-        "seed": seed,
-        "passed": all(r["passed"] for r in results),
-        "criteria": results,
-    }

@@ -1,5 +1,6 @@
 """Command line interface end to end through main()."""
 
+import functools
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import mcmosaic
+from mcmosaic import verify
 from mcmosaic.cli import main
 
 
@@ -156,6 +158,73 @@ def test_verify_single_suite(tmp_path):
     assert payload["criteria"][0]["name"] == "intensity"
 
 
+@pytest.fixture
+def suite_calls(monkeypatch):
+    """Each verify suite replaced by a passing stub that records its keyword
+    arguments; ``functools.wraps`` keeps the real suite's signature visible."""
+    calls = []
+
+    def stub(num, name, fn):
+        @functools.wraps(fn)
+        def record(**kwargs):
+            calls.append((name, kwargs))
+            return verify._result(num, name, True, {})
+
+        return record
+
+    for name, (num, fn) in list(verify.SUITES.items()):
+        monkeypatch.setitem(verify.SUITES, name, (num, stub(num, name, fn)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "suite, argv, named",
+    [
+        ("intensity", ["--reps", "5"], "--reps"),
+        ("determinism", ["--reps", "5"], "--reps"),
+        ("scaling", ["--instances", "3"], "--instances"),
+        ("monotone-logs", ["--batches", "2"], "--batches"),
+        ("static-law", ["--trajectories", "9"], "--trajectories"),
+        ("merge-rate", ["--instances", "3"], "--instances"),
+        ("intensity", ["--instances", "3", "--reps", "5", "--trajectories", "9"],
+         "--reps, --trajectories"),
+    ],
+)
+def test_verify_refuses_a_budget_the_suite_does_not_take(suite, argv, named, suite_calls,
+                                                         capsys):
+    """With one suite named, a budget flag it does not take exits 2 before
+    anything runs, instead of being dropped."""
+    assert main(["verify", "--suite", suite] + argv) == 2
+    assert capsys.readouterr().err == f"error: suite {suite} does not take {named}\n"
+    assert suite_calls == []
+
+
+def test_verify_all_routes_the_budgets(suite_calls, tmp_path):
+    """verify (all suites) runs them in criterion order, each with exactly
+    the budgets its signature takes, and reports one verdict per suite."""
+    report = tmp_path / "v.json"
+    assert main(["verify", "--instances", "3", "--reps", "7", "--json", str(report)]) == 0
+    reps, instances = {"seed": 7, "reps": 7}, {"seed": 7, "instances": 3}
+    assert suite_calls == [
+        ("static-law", reps),
+        ("process-law", reps),
+        ("slice-rates", instances),
+        ("surplus-poisson", reps),
+        ("intensity", instances),
+        ("monotone-logs", {"seed": 7}),
+        ("mosaic-roundtrip", instances),
+        ("merge-rate", reps),
+        ("scaling", reps),
+        ("determinism", {"seed": 7}),
+    ]
+    payload = json.loads(report.read_text())
+    assert payload["seed"] == 7 and payload["passed"] is True
+    assert [(r["criterion"], r["name"]) for r in payload["criteria"]] == [
+        (num, name) for name, (num, _fn) in verify.SUITES.items()
+    ]
+    assert [num for num, _fn in verify.SUITES.values()] == list(range(1, 11))
+
+
 def test_verify_merge_rate_below_its_engine_sample(tmp_path):
     """Fewer draws than the engine cross-check's 2,000 pairs: the engine
     checks every draw instead of indexing past them."""
@@ -275,6 +344,9 @@ _SCALARS = {"masses": [1.0, 1.5, 0.75], "seed": 1, "q": 1, "q_max": 2, "reps": 2
         (["mosaic", "--svg"], {"q": "0.5"}),
         (["mosaic", "--svg"], {"q": 10**400}),
         (["limit", "--reps", "2", "--out"], {"seed": 2.5}),
+        (["simulate", "--out"], {"reps": None}),
+        (["surplus", "--static", "--out"], {"reps": None}),
+        (["surplus", "--out"], {"variant": None}),
     ],
 )
 def test_config_scalars_are_type_checked(argv, bad, tmp_path, capsys):
@@ -419,16 +491,33 @@ def test_seeded_outputs_are_pinned(tmp_path):
         {"c": [True]},
         {"c": [0.5, "0.2"]},
         {"c": 0.5},
+        {"kappa": None},
+        {"horizon": None},
+        {"kapa": 2.0},
+        {"reps": 3},
     ],
 )
 def test_limit_config_values_are_checked(limit_cfg, tmp_path, capsys):
     """The config's limit entry follows the q/q_max rules: non-bool finite
-    numbers, h and horizon > 0, c a list of numbers."""
+    numbers, h and horizon > 0, c a list of numbers, no nulls and no keys
+    that limit does not read."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"limit": limit_cfg}))
     out = tmp_path / "out"
     assert main(["limit", "--reps", "2", "--out", str(out), "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_limit_config_names_the_keys_it_does_not_read(tmp_path, capsys):
+    """A misspelt parameter or a budget in the limit object is refused by
+    name instead of running at the defaults (reps is the --reps flag only)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"limit": {"kapa": 2.0, "reps": 3}, "seed": 1}))
+    out = tmp_path / "out"
+    assert main(["limit", "--reps", "2", "--out", str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'kapa'" in err and "'reps'" in err
     assert not out.exists()
 
 
