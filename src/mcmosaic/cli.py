@@ -32,10 +32,26 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
+_CONFIG_KEYS = ("masses", "seed", "q", "q_max", "reps", "variant", "limit")
+
+
+def _only(where: str, settings: dict, keys: tuple[str, ...]) -> dict:
+    """``settings``, unless it has a key outside ``keys`` (named in the error)."""
+    unknown = ", ".join(repr(k) for k in settings if k not in keys)
+    if unknown:
+        raise ValueError(f"{where} takes only {', '.join(keys)}, not {unknown}")
+    return settings
+
+
+def _read_config(path: str) -> dict:
+    """The config; it serves every subcommand, so a key none reads is refused."""
+    return _only("config", core.read_config(path), _CONFIG_KEYS)
+
+
 def _load_config(args) -> tuple[core.WeightedConfig, dict]:
     if not getattr(args, "config", None):
         raise ValueError("this subcommand requires --config")
-    return core.load_config(args.config)
+    return core.load_config(_read_config(args.config))
 
 
 _NEEDED = object()
@@ -214,13 +230,11 @@ def _jumps(key: str, v) -> tuple[float, ...]:
 
 
 def _cmd_limit(args) -> int:
-    payload = core.read_config(args.config) if args.config else {}
+    payload = _read_config(args.config) if args.config else {}
     settings = payload.get("limit", {})
     if not isinstance(settings, dict):
         raise ValueError(f"config 'limit' must be a JSON object, got {settings!r}")
-    unknown = ", ".join(repr(k) for k in settings if k not in _LIMIT_KEYS)
-    if unknown:
-        raise ValueError(f"config 'limit' takes only {', '.join(_LIMIT_KEYS)}, not {unknown}")
+    _only("config 'limit'", settings, _LIMIT_KEYS)
     params = limit_mod.LimitParams(
         kappa=_setting(args, settings, "kappa", _real, 1.0),
         tau=_setting(args, settings, "tau", _real, 0.0),

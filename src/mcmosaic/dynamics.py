@@ -11,6 +11,9 @@ the static forest at every level.  The readers at one level share one view
 of the log there (``_Level``): the events up to the first one past q, and
 the blocks, arrival-process table, spanning edges and mosaic geometry read
 from them, beside the walk at q (one ``WalkPath``), each computed once.
+Every partition reader gives a lone vertex v the same {v}, from one table
+for the whole process that grows to the largest n read and stays: about
+0.25 KiB per vertex, less than a trajectory of that n holds.
 """
 from __future__ import annotations
 
@@ -105,10 +108,6 @@ class Trajectory:
         stops[[ev.right.lo for ev in self.events]] = times
         return stops
 
-    @cached_property
-    def _singletons(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset((v,)) for v in range(len(self.config)))
-
     def blocks_at(self, q: float) -> list[ComponentBlock]:
         """Component blocks after the events up to the first one with time
         > q, masses summed in log order, as a new list on every call;
@@ -119,7 +118,7 @@ class Trajectory:
     def partition_at(self, q: float) -> frozenset[frozenset[int]]:
         """Vertex partition (labels, not ranks) after events with time <= q:
         the clock order cut at each rank that still starts a block at q."""
-        return _cut(self.clocks.perm, self._stops, q, self._singletons)
+        return _cut(self.clocks.perm, self._stops, q)
 
 
 def _check_times(times) -> None:
@@ -289,12 +288,23 @@ class _Level:
         return rows
 
 
-def _cut(seq, stops: np.ndarray, q: float, singletons: tuple) -> frozenset[frozenset[int]]:
+# {v} for every vertex v, shared by every partition reader; each entry's
+# hash is cached, so a cut hashes a run of one vertex for free.  Only ever
+# extended, its existing entries kept.
+_SINGLETONS: tuple[frozenset[int], ...] = ()
+
+
+def _cut(seq, stops: np.ndarray, q: float) -> frozenset[frozenset[int]]:
     """``seq`` cut into runs, one starting at each position whose stop level
     is not <= q (so NaN never stops); a run of one vertex is its entry of
-    ``singletons``, shared by every call.  ValueError for a NaN q."""
+    the shared ``_SINGLETONS``.  ValueError for a NaN q."""
+    global _SINGLETONS
     check_level(q)
-    bounds = [*(~(stops <= q)).nonzero()[0].tolist(), len(seq)]
+    singletons, n = _SINGLETONS, len(seq)
+    if len(singletons) < n:  # one rebinding, so a racing reader sees a whole table
+        grown = map(frozenset, zip(range(len(singletons), n)))
+        singletons = _SINGLETONS = (*singletons, *grown)
+    bounds = [*(~(stops <= q)).nonzero()[0].tolist(), n]
     return frozenset(
         singletons[seq[a]] if b - a == 1 else frozenset(seq[a:b])
         for a, b in zip(bounds, bounds[1:])
@@ -329,7 +339,8 @@ def run_trajectory(
     # hull ranks; gaps[k] = mass(hull[k]..hull[k+1]-1), the last one up to
     # r - 1; slopes[k] = slope(hull[k], hull[k+1])
     hull, gaps, slopes = [0], [sizes[0]], []
-    absorbed: list[tuple[float, int]] = []
+    qs: list[float] = []  # q_r of each absorbed rank r in rs, ranks ascending
+    rs: list[int] = []
     for r in range(1, n):
         w = gaps[-1]
         s = (xs[r] - xs[hull[-1]]) / w
@@ -340,27 +351,32 @@ def run_trajectory(
             w += gaps[-1]
             s = (xs[r] - xs[hull[-1]]) / w
         if s <= q_max:
-            absorbed.append((s, r))
+            qs.append(s)
+            rs.append(r)
         gaps[-1] = w
         slopes.append(s)
         hull.append(r)
         gaps.append(sizes[r])
-    absorbed.sort()
+    # stable on ascending rs: ties in q_r keep rank order, as sorting (q_r, r) would
+    order = [rs[k] for k in sorted(range(len(rs)), key=qs.__getitem__)]
 
     cum = list(accumulate(sizes, initial=0.0))
     prev = list(range(-1, n))  # one past the end, so prev[n] is writable
     nxt = list(range(1, n + 1))
     mass = list(sizes)
     events: list[MergerEvent] = []
+    # records built as plain tuples of their class, past the Python-level __new__
+    new, Block, Event = tuple.__new__, ComponentBlock, MergerEvent
     # child then parent per event: the same doubles as scalar draws
-    draws = iter(gen.random(2 * len(absorbed)).tolist() if absorbed else ())
-    for (_, r), u_child, u_parent in zip(absorbed, draws, draws):
+    draws = iter(gen.random(2 * len(order)).tolist() if order else ())
+    for r, u_child, u_parent in zip(order, draws, draws):
         j, e = prev[r], nxt[r]
-        child = bisect_right(cum, cum[r] + u_child * mass[r], r + 1, e) - 1
-        parent = bisect_right(cum, cum[j] + u_parent * mass[j], j + 1, r) - 1
-        left, right = ComponentBlock(j, r - 1, mass[j]), ComponentBlock(r, e - 1, mass[r])
-        events.append(MergerEvent((xs[r] - xs[j]) / mass[j], left, right, (perm[child], perm[parent])))
-        mass[j] += mass[r]
+        m_j, m_r = mass[j], mass[r]
+        child = bisect_right(cum, cum[r] + u_child * m_r, r + 1, e) - 1
+        parent = bisect_right(cum, cum[j] + u_parent * m_j, j + 1, r) - 1
+        left, right = new(Block, (j, r - 1, m_j)), new(Block, (r, e - 1, m_r))
+        events.append(new(Event, ((xs[r] - xs[j]) / m_j, left, right, (perm[child], perm[parent]))))
+        mass[j] = m_j + m_r
         nxt[j] = e
         prev[e] = j
 
@@ -413,14 +429,10 @@ class MonotoneForest:
                     v = nxt[v]
         return order, np.array([math.nan, *(joined[v] for v in order[:-1])])
 
-    @cached_property
-    def _singletons(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset((v,)) for v in range(self.n))
-
     def components_at(self, q: float) -> frozenset[frozenset[int]]:
         """Partition after the edges with time <= q: the join order cut
         wherever an adjacent pair was joined later than q, or never."""
-        return _cut(*self._join_order, q, self._singletons)
+        return _cut(*self._join_order, q)
 
 
 def build_monotone_forest(trajectory: Trajectory) -> MonotoneForest:

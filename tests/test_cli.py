@@ -359,6 +359,31 @@ def test_config_scalars_are_type_checked(argv, bad, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["simulate", "--out"], {"rep": 5}),
+        (["simulate", "--out"], {"Seed": 3}),
+        (["forest", "--out"], {"qmax": 2}),
+        (["surplus", "--static", "--out"], {"variants": "multigraph"}),
+        (["surplus", "--out"], {"kappa": 2.0}),
+        (["mosaic", "--svg"], {"shade": True}),
+        (["limit", "--reps", "2", "--out"], {"h": 0.01}),
+    ],
+)
+def test_config_names_the_top_level_keys_no_subcommand_reads(argv, extra, tmp_path, capsys):
+    """One config serves every subcommand, so a top-level key outside
+    masses, seed, q, q_max, reps, variant and limit is refused by name
+    instead of dropped (a misspelt reps ran one replicate)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_SCALARS, **extra}))
+    out = tmp_path / "out"
+    assert main(argv + [str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(next(iter(extra))) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [["simulate", "--out"], ["forest", "--out"], ["surplus", "--static", "--out"],
      ["mosaic", "--svg"], ["limit", "--reps", "2", "--out"]],

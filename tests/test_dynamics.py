@@ -3,6 +3,7 @@
 import dataclasses
 import heapq
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import domain, domain_instance
+from mcmosaic import dynamics
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, find, sample_clocks
 from mcmosaic.dynamics import (
     ComponentBlock,
@@ -185,6 +187,51 @@ def test_sweep_matches_heap_engine(exponents, equal, seed, ties, log_q):
         q_mid = positive[len(positive) // 2]
         got = run_trajectory(cfg, clocks, RngStream(seed), q_mid).events
         assert list(got) == heap_events(cfg, clocks, RngStream(seed), q_mid)
+
+
+def tuple_sorted_events(cfg, clocks, rng, q_max):
+    """The engine's log by brute force: every rank's q_r as a minimum over
+    all earlier ranks, the (q_r, r) tuples sorted, then each merger replayed
+    on a dict of live blocks with its edge found by a linear scan."""
+    xs, perm = clocks.sorted_xi(), clocks.perm
+    sizes = [cfg.masses[v] for v in perm]
+    cum = [math.fsum(sizes[:r]) for r in range(len(sizes) + 1)]
+    q_r = [min((xs[r] - xs[i]) / (cum[r] - cum[i]) for i in range(r)) for r in range(1, len(sizes))]
+    absorbed = sorted((t, r) for r, t in enumerate(q_r, 1) if t <= q_max)
+    draws = rng.named("merge-edges").generator().random(2 * len(absorbed)).tolist()
+    live = {r: [r, m] for r, m in enumerate(sizes)}  # root -> [hi, mass]
+
+    def pick(lo, hi, mass, u):
+        return perm[max(l for l in range(lo, hi + 1) if cum[l] <= cum[lo] + u * mass)]
+
+    events = []
+    for k, (_, r) in enumerate(absorbed):
+        j = max(root for root in live if root < r)
+        (j_hi, j_mass), (r_hi, r_mass) = live[j], live.pop(r)
+        edge = (pick(r, r_hi, r_mass, draws[2 * k]), pick(j, j_hi, j_mass, draws[2 * k + 1]))
+        events.append(MergerEvent((xs[r] - xs[j]) / j_mass, ComponentBlock(j, j_hi, j_mass),
+                                  ComponentBlock(r, r_hi, r_mass), edge))
+        live[j] = [r_hi, j_mass + r_mass]
+    return tuple(events)
+
+
+@pytest.mark.parametrize("q_max", [0.5, 12.5, 1e9])
+def test_tied_absorption_times_run_in_rank_order(q_max):
+    """Unit masses on three runs of eight equally spaced clocks (spacings 1,
+    1/2 and 1/4, labels shuffled): seven ranks share each run's spacing as
+    q_r, and two run heads share 12.5, all exact in floats.  Equal times
+    come in ascending right-block rank, and the log is the one sorted from
+    (q_r, r) tuples, ties at q_max kept."""
+    xi = [100.0 * g + 1.0 + k * d for g, d in enumerate((1.0, 0.5, 0.25)) for k in range(8)]
+    labels = np.random.default_rng(4).permutation(len(xi)).tolist()
+    clocks = ClockAssignment.from_xi([xi[labels.index(v)] for v in range(len(xi))])
+    cfg = WeightedConfig((1.0,) * len(xi))
+    traj = run_trajectory(cfg, clocks, RngStream(9), q_max)
+    ties = {0.25: 7, 0.5: 7, 1.0: 7, 12.5: 2}
+    assert Counter(ev.time for ev in traj.events) == {t: c for t, c in ties.items() if t <= q_max}
+    for a, b in zip(traj.events, traj.events[1:]):
+        assert a.time < b.time or (a.time == b.time and a.right.lo < b.right.lo)
+    assert traj.events == tuple_sorted_events(cfg, clocks, RngStream(9), q_max)
 
 
 def test_event_blocks_are_consistent():
@@ -550,8 +597,8 @@ def test_cached_columns_stay_out_of_eq_repr_and_replace():
     forest.components_at(1.0)
     assert (repr(traj), repr(forest)) == before
     assert traj == fresh_traj and forest == fresh_forest
-    assert {"_stops", "_singletons", "_level"} <= vars(traj).keys()
-    assert {"_join_order", "_singletons"} <= vars(forest).keys()
+    assert {"_stops", "_level"} <= vars(traj).keys()
+    assert "_join_order" in vars(forest)
     copies = dataclasses.replace(traj), dataclasses.replace(forest)
     assert not any(k.startswith("_") for c in copies for k in vars(c))
 
@@ -608,6 +655,27 @@ def test_repeated_reads_share_their_singleton_blocks():
         for block in first:
             assert (singles.get(block) is block) == (len(block) == 1)
         assert all(singles[b] is b for b in again if len(b) == 1)
+
+
+def test_every_reader_shares_one_singleton_table():
+    """Two trajectories of one n and the forest of one of them give a lone
+    vertex the same {v} object; a larger n extends the table and keeps the
+    entries it had."""
+    cfg = WeightedConfig((1.0,) * 6)
+    trajs = [run_trajectory(cfg, sample_clocks(cfg, RngStream(s).named("clocks")), RngStream(s), 1e9)
+             for s in (1, 2)]
+    readers = [t.partition_at for t in trajs] + [build_monotone_forest(trajs[0]).components_at]
+    firsts = [{next(iter(b)): b for b in read(-1.0)} for read in readers]
+    assert all(len(f) == 6 for f in firsts)
+    for v in range(6):
+        assert firsts[0][v] is firsts[1][v] is firsts[2][v] == {v}
+    before = dynamics._SINGLETONS
+    big = len(before) + 3
+    alone = {next(iter(b)): b for b in MonotoneForest(big, ()).components_at(0.0)}
+    after = dynamics._SINGLETONS
+    assert len(after) == big and all(after[v] is before[v] for v in range(len(before)))
+    assert all(alone[v] is after[v] == {v} for v in range(big))
+    assert all(alone[v] is firsts[0][v] for v in range(6))
 
 
 def _four_vertex_readers():

@@ -744,7 +744,8 @@ def test_build_replay_build_round_trip(exponents, equal, seed, ties, log_q):
     clocks, q from 1e-3 to 1e12 over sigma2: every built excursion is valid
     and replays to itself.  Two float limits are left out here and pinned
     by the xfail tests below: a jump below the rounding of its own
-    position, and q exactly at a merger time."""
+    position, and q exactly at a merger time.  A third, a jump below the
+    rounding of its baseline's level, is pinned below but not left out."""
     cfg, clocks, traj, q = spread_instance(exponents, equal, seed, ties, log_q)
     path = WalkPath.from_clocks(cfg, clocks, q)
     assume(all(x + m > x for x, m in zip(path.jump_times, path.jump_sizes)))
@@ -769,6 +770,16 @@ def test_round_trip_at_a_merger_time():
     exponents = [0.0, 0.0, 6.0, 0.0, 0.0, 5.796875]
     _cfg, _clocks, traj, _q = spread_instance(exponents, False, 1705423, [], 0.0)
     round_trips(traj, max(ev.time for ev in traj.events))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a jump of mass 1e-6 on a tied clock raises the next baseline's level "
+    "of -1.5e10 by less than the level's rounding: ranks 5 and 6 share a "
+    "level and validate reports R1"
+))
+def test_round_trip_of_levels_that_round_together():
+    _cfg, _clocks, traj, q = spread_instance([0, 0, 0, -6, 4.5, 0, 0], False, 20, [(5, 10)], 4.5)
+    round_trips(traj, q)
 
 
 # -- slice-rate identity over the input domain --------------------------------
