@@ -92,14 +92,8 @@ def _level(key: str, v) -> float:
 
 
 def _count(least: int):
-    """The check of an integer >= least (bools are not integers here)."""
-
-    def check(key: str, v) -> int:
-        if isinstance(v, bool) or not isinstance(v, int) or v < least:
-            raise ValueError(f"{key} must be an integer >= {least}, got {v!r}")
-        return v
-
-    return check
+    """The check of an integer >= least (core.check_count)."""
+    return lambda key, v: core.check_count(key, v, least)
 
 
 def _root(args, settings: dict) -> core.RngStream:

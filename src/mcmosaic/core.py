@@ -12,7 +12,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +25,8 @@ __all__ = [
     "read_config",
     "load_config",
     "check_level",
+    "check_positive",
+    "check_count",
     "find",
     "union",
     "groups",
@@ -137,6 +139,19 @@ def check_level(q: float) -> None:
     """ValueError for a NaN level; every other one, ±inf included, is valid."""
     if math.isnan(q):
         raise ValueError(f"level q must not be NaN, got {q!r}")
+
+
+def check_positive(name: str, v: float) -> None:
+    """ValueError unless v is finite and > 0 (a walk level or horizon)."""
+    if not (v > 0.0) or not math.isfinite(v):
+        raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+
+
+def check_count(name: str, v, least: int = 1):
+    """v, an integer >= least; ValueError otherwise (bools are not counts)."""
+    if isinstance(v, bool) or not isinstance(v, Integral) or v < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+    return v
 
 
 def find(parent: list[int], a: int) -> int:

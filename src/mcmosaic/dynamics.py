@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ClockAssignment, RngStream, WeightedConfig, check_level, find
+from .core import ClockAssignment, RngStream, WeightedConfig, check_level, check_positive, find
 from .walk import WalkPath
 
 __all__ = [
@@ -172,6 +172,14 @@ class _Level:
         if v is None or v.q != q:
             v = trajectory.__dict__["_level"] = cls(trajectory, q)
         return v
+
+    @classmethod
+    def at(cls, trajectory: Trajectory, q: float) -> "_Level":
+        """The level view at a horizon q of the surplus and mosaic readers;
+        ValueError unless 0 <= q <= trajectory.q_max (the log ends there)."""
+        if not 0.0 <= q <= trajectory.q_max:
+            raise ValueError(f"q={q!r} outside the horizon [0, {trajectory.q_max}]")
+        return cls.of(trajectory, q)
 
     @cached_property
     def processes(self) -> tuple[list, list, list, list, list, list, list]:
@@ -328,8 +336,7 @@ def run_trajectory(
     merger draws its edge, child in the right block and then parent in the
     left, mass-biased by bisection on the prefix masses.
     """
-    if not (q_max > 0.0) or not math.isfinite(q_max):
-        raise ValueError(f"q_max must be finite and > 0, got {q_max!r}")
+    check_positive("q_max", q_max)
     n = len(config)
     gen = rng.named("merge-edges").generator()
     perm = clocks.perm

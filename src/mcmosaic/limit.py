@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .core import RngStream, WeightedConfig
+from .core import RngStream, WeightedConfig, check_count
 from .stats import ks_distance
 from .walk import chunk_rows, component_stats
 
@@ -292,12 +291,6 @@ def hypothesis_report(masses, kappa: float = 1.0, c: tuple[float, ...] = (), rto
     }
 
 
-def _require_count(name: str, value) -> None:
-    """ValueError unless ``value`` is an integer >= 1 (bools excluded)."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def sample_limit_reference(
     params: LimitParams,
     rng: RngStream,
@@ -313,7 +306,7 @@ def sample_limit_reference(
     excursion) per path.  Paths with no excursion contribute length 0 and
     count 0.  ``reps`` must be an integer >= 1 (ValueError otherwise).
     """
-    _require_count("reps", reps)
+    check_count("reps", reps)
     largest = np.zeros(reps)
     second = np.zeros(reps)
     area = np.zeros(reps)
@@ -383,8 +376,8 @@ def scaling_experiment(
     each n must be integers >= 1, and a given ``sequences[n]`` must hold n
     finite positive masses (ValueError otherwise).  A ``sequences`` key not
     in ``n_values`` raises ValueError too: no size would read it, so the
-    sequence meant for it would be silently dropped.  So does a repeated
-    size, whose rows would pool its samples.
+    sequence meant for it would be silently dropped.  So do a repeated
+    size, whose rows would pool its samples, and no size at all.
 
     Every n, standard or given, reads the first n columns of one pool of
     unit exponentials per chunk of replications (stream "scaling-coupled")
@@ -395,7 +388,9 @@ def scaling_experiment(
     at moderate replication counts.
     """
     params = LimitParams(kappa=1.0, tau=0.0, t=t, c=())
-    _require_count("reps", reps)
+    check_count("reps", reps)
+    if len(n_values) == 0:
+        raise ValueError(f"n_values {tuple(n_values)} names no size")
     sequences = sequences or {}
     stray = [k for k in sequences if k not in n_values]
     if stray:
@@ -403,7 +398,7 @@ def scaling_experiment(
     if len(set(n_values)) != len(n_values):
         raise ValueError(f"n_values {tuple(n_values)} repeat a size")
     for n in n_values:
-        _require_count("n", n)
+        check_count("n", n)
         if n in sequences and len(sequences[n]) != n:
             raise ValueError(f"sequences[{n}] holds {len(sequences[n])} masses, not {n}")
     mass, s2, q, warnings = {}, {}, {}, {}

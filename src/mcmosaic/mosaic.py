@@ -25,8 +25,8 @@ The per-rank geometry at a horizon (reach ends, extents and parallelogram
 rows) lives on the trajectory's level view there (dynamics._Level), beside
 the log prefix and the one WalkPath (its troughs are the levels) it reads.
 The trajectory keeps one view, so build_mosaic, slice_decomposition and the
-SVG renderer at one horizon share one walk and one pass, through _level,
-which checks the horizon.
+SVG renderer at one horizon share one walk and one pass; they read it
+through _Level.at, which checks the horizon, as the surplus readers do.
 Per-element records (Baseline, OrnamentedExcursion, Slice, Parallelogram)
 are named tuples built positionally, as the per-element records of the other
 modules are; per-call containers (HasseOrders) stay frozen dataclasses.
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
-from .core import ClockAssignment, RngStream, WeightedConfig
+from .core import ClockAssignment, RngStream, WeightedConfig, check_positive
 from .dynamics import Trajectory, _Level, run_trajectory
 
 __all__ = [
@@ -111,8 +111,7 @@ class OrnamentedExcursion(NamedTuple):
         geometry is attached.
         """
         WeightedConfig(masses)  # built for its mass checks only
-        if not (q > 0.0) or not math.isfinite(q):
-            raise ValueError(f"q must be finite and > 0, got {q!r}")
+        check_positive("q", q)
         n = len(masses)
         if not set(covers) <= set(range(n)):
             raise ValueError(f"cover keys must be ranks 0..{n - 1}, got {list(covers)}")
@@ -130,17 +129,9 @@ class OrnamentedExcursion(NamedTuple):
 OrnamentedExcursion._make = classmethod(tuple.__new__)
 
 
-def _level(trajectory: Trajectory, q: float) -> _Level:
-    """The trajectory's level view at horizon q, which holds the walk and the
-    per-rank geometry there; ValueError for q outside (0, q_max]."""
-    if not 0.0 < q <= trajectory.q_max:
-        raise ValueError(f"q={q} outside (0, {trajectory.q_max}]")
-    return _Level.of(trajectory, q)
-
-
 def build_mosaic(trajectory: Trajectory, q: float) -> list[OrnamentedExcursion]:
     """One ornamented excursion per component of the walk at horizon q."""
-    g = _level(trajectory, q)
+    g = _Level.at(trajectory, q)
     pos, level, sizes, perm = g.walk.jump_times, g.walk.troughs, g.sizes, g.clocks.perm
     reach, extent_end = g.reach, g.extent_end
     out = []
@@ -454,7 +445,7 @@ class Slice(NamedTuple):
 
 def slice_decomposition(trajectory: Trajectory, q: float) -> list[Slice]:
     """All per-rank slices of every excursion of the walk at horizon q."""
-    g = _level(trajectory, q)
+    g = _Level.at(trajectory, q)
     pos, sizes = g.walk.jump_times, g.sizes
     base_level, (intercept_lo, intercept_hi) = g.base_level, g.intercepts
     # positional: a named tuple built by keyword costs about twice as much

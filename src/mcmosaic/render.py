@@ -12,8 +12,7 @@ each shape is one %s-template filled with those strings.
 """
 from __future__ import annotations
 
-from .dynamics import Trajectory
-from .mosaic import _level
+from .dynamics import Trajectory, _Level
 
 __all__ = ["render_svg", "save_svg"]
 
@@ -54,7 +53,7 @@ def render_svg(
     shade_slices, per-rank slice regions (triangle plus absorption bands)
     are filled from a fixed palette.
     """
-    g = _level(trajectory, q)
+    g = _Level.at(trajectory, q)
     pos, sizes, before = g.walk.jump_times, g.sizes, g.base_level  # walk just before each jump
     tops = [b + s for b, s in zip(before, sizes)]
     span_end = max([0.0] + g.block_end)

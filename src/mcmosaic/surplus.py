@@ -259,11 +259,6 @@ class ZetaProcess(NamedTuple):
     target_mass: float
 
 
-def _check_horizon(trajectory: Trajectory, q_max: float) -> None:
-    if not 0.0 <= q_max <= trajectory.q_max:
-        raise ValueError(f"q_max={q_max} outside the horizon [0, {trajectory.q_max}]")
-
-
 def activated_processes(
     trajectory: Trajectory, q_max: float, include_loops: bool
 ) -> tuple[ZetaProcess, ...]:
@@ -273,8 +268,7 @@ def activated_processes(
     process per right-block vertex l, at rate mass(l) * mass(j..k).  Loop
     processes (multigraph only) exist from time 0 at rate mass(l)**2 / 2.
     """
-    _check_horizon(trajectory, q_max)
-    level = _Level.of(trajectory, q_max)
+    level = _Level.at(trajectory, q_max)
     skip = 0 if include_loops else len(level.sizes)
     ls, js, ends, *rest = (col[skip:] for col in level.processes[:6])
     return tuple(map(ZetaProcess, ls, js, map(sub, ends, repeat(1)), *rest))
@@ -304,9 +298,8 @@ def dynamic_surplus(
     """
     if variant not in ("simple", "multigraph"):
         raise ValueError(f"unknown variant {variant!r}")
-    _check_horizon(trajectory, q_max)
+    level = _Level.at(trajectory, q_max)
     perm = trajectory.clocks.perm
-    level = _Level.of(trajectory, q_max)
     sizes, spanning = level.sizes, level.spanning
     if q_max == 0.0:  # and there is no walk at 0
         return LabeledGraph(n=len(trajectory.config), spanning=spanning, surplus=())
@@ -357,11 +350,10 @@ class SurplusCountSampler:
     """
 
     def __init__(self, trajectory: Trajectory, q_max: float):
-        _check_horizon(trajectory, q_max)
+        level = _Level.at(trajectory, q_max)
         self.trajectory = trajectory
         self.q_max = q_max
         perm = trajectory.clocks.perm
-        level = _Level.of(trajectory, q_max)
         blocks = level.blocks
         self.components = [frozenset(perm[b.lo : b.hi + 1]) for b in blocks]
         self.n_components = len(blocks)

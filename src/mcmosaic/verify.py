@@ -52,15 +52,18 @@ def _with_retry(run, seed: int) -> dict:
     return again
 
 
-def _random_instance(sub: core.RngStream, max_len: int, min_len: int = 2):
-    """Shared recipe for random instances: masses in [0.5, 2], q in [0.2, 3]."""
-    gen = sub.generator()
-    n = int(gen.integers(min_len, max_len + 1))
-    masses = tuple(float(m) for m in gen.uniform(0.5, 2.0, n))
-    q = float(gen.uniform(0.2, 3.0))
-    config = core.WeightedConfig(masses)
-    clocks = core.sample_clocks(config, sub.named("clocks"))
-    return config, clocks, q
+def _instances(seed: int, name: str, count: int, max_len: int):
+    """(i, stream, config, clocks, q) for the i-th of ``count`` random
+    instances on the seed's stream ``name``: n in 2..max_len, masses in
+    [0.5, 2], q in [0.2, 3], clocks on the instance stream's "clocks"."""
+    rng = core.RngStream(seed).named(name)
+    for i in range(count):
+        sub = rng.indexed(i)
+        gen = sub.generator()
+        n = int(gen.integers(2, max_len + 1))
+        config = core.WeightedConfig(tuple(float(m) for m in gen.uniform(0.5, 2.0, n)))
+        q = float(gen.uniform(0.2, 3.0))
+        yield i, sub, config, core.sample_clocks(config, sub.named("clocks")), q
 
 
 # -- criterion 1: static edge-set law ---------------------------------------
@@ -172,13 +175,10 @@ def check_process_law(seed: int = 7, reps: int = 100_000) -> dict:
 def check_slice_rates(seed: int = 7, instances: int = 1000) -> dict:
     """The cumulative arrival intensity of every activated process equals q
     times its parallelogram's area, to 1e-9, on random instances."""
-    rng = core.RngStream(seed).named("slice-rates")
     worst = 0.0
     n_checked = 0
     count_mismatch = 0
-    for i in range(instances):
-        sub = rng.indexed(i)
-        config, clocks, q = _random_instance(sub, max_len=10)
+    for _, sub, config, clocks, q in _instances(seed, "slice-rates", instances, 10):
         traj = dynamics.run_trajectory(config, clocks, sub.named("engine"), q_max=q)
         slices = mosaic.slice_decomposition(traj, q)
         n_paras = 0
@@ -214,14 +214,11 @@ def check_surplus_poisson(
 ) -> dict:
     """Multigraph surplus counts per component, conditional on fixed
     trajectories, pass the moment test against q times the excursion area."""
-    rng = core.RngStream(seed).named("surplus-poisson")
     first_draw_failures = []
     failures = []
     retried = False
     n_components = 0
-    for i in range(trajectories):
-        sub = rng.indexed(i)
-        config, clocks, q = _random_instance(sub, max_len=8)
+    for i, sub, config, clocks, q in _instances(seed, "surplus-poisson", trajectories, 8):
         traj = dynamics.run_trajectory(config, clocks, sub.named("engine"), q_max=q)
         sampler = surplus.SurplusCountSampler(traj, q)
         path = walk.WalkPath.from_clocks(config, clocks, q)
@@ -273,13 +270,10 @@ def _moment_failure(trajectory: int, component: int, res) -> dict:
 def check_intensity(seed: int = 7, instances: int = 1000) -> dict:
     """total_intensity equals q times the summed candidate masses for every
     non-root rank; roots give exactly zero."""
-    rng = core.RngStream(seed).named("intensity")
     worst = 0.0
     n_checked = 0
     root_violation = 0
-    for i in range(instances):
-        sub = rng.indexed(i)
-        config, clocks, q = _random_instance(sub, max_len=10)
+    for _, _, config, clocks, q in _instances(seed, "intensity", instances, 10):
         path = walk.WalkPath.from_clocks(config, clocks, q)
         dec = walk.decompose(path)
         forest, _ = walk.breadth_first_forest(config, clocks, q)
@@ -315,13 +309,10 @@ def check_monotone_logs(seed: int = 7, trajectories: int = 1000) -> dict:
     """Edge logs (spanning and surplus) are chronological, and the monotone
     forest's partition equals the fixed-horizon forest partition at every
     event time and between events."""
-    rng = core.RngStream(seed).named("monotone-logs")
     bad_order = 0
     bad_partition = 0
     checkpoints = 0
-    for i in range(trajectories):
-        sub = rng.indexed(i)
-        config, clocks, q_max = _random_instance(sub, max_len=8)
+    for _, sub, config, clocks, q_max in _instances(seed, "monotone-logs", trajectories, 8):
         traj = dynamics.run_trajectory(config, clocks, sub.named("engine"), q_max=q_max)
         f1 = dynamics.build_monotone_forest(traj)
 
@@ -384,12 +375,9 @@ def check_mosaic_roundtrip(seed: int = 7, instances: int = 1000) -> dict:
     """build -> replay -> build reproduces every excursion exactly; the
     validator names the broken-extent and broken-reach rules on the two
     counterexample fixtures; the five cover fixtures give the five orders."""
-    rng = core.RngStream(seed).named("roundtrip")
     bad_roundtrip = 0
     n_excursions = 0
-    for i in range(instances):
-        sub = rng.indexed(i)
-        config, clocks, q = _random_instance(sub, max_len=8)
+    for _, sub, config, clocks, q in _instances(seed, "roundtrip", instances, 8):
         traj = dynamics.run_trajectory(config, clocks, sub.named("engine"), q_max=q)
         for exc in mosaic.build_mosaic(traj, q):
             n_excursions += 1
@@ -538,14 +526,13 @@ def check_merge_rate(seed: int = 7, reps: int = 100_000) -> dict:
 # -- criterion 9: finite-size laws approach the limit law --------------------
 
 
-def check_scaling(
-    seed: int = 7,
-    reps: int = 10_000,
-    batches: int = 5,
-    n_values: tuple[int, ...] = (1_000, 3_000, 10_000),
-    h: float = 1e-3,
-    limit_reps: int = 200_000,
-) -> dict:
+# criterion 9's grid: the sizes, the limit step and the reference's paths
+_SCALING_N = (1_000, 3_000, 10_000)
+_SCALING_H = 1e-3
+_SCALING_LIMIT_REPS = 200_000
+
+
+def check_scaling(seed: int = 7, reps: int = 10_000, batches: int = 5) -> dict:
     """Sup-distance from the largest-component law to the limit excursion
     law decreases strictly in n for a majority of seed batches.
 
@@ -558,14 +545,14 @@ def check_scaling(
     def run(s: int) -> dict:
         params = limit_mod.LimitParams(kappa=1.0, tau=0.0, t=0.0, c=())
         ref = limit_mod.sample_limit_reference(
-            params, core.RngStream(s).named("scaling-reference"), h, limit_reps
+            params, core.RngStream(s).named("scaling-reference"), _SCALING_H, _SCALING_LIMIT_REPS
         )
         decreasing = []
         ks_rows = []
         for bi in range(batches):
             rng = core.RngStream(s).named("scaling-batch").indexed(bi)
             rep = limit_mod.scaling_experiment(
-                n_values, 0.0, reps, rng, h=h, include_marks=False, reference=ref
+                _SCALING_N, 0.0, reps, rng, h=_SCALING_H, include_marks=False, reference=ref
             )
             decreasing.append(bool(rep["ks_decreasing"]))
             ks_rows.append([float(r["ks_largest"]) for r in rep["rows"]])
@@ -578,8 +565,8 @@ def check_scaling(
             {
                 "reps": reps,
                 "batches": batches,
-                "n_values": list(n_values),
-                "limit_reps": limit_reps,
+                "n_values": list(_SCALING_N),
+                "limit_reps": _SCALING_LIMIT_REPS,
                 "decreasing_batches": good,
                 "ks_distances": ks_rows,
             },
@@ -615,8 +602,8 @@ def check_determinism(seed: int = 7) -> dict:
             "surplus": ["surplus", "--config", c, "--q-max", "1.5", "--variant", "multigraph",
                         "--out"],
             "mosaic": ["mosaic", "--config", c, "--q", "1.5", "--shade", "--svg"],
-            "limit": ["limit", "--kappa", "1.0", "--t", "0.0", "--h", "0.05", "--reps", "20",
-                      "--seed", s, "--out"],
+            "limit": ["limit", "--kappa", "1.0", "--t", "0.0", "--reps", "20", "--seed", s,
+                      "--out"],
             "verify": ["verify", "--suite", "intensity", "--instances", "40", "--seed", s,
                        "--json"],
         }

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import ClockAssignment, WeightedConfig
+from .core import ClockAssignment, WeightedConfig, check_positive
 
 __all__ = [
     "WalkPath",
@@ -51,8 +51,7 @@ class WalkPath:
 
     @classmethod
     def from_clocks(cls, config: WeightedConfig, clocks: ClockAssignment, q: float) -> "WalkPath":
-        if not (q > 0.0) or not math.isfinite(q):
-            raise ValueError(f"q must be finite and > 0, got {q!r}")
+        check_positive("q", q)
         if len(config) != len(clocks):
             raise ValueError("config and clocks disagree on length")
         times = tuple(clocks.xi[v] / q for v in clocks.perm)
@@ -279,8 +278,7 @@ def component_stats(
     """
     rows, n = exp.shape
     m = np.asarray(mass, dtype=float)
-    if not (q > 0.0) or not math.isfinite(q):
-        raise ValueError(f"q must be finite and > 0, got {q!r}")
+    check_positive("q", q)
     if n == 0 or m.shape not in ((), (n,)):
         raise ValueError(f"need n >= 1 columns and one mass or n masses, got {n} and {m.shape}")
     if not (np.isfinite(m).all() and (m > 0.0).all()):

@@ -332,6 +332,8 @@ _SCALARS = {"masses": [1.0, 1.5, 0.75], "seed": 1, "q": 1, "q_max": 2, "reps": 2
     [
         (["simulate", "--out"], {"seed": 1.7, "q_max": True, "reps": "2"}),
         (["simulate", "--out"], {"seed": True}),
+        (["simulate", "--out"], {"reps": True}),
+        (["limit", "--reps", "2", "--out"], {"seed": True}),
         (["simulate", "--out"], {"seed": "3"}),
         (["simulate", "--out"], {"q_max": "1"}),
         (["simulate", "--out"], {"q_max": float("nan")}),

@@ -547,6 +547,7 @@ def test_scaling_experiment_bad_horizon():
 @pytest.mark.parametrize(
     "n_values, sequences, match",
     [
+        ((), None, r"n_values \(\) names no size"),
         ((0,), None, "n must be an integer >= 1, got 0"),
         ((8, -3), None, "got -3"),
         ((True,), None, "got True"),
@@ -574,6 +575,17 @@ def test_scaling_experiment_rejects_bad_sizes(n_values, sequences, match, monkey
     monkeypatch.setattr(limit_mod, "component_stats", no_draw)
     with pytest.raises(ValueError, match=match):
         scaling_experiment(n_values, 0.0, 10, rng, h=5e-3, reference=ref, sequences=sequences)
+
+
+def test_numpy_integer_reps_are_counts():
+    """reps may be any integer type, numpy's included, and draws as the int."""
+    p, rng = LimitParams(kappa=1.0), RngStream(3).named("np-reps")
+    want = sample_limit_reference(p, rng, 5e-3, 3)
+    got = sample_limit_reference(p, rng, 5e-3, np.int64(3))
+    for key in ("largest", "second", "marks"):
+        np.testing.assert_array_equal(got[key], want[key])
+    out = scaling_experiment((8,), 0.0, np.int64(3), rng, h=5e-3, reference=want)
+    assert out["rows"] == scaling_experiment((8,), 0.0, 3, rng, h=5e-3, reference=want)["rows"]
 
 
 @pytest.mark.parametrize("reps", [0, -2, 2.5, True, 3.0, None])

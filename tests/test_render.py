@@ -11,6 +11,7 @@ from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clo
 from mcmosaic.dynamics import run_trajectory
 from mcmosaic.mosaic import build_mosaic, slice_decomposition
 from mcmosaic.render import render_svg, save_svg
+from mcmosaic.surplus import SurplusCountSampler, activated_processes, dynamic_surplus
 from mcmosaic.walk import WalkPath
 
 
@@ -244,10 +245,30 @@ def test_coordinates_in_the_negative_rounding_band_print_as_zero():
     assert svg == reference_render_svg(t, 3.0, shade_slices=True, width=13)
 
 
-@pytest.mark.parametrize("shade", [False, True])
-def test_render_rejects_q_outside_the_horizon(shade):
-    t = _traj(2, q=3.0)
-    for q in (0.0, -1.0, 3.0 * (1 + 1e-12), float("nan")):
-        with pytest.raises(ValueError):
-            render_svg(t, q, shade_slices=shade)
-    render_svg(t, 3.0, shade_slices=shade)  # the horizon itself is inside
+_HORIZON_READERS = {
+    "activated_processes": lambda t, q: activated_processes(t, q, include_loops=True),
+    "dynamic_surplus": lambda t, q: dynamic_surplus(t, RngStream(0), q, variant="multigraph"),
+    "SurplusCountSampler": SurplusCountSampler,
+    "build_mosaic": build_mosaic,
+    "slice_decomposition": slice_decomposition,
+    "render_svg": render_svg,
+    "render_svg(shade_slices)": lambda t, q: render_svg(t, q, shade_slices=True),
+}
+
+
+@pytest.mark.parametrize("name", list(_HORIZON_READERS))
+def test_level_readers_share_one_horizon_check(name):
+    """Every reader at a horizon raises the level view's one message for a
+    q outside [0, q_max] (NaN included) and answers at q_max itself; at
+    q = 0 the surplus readers answer (nothing has arrived yet) and the
+    mosaic readers raise the walk's error (there is no walk at 0)."""
+    read, t = _HORIZON_READERS[name], _traj(2, q=3.0)
+    for q in (-1.0, math.nan, 3.0 * (1 + 1e-12)):
+        with pytest.raises(ValueError, match=re.escape(f"q={q!r} outside the horizon [0, 3.0]")):
+            read(t, q)
+    read(t, 3.0)
+    if name in ("activated_processes", "dynamic_surplus", "SurplusCountSampler"):
+        read(t, 0.0)
+    else:
+        with pytest.raises(ValueError, match=re.escape("q must be finite and > 0, got 0.0")):
+            read(t, 0.0)

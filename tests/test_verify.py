@@ -3,7 +3,7 @@ once, and the work that a suite's budget bounds."""
 
 from dataclasses import replace
 
-from mcmosaic import stats, verify
+from mcmosaic import cli, stats, verify
 
 
 def test_retry_keeps_the_failed_first_attempt():
@@ -57,3 +57,24 @@ def test_merge_rate_reps_bound_the_endpoint_draws():
     trajectories, one merger with a two-vertex side each."""
     out = verify.check_merge_rate(reps=500)
     assert out["details"]["endpoint_events"] == 500
+
+
+def test_determinism_data_runs_write_data_rows(monkeypatch):
+    """Criterion 10 compares files worth comparing: every CSV run writes data
+    rows, and the limit run enough excursions (a step of h = 0.05 puts the
+    detection threshold 10 sqrt(h) above all but one)."""
+    rows = {}
+    main = cli.main
+
+    def counted(argv):
+        code = main(argv)
+        if argv[0] in ("simulate", "forest", "surplus", "limit"):
+            with open(argv[-1], encoding="utf-8") as fh:
+                rows.setdefault(argv[0], []).append(len(fh.read().splitlines()) - 1)
+        return code
+
+    monkeypatch.setattr(cli, "main", counted)
+    assert verify.check_determinism()["passed"]
+    assert sorted(rows) == ["forest", "limit", "simulate", "surplus"]
+    assert all(len(set(n)) == 1 and n[0] > 0 for n in rows.values()), rows
+    assert rows["limit"][0] >= 10, rows
