@@ -74,21 +74,12 @@ def _setting(args, settings: dict, key: str, check, default=_NEEDED):
     return check(key, v)
 
 
-def _real(key: str, v, positive: bool = False) -> float:
-    """A finite number, > 0 if positive (bools are not numbers here)."""
+def _real(key: str, v) -> float:
+    """A finite number (bools are not numbers here)."""
     big = sys.float_info.max
-    if (
-        isinstance(v, bool)
-        or not isinstance(v, (int, float))
-        or not (0 < v <= big if positive else -big <= v <= big)
-    ):
-        raise ValueError(f"{key} must be a finite number{' > 0' if positive else ''}, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not -big <= v <= big:
+        raise ValueError(f"{key} must be a finite number, got {v!r}")
     return float(v)
-
-
-def _level(key: str, v) -> float:
-    """q, q_max, h or horizon: a finite number > 0."""
-    return _real(key, v, positive=True)
 
 
 def _count(least: int):
@@ -113,7 +104,7 @@ def _replicates(args, config: core.WeightedConfig, settings: dict):
 
 def _cmd_simulate(args) -> int:
     config, settings = _load_config(args)
-    q_max = _setting(args, settings, "q_max", _level)
+    q_max = _setting(args, settings, "q_max", core.check_positive)
     lines = ["rep,event,time,left_lo,left_hi,left_mass,right_lo,right_hi,right_mass,child,parent"]
     for rep, sub, clocks in _replicates(args, config, settings):
         traj = dynamics.run_trajectory(config, clocks, sub, q_max=q_max)
@@ -128,7 +119,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_forest(args) -> int:
     config, settings = _load_config(args)
-    q = _setting(args, settings, "q", _level)
+    q = _setting(args, settings, "q", core.check_positive)
     lines = ["rep,vertex,parent,depth"]
     for rep, _sub, clocks in _replicates(args, config, settings):
         forest, _ = walk.breadth_first_forest(config, clocks, q)
@@ -147,7 +138,7 @@ def _cmd_surplus(args) -> int:
         for flag, value in (("--variant", args.variant), ("--q-max", args.q_max)):
             if value is not None:
                 raise ValueError(f"{flag} applies to the dynamic graph only, not --static")
-        q = _setting(args, settings, "q", _level)
+        q = _setting(args, settings, "q", core.check_positive)
 
         def graph(sub, clocks) -> surplus.LabeledGraph:
             path = walk.WalkPath.from_clocks(config, clocks, q)
@@ -156,7 +147,7 @@ def _cmd_surplus(args) -> int:
             return surplus.static_surplus(path, dec, forest, sub)
 
     else:
-        q_max = _setting(args, settings, "q_max", _level)
+        q_max = _setting(args, settings, "q_max", core.check_positive)
         # dynamic_surplus refuses an unknown variant before any output is written
         variant = _setting(args, settings, "variant", lambda _key, v: v, "simple")
 
@@ -178,7 +169,7 @@ def _cmd_surplus(args) -> int:
 
 def _cmd_mosaic(args) -> int:
     config, settings = _load_config(args)
-    q = _setting(args, settings, "q", _level)
+    q = _setting(args, settings, "q", core.check_positive)
     root = _root(args, settings)
     clocks = core.sample_clocks(config, root.named("clocks"))
     traj = dynamics.run_trajectory(config, clocks, root, q_max=q)
@@ -235,8 +226,8 @@ def _cmd_limit(args) -> int:
         t=_setting(args, settings, "t", _real, 0.0),
         c=_setting(args, settings, "c", _jumps, ()),
     )
-    h = _setting(args, settings, "h", _level, 1e-3)
-    horizon = _setting(args, settings, "horizon", _level, None)
+    h = _setting(args, settings, "h", core.check_positive, 1e-3)
+    horizon = _setting(args, settings, "horizon", core.check_positive, None)
     reps = _setting(args, {}, "reps", _count(1))
     root = _root(args, payload)
     paths, marks_gen = root.named("limit-path"), root.named("limit-marks").generator()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import zlib
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -47,9 +48,13 @@ class WeightedConfig:
         masses = tuple(float(m) for m in self.masses)
         if len(masses) == 0:
             raise ValueError("mass vector must be non-empty")
+        total = 0.0
         for m in masses:
             if not (m > 0.0) or not math.isfinite(m):
                 raise ValueError(f"masses must be finite and > 0, got {m!r}")
+            total += m
+        if not math.isfinite(total):
+            raise ValueError(f"the masses must total a finite double, got a total of {total!r}")
         object.__setattr__(self, "masses", masses)
 
     def __len__(self) -> int:
@@ -141,10 +146,12 @@ def check_level(q: float) -> None:
         raise ValueError(f"level q must not be NaN, got {q!r}")
 
 
-def check_positive(name: str, v: float) -> None:
-    """ValueError unless v is finite and > 0 (a walk level or horizon)."""
-    if not (v > 0.0) or not math.isfinite(v):
+def check_positive(name: str, v) -> float:
+    """v as a float, if it is a finite number > 0 (a walk level or horizon);
+    ValueError otherwise (bools are not numbers)."""
+    if isinstance(v, bool) or not isinstance(v, Real) or not 0.0 < v <= sys.float_info.max:
         raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    return float(v)
 
 
 def check_count(name: str, v, least: int = 1):

@@ -21,6 +21,7 @@ _GRAY = "#8a8a8a"
 _WALK = "#222222"
 _DASH = "#c05020"
 _FILLS = ("#4c9be8", "#e8a14c", "#5cb85c", "#b07cc6", "#d9534f", "#7fcdcd")
+_WIDTH, _HEIGHT = 900, 420  # the canvas, in pixels
 
 _SHADE = 'fill="%s" fill-opacity="0.3" stroke="none"/>'
 _TRIANGLE = '<polygon points="%s,%s %s,%s %s,%s" ' + _SHADE
@@ -38,14 +39,7 @@ def _fmt(values: list[float]) -> list[str]:
     return ("%.2f " * len(values) % tuple(values)).replace("-0.00", "0.00").split()
 
 
-def render_svg(
-    trajectory: Trajectory,
-    q: float,
-    *,
-    shade_slices: bool = False,
-    width: int = 900,
-    height: int = 420,
-) -> str:
+def render_svg(trajectory: Trajectory, q: float, *, shade_slices: bool = False) -> str:
     """SVG of the walk at horizon q: polyline, baselines, hypotenuse dashes.
 
     Baselines are blue when active (excursion roots) and gray otherwise;
@@ -63,9 +57,9 @@ def render_svg(
 
     # pixel x is margin + x * sx, pixel y is y0 - y * sy
     margin = 30
-    sx = (width - 2 * margin) / xmax if xmax > 0 else 1.0
-    sy = (height - 2 * margin) / ymax if ymax > 0 else 1.0
-    y0 = height - margin
+    sx = (_WIDTH - 2 * margin) / xmax if xmax > 0 else 1.0
+    sy = (_HEIGHT - 2 * margin) / ymax if ymax > 0 else 1.0
+    y0 = _HEIGHT - margin
     n = len(pos)
     # per rank: jump x, base y, top y, dash end x, baseline end x; then each
     # block's end x, and the walk's first x, last x and floor y
@@ -125,9 +119,9 @@ def render_svg(
 
     shapes = "\n".join(body)
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n'
-        f'<rect width="{width}" height="{height}" fill="white"/>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n'
         f"{shapes}\n</svg>\n"
     )
 

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 ALPHA = 1e-3
+_MIN_CELL = 5  # the least expected count of a chi-square cell
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class ChiSquareResult:
     cells: int
     inconclusive: bool
 
-    def rejects(self, alpha: float = ALPHA) -> bool:
-        return not self.inconclusive and self.p_value < alpha
+    def rejects(self) -> bool:
+        return not self.inconclusive and self.p_value < ALPHA
 
 
 def _scipy_stats():
@@ -48,14 +49,14 @@ def _scipy_stats():
     return stats
 
 
-def _pool_cells(weights, columns, key, min_cell) -> list[list[float]]:
+def _pool_cells(weights, columns, key) -> list[list[float]]:
     """Cells of ``columns`` (one array per row of the table), with sparse
     ones pooled deterministically.
 
     Cells are visited in descending weight, ties by original index.  A cell
-    is kept while key(its values) is at least min_cell; the first that falls
+    is kept while key(its values) is at least _MIN_CELL; the first that falls
     short is pooled with everything after it.  The pool stands as its own
-    cell if its key clears min_cell or nothing was kept, and joins the last
+    cell if its key clears _MIN_CELL or nothing was kept, and joins the last
     kept cell otherwise.
     """
     kept: list[list[float]] = []
@@ -63,26 +64,24 @@ def _pool_cells(weights, columns, key, min_cell) -> list[list[float]]:
     pooling = False
     for idx in np.lexsort((np.arange(len(weights)), -weights)):
         cell = [float(col[idx]) for col in columns]
-        if not pooling and key(*cell) >= min_cell:
+        if not pooling and key(*cell) >= _MIN_CELL:
             kept.append(cell)
         else:
             pooling = True
             pool = [p + x for p, x in zip(pool, cell)]
     if pooling:
-        if key(*pool) >= min_cell or not kept:
+        if key(*pool) >= _MIN_CELL or not kept:
             kept.append(pool)
         else:
             kept[-1] = [k + p for k, p in zip(kept[-1], pool)]
     return kept
 
 
-def chi_square(
-    observed, expected_probs, min_cell: int = 5
-) -> ChiSquareResult:
+def chi_square(observed, expected_probs) -> ChiSquareResult:
     """Goodness-of-fit test with deterministic sparse-cell pooling.
 
     Cells are visited in descending expected probability; a cell whose
-    expected count falls below min_cell is pooled with everything after it.
+    expected count falls below _MIN_CELL is pooled with everything after it.
     """
     obs = np.asarray(observed, dtype=float)
     probs = np.asarray(expected_probs, dtype=float)
@@ -97,7 +96,7 @@ def chi_square(
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("expected probabilities must sum to 1")
 
-    merged = _pool_cells(probs, (obs, probs * total), lambda o, e: e, min_cell)
+    merged = _pool_cells(probs, (obs, probs * total), lambda o, e: e)
     cells = len(merged)
     if cells < 2:
         return ChiSquareResult(math.nan, math.nan, 0, cells, inconclusive=True)
@@ -106,13 +105,11 @@ def chi_square(
     return ChiSquareResult(stat, float(_scipy_stats().chi2.sf(stat, dof)), dof, cells, False)
 
 
-def chi_square_homogeneity(
-    counts_a, counts_b, min_cell: int = 5
-) -> ChiSquareResult:
+def chi_square_homogeneity(counts_a, counts_b) -> ChiSquareResult:
     """Two-sample test that both count vectors share one category law.
 
     Categories are pooled in descending combined-count order until each
-    expected cell clears min_cell in both rows.
+    expected cell clears _MIN_CELL in both rows.
     """
     a = np.asarray(counts_a, dtype=float)
     b = np.asarray(counts_b, dtype=float)
@@ -129,7 +126,7 @@ def chi_square_homogeneity(
     # the smaller expected count of a cell: rounding is monotone, so this is
     # min(total * share_a, total * (1 - share_a)) exactly
     minor = min(share_a, 1.0 - share_a)
-    cells = _pool_cells(a + b, (a, b), lambda x, y: (x + y) * minor, min_cell)
+    cells = _pool_cells(a + b, (a, b), lambda x, y: (x + y) * minor)
     k = len(cells)
     if k < 2:
         return ChiSquareResult(math.nan, math.nan, 0, k, inconclusive=True)
@@ -148,8 +145,8 @@ class KsResult:
     statistic: float
     p_value: float
 
-    def rejects(self, alpha: float = ALPHA) -> bool:
-        return self.p_value < alpha
+    def rejects(self) -> bool:
+        return self.p_value < ALPHA
 
 
 def ks_test(sample, cdf) -> KsResult:

@@ -1,12 +1,18 @@
 """Acceptance suite: ten end-to-end checks of the simulation machinery.
 
-Each checker returns a JSON-serializable verdict dict {criterion, name,
-passed, details, retried}.  Statistical checks allow one retry with a
-shifted seed; exact-identity checks are deterministic and never retry.
-Verdicts carry no wall-clock data, so reports are byte-reproducible.
+Each checker is registered by ``@_suite(num, name, retry=...)``, which
+states its criterion number, its name and its retry policy once, fills
+SUITES in criterion order, and turns the checker's (passed, details) into
+a JSON-serializable verdict dict {criterion, name, passed, details,
+retried}.  The statistical suites 1, 2, 8 and 9 rerun a failed first
+attempt once at a shifted seed; suite 4 retries per component on its own
+stream; the exact-identity suites never retry.  Verdicts carry no
+wall-clock data, so reports are byte-reproducible.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import math
 
@@ -31,25 +37,48 @@ __all__ = [
 
 _RETRY_SHIFT = 1_000_003
 
-
-def _result(num: int, name: str, passed: bool, details: dict, retried: bool = False) -> dict:
-    return {
-        "criterion": num,
-        "name": name,
-        "passed": bool(passed),
-        "details": details,
-        "retried": bool(retried),
-    }
+SUITES: dict = {}  # name -> (criterion number, checker), in criterion order
 
 
-def _with_retry(run, seed: int) -> dict:
-    out = run(seed)
-    if out["passed"]:
-        return out
-    again = run(seed + _RETRY_SHIFT)
-    again["retried"] = True
-    again["details"]["first_attempt"] = out["details"]
-    return again
+def _suite(num: int, name: str, retry: bool = False):
+    """Register a checker as criterion ``num`` under ``name`` in SUITES.
+
+    The checker returns (passed, details), or (passed, details, retried)
+    when it retries by itself.  The registered function keeps the checker's
+    parameters and returns the verdict dict.  With ``retry``, a failed first
+    attempt runs once more at seed + _RETRY_SHIFT, and its details go under
+    the second attempt's details["first_attempt"].
+    """
+
+    def register(check):
+        signature = inspect.signature(check)
+
+        def attempt(arguments: dict) -> dict:
+            passed, details, *retried = check(**arguments)
+            return {
+                "criterion": num,
+                "name": name,
+                "passed": bool(passed),
+                "details": details,
+                "retried": any(retried),
+            }
+
+        @functools.wraps(check)
+        def verdict(*args, **kwargs) -> dict:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            out = attempt(bound.arguments)
+            if retry and not out["passed"]:
+                first = out["details"]
+                out = attempt({**bound.arguments, "seed": bound.arguments["seed"] + _RETRY_SHIFT})
+                out["retried"] = True
+                out["details"]["first_attempt"] = first
+            return out
+
+        SUITES[name] = (num, verdict)
+        return verdict
+
+    return register
 
 
 def _instances(seed: int, name: str, count: int, max_len: int):
@@ -71,47 +100,39 @@ def _instances(seed: int, name: str, count: int, max_len: int):
 _PAIRS4 = tuple(itertools.combinations(range(4), 2))
 
 
-def check_static_law(seed: int = 7, reps: int = 100_000) -> dict:
+@_suite(1, "static-law", retry=True)
+def check_static_law(seed: int = 7, reps: int = 100_000):
     """n=4 unit masses at q=0.8: forest + static surplus vs the product law
     over all 2^6 edge subsets, each pair present with prob 1 - e^{-q}."""
-
-    def run(s: int) -> dict:
-        q = 0.8
-        config = core.WeightedConfig((1.0,) * 4)
-        p = -math.expm1(-q)
-        probs = np.array(
-            [p ** bin(mask).count("1") * (1.0 - p) ** (6 - bin(mask).count("1")) for mask in range(64)]
-        )
-        counts = np.zeros(64, dtype=np.int64)
-        rng = core.RngStream(s).named("static-law")
-        for rep in range(reps):
-            sub = rng.indexed(rep)
-            clocks = core.sample_clocks(config, sub.named("clocks"))
-            path = walk.WalkPath.from_clocks(config, clocks, q)
-            dec = walk.decompose(path)
-            forest, _ = walk.breadth_first_forest(config, clocks, q)
-            graph = surplus.static_surplus(path, dec, forest, sub)
-            pairs = graph.pair_set()
-            mask = 0
-            for b, pr in enumerate(_PAIRS4):
-                if frozenset(pr) in pairs:
-                    mask |= 1 << b
-            counts[mask] += 1
-        res = stats.chi_square(counts, probs)
-        passed = (not res.inconclusive) and (not res.rejects())
-        return _result(
-            1,
-            "static-law",
-            passed,
-            {
-                "reps": reps,
-                "statistic": float(res.statistic),
-                "p_value": float(res.p_value),
-                "cells": int(res.cells),
-            },
-        )
-
-    return _with_retry(run, seed)
+    q = 0.8
+    config = core.WeightedConfig((1.0,) * 4)
+    p = -math.expm1(-q)
+    probs = np.array(
+        [p ** bin(mask).count("1") * (1.0 - p) ** (6 - bin(mask).count("1")) for mask in range(64)]
+    )
+    counts = np.zeros(64, dtype=np.int64)
+    rng = core.RngStream(seed).named("static-law")
+    for rep in range(reps):
+        sub = rng.indexed(rep)
+        clocks = core.sample_clocks(config, sub.named("clocks"))
+        path = walk.WalkPath.from_clocks(config, clocks, q)
+        dec = walk.decompose(path)
+        forest, _ = walk.breadth_first_forest(config, clocks, q)
+        graph = surplus.static_surplus(path, dec, forest, sub)
+        pairs = graph.pair_set()
+        mask = 0
+        for b, pr in enumerate(_PAIRS4):
+            if frozenset(pr) in pairs:
+                mask |= 1 << b
+        counts[mask] += 1
+    res = stats.chi_square(counts, probs)
+    passed = (not res.inconclusive) and (not res.rejects())
+    return passed, {
+        "reps": reps,
+        "statistic": float(res.statistic),
+        "p_value": float(res.p_value),
+        "cells": int(res.cells),
+    }
 
 
 # -- criterion 2: two-horizon edge-set law ----------------------------------
@@ -122,57 +143,50 @@ def _edge_sets(edges, levels) -> tuple:
     return tuple(tuple(sorted({tuple(sorted(e[:2])) for e in edges if e.time <= q})) for q in levels)
 
 
-def check_process_law(seed: int = 7, reps: int = 100_000) -> dict:
+@_suite(2, "process-law", retry=True)
+def check_process_law(seed: int = 7, reps: int = 100_000):
     """n=3 unit masses: joint edge sets at horizons 0.5 and 1.0, pairwise
     clock oracle vs the event engine with its dynamic simple graph."""
+    config = core.WeightedConfig((1.0, 1.0, 1.0))
+    q1, q2 = 0.5, 1.0
+    rng = core.RngStream(seed).named("process-law")
+    counts_o: dict[tuple, int] = {}
+    counts_b: dict[tuple, int] = {}
 
-    def run(s: int) -> dict:
-        config = core.WeightedConfig((1.0, 1.0, 1.0))
-        q1, q2 = 0.5, 1.0
-        rng = core.RngStream(s).named("process-law")
-        counts_o: dict[tuple, int] = {}
-        counts_b: dict[tuple, int] = {}
+    orng = rng.named("oracle-side")
+    for rep in range(reps):
+        graph = oracle.gillespie_graph(config, q2, orng.indexed(rep), "simple")
+        key = _edge_sets(graph.surplus, (q1, q2))
+        counts_o[key] = counts_o.get(key, 0) + 1
 
-        orng = rng.named("oracle-side")
-        for rep in range(reps):
-            graph = oracle.gillespie_graph(config, q2, orng.indexed(rep), "simple")
-            key = _edge_sets(graph.surplus, (q1, q2))
-            counts_o[key] = counts_o.get(key, 0) + 1
+    brng = rng.named("walk-side")
+    for rep in range(reps):
+        sub = brng.indexed(rep)
+        clocks = core.sample_clocks(config, sub.named("clocks"))
+        traj = dynamics.run_trajectory(config, clocks, sub, q_max=q2)
+        graph = surplus.dynamic_surplus(traj, sub, q_max=q2, variant="simple")
+        key = _edge_sets(graph.spanning + graph.surplus, (q1, q2))
+        counts_b[key] = counts_b.get(key, 0) + 1
 
-        brng = rng.named("walk-side")
-        for rep in range(reps):
-            sub = brng.indexed(rep)
-            clocks = core.sample_clocks(config, sub.named("clocks"))
-            traj = dynamics.run_trajectory(config, clocks, sub, q_max=q2)
-            graph = surplus.dynamic_surplus(traj, sub, q_max=q2, variant="simple")
-            key = _edge_sets(graph.spanning + graph.surplus, (q1, q2))
-            counts_b[key] = counts_b.get(key, 0) + 1
-
-        support = sorted(set(counts_o) | set(counts_b))
-        a = np.array([counts_o.get(k, 0) for k in support], dtype=np.int64)
-        b = np.array([counts_b.get(k, 0) for k in support], dtype=np.int64)
-        res = stats.chi_square_homogeneity(a, b)
-        passed = (not res.inconclusive) and (not res.rejects())
-        return _result(
-            2,
-            "process-law",
-            passed,
-            {
-                "reps": reps,
-                "support": len(support),
-                "statistic": float(res.statistic),
-                "p_value": float(res.p_value),
-                "cells": int(res.cells),
-            },
-        )
-
-    return _with_retry(run, seed)
+    support = sorted(set(counts_o) | set(counts_b))
+    a = np.array([counts_o.get(k, 0) for k in support], dtype=np.int64)
+    b = np.array([counts_b.get(k, 0) for k in support], dtype=np.int64)
+    res = stats.chi_square_homogeneity(a, b)
+    passed = (not res.inconclusive) and (not res.rejects())
+    return passed, {
+        "reps": reps,
+        "support": len(support),
+        "statistic": float(res.statistic),
+        "p_value": float(res.p_value),
+        "cells": int(res.cells),
+    }
 
 
 # -- criterion 3: arrival rate = q * parallelogram area ----------------------
 
 
-def check_slice_rates(seed: int = 7, instances: int = 1000) -> dict:
+@_suite(3, "slice-rates")
+def check_slice_rates(seed: int = 7, instances: int = 1000):
     """The cumulative arrival intensity of every activated process equals q
     times its parallelogram's area, to 1e-9, on random instances."""
     worst = 0.0
@@ -193,25 +207,19 @@ def check_slice_rates(seed: int = 7, instances: int = 1000) -> dict:
         if len(procs) != n_paras:
             count_mismatch += 1
     passed = worst <= 1e-9 and count_mismatch == 0
-    return _result(
-        3,
-        "slice-rates",
-        passed,
-        {
-            "instances": instances,
-            "checked": n_checked,
-            "worst_error": float(worst),
-            "count_mismatches": count_mismatch,
-        },
-    )
+    return passed, {
+        "instances": instances,
+        "checked": n_checked,
+        "worst_error": float(worst),
+        "count_mismatches": count_mismatch,
+    }
 
 
 # -- criterion 4: per-component surplus counts are Poisson(q * area) ---------
 
 
-def check_surplus_poisson(
-    seed: int = 7, trajectories: int = 100, reps: int = 100_000
-) -> dict:
+@_suite(4, "surplus-poisson")
+def check_surplus_poisson(seed: int = 7, trajectories: int = 100, reps: int = 100_000):
     """Multigraph surplus counts per component, conditional on fixed
     trajectories, pass the moment test against q times the excursion area."""
     first_draw_failures = []
@@ -239,19 +247,14 @@ def check_surplus_poisson(
                 res = stats.poisson_mean_test(counts2[:, ci], target)
                 if not res.passed:
                     failures.append(_moment_failure(i, ci, res))
-    return _result(
-        4,
-        "surplus-poisson",
-        not failures,
-        {
-            "trajectories": trajectories,
-            "reps": reps,
-            "components": n_components,
-            "failures": failures,
-            "first_draw_failures": first_draw_failures,
-        },
-        retried=retried,
-    )
+    details = {
+        "trajectories": trajectories,
+        "reps": reps,
+        "components": n_components,
+        "failures": failures,
+        "first_draw_failures": first_draw_failures,
+    }
+    return not failures, details, retried
 
 
 def _moment_failure(trajectory: int, component: int, res) -> dict:
@@ -267,7 +270,8 @@ def _moment_failure(trajectory: int, component: int, res) -> dict:
 # -- criterion 5: window intensity identity ----------------------------------
 
 
-def check_intensity(seed: int = 7, instances: int = 1000) -> dict:
+@_suite(5, "intensity")
+def check_intensity(seed: int = 7, instances: int = 1000):
     """total_intensity equals q times the summed candidate masses for every
     non-root rank; roots give exactly zero."""
     worst = 0.0
@@ -289,23 +293,19 @@ def check_intensity(seed: int = 7, instances: int = 1000) -> dict:
             worst = max(worst, abs(want - got))
             n_checked += 1
     passed = worst <= 1e-9 and root_violation == 0
-    return _result(
-        5,
-        "intensity",
-        passed,
-        {
-            "instances": instances,
-            "checked": n_checked,
-            "worst_error": float(worst),
-            "root_violations": root_violation,
-        },
-    )
+    return passed, {
+        "instances": instances,
+        "checked": n_checked,
+        "worst_error": float(worst),
+        "root_violations": root_violation,
+    }
 
 
 # -- criterion 6: append-only logs, partition agreement ----------------------
 
 
-def check_monotone_logs(seed: int = 7, trajectories: int = 1000) -> dict:
+@_suite(6, "monotone-logs")
+def check_monotone_logs(seed: int = 7, trajectories: int = 1000):
     """Edge logs (spanning and surplus) are chronological, and the monotone
     forest's partition equals the fixed-horizon forest partition at every
     event time and between events."""
@@ -344,17 +344,12 @@ def check_monotone_logs(seed: int = 7, trajectories: int = 1000) -> dict:
             if want != got:
                 bad_partition += 1
     passed = bad_order == 0 and bad_partition == 0
-    return _result(
-        6,
-        "monotone-logs",
-        passed,
-        {
-            "trajectories": trajectories,
-            "checkpoints": checkpoints,
-            "order_violations": bad_order,
-            "partition_mismatches": bad_partition,
-        },
-    )
+    return passed, {
+        "trajectories": trajectories,
+        "checkpoints": checkpoints,
+        "order_violations": bad_order,
+        "partition_mismatches": bad_partition,
+    }
 
 
 # -- criterion 7: mosaic round trip and fixtures -----------------------------
@@ -371,7 +366,8 @@ _ORDER_FIXTURES: tuple[tuple[dict, tuple[int, ...]], ...] = (
 )
 
 
-def check_mosaic_roundtrip(seed: int = 7, instances: int = 1000) -> dict:
+@_suite(7, "mosaic-roundtrip")
+def check_mosaic_roundtrip(seed: int = 7, instances: int = 1000):
     """build -> replay -> build reproduces every excursion exactly; the
     validator names the broken-extent and broken-reach rules on the two
     counterexample fixtures; the five cover fixtures give the five orders."""
@@ -417,110 +413,87 @@ def check_mosaic_roundtrip(seed: int = 7, instances: int = 1000) -> dict:
             order_ok = False
 
     passed = bad_roundtrip == 0 and extent_named and reach_named and order_ok
-    return _result(
-        7,
-        "mosaic-roundtrip",
-        passed,
-        {
-            "instances": instances,
-            "excursions": n_excursions,
-            "roundtrip_failures": bad_roundtrip,
-            "extent_rule_named": extent_named,
-            "reach_rule_named": reach_named,
-            "order_fixtures_ok": order_ok,
-        },
-    )
+    return passed, {
+        "instances": instances,
+        "excursions": n_excursions,
+        "roundtrip_failures": bad_roundtrip,
+        "extent_rule_named": extent_named,
+        "reach_rule_named": reach_named,
+        "order_fixtures_ok": order_ok,
+    }
 
 
 # -- criterion 8: first-merger law and endpoint-choice sensitivity -----------
 
 
-def check_merge_rate(seed: int = 7, reps: int = 100_000) -> dict:
+@_suite(8, "merge-rate", retry=True)
+def check_merge_rate(seed: int = 7, reps: int = 100_000):
     """First merger of masses (2,3) is Exp(6); a deterministic endpoint
     chooser fails the forest edge-law test that the real sampler passes."""
+    rng = core.RngStream(seed).named("merge-rate")
+    gen = rng.named("formula").generator()
+    a = gen.exponential(1.0 / 2.0, reps)
+    b = gen.exponential(1.0 / 3.0, reps)
+    t = np.where(a < b, (b - a) / 2.0, (a - b) / 3.0)
+    ks = stats.ks_test(t, lambda v: -np.expm1(-6.0 * np.asarray(v)))
 
-    def run(s: int) -> dict:
-        rng = core.RngStream(s).named("merge-rate")
-        gen = rng.named("formula").generator()
-        a = gen.exponential(1.0 / 2.0, reps)
-        b = gen.exponential(1.0 / 3.0, reps)
-        t = np.where(a < b, (b - a) / 2.0, (a - b) / 3.0)
-        ks = stats.ks_test(t, lambda v: -np.expm1(-6.0 * np.asarray(v)))
+    # engine computes the same time from the same clocks, on the first
+    # 2,000 draws (all of them when there are fewer)
+    config = core.WeightedConfig((2.0, 3.0))
+    agree = 0
+    n_engine = min(reps, 2000)
+    engine = rng.named("engine")
+    for i in range(n_engine):
+        clocks = core.ClockAssignment.from_xi((float(a[i]), float(b[i])))
+        horizon = float(t[i]) * 2.0 + 1.0
+        traj = dynamics.run_trajectory(config, clocks, engine.indexed(i), q_max=horizon)
+        if traj.events and abs(traj.events[0].time - t[i]) <= 1e-12:
+            agree += 1
 
-        # engine computes the same time from the same clocks, on the first
-        # 2,000 draws (all of them when there are fewer)
-        config = core.WeightedConfig((2.0, 3.0))
-        agree = 0
-        n_engine = min(reps, 2000)
-        for i in range(n_engine):
-            clocks = core.ClockAssignment.from_xi((float(a[i]), float(b[i])))
-            horizon = float(t[i]) * 2.0 + 1.0
-            traj = dynamics.run_trajectory(
-                config, clocks, rng.named("engine").indexed(i), q_max=horizon
-            )
-            if traj.events and abs(traj.events[0].time - t[i]) <= 1e-12:
-                agree += 1
+    # edge endpoint law: in the final merger of three unit masses the
+    # two-vertex side picks each vertex with prob 1/2 (on 30,000
+    # trajectories, or reps when fewer)
+    cfg3 = core.WeightedConfig((1.0, 1.0, 1.0))
+    m = min(reps, 30_000)
+    merges = []  # (rank -> vertex, event) with a two-vertex side
+    erng = rng.named("endpoints")
+    for i in range(m):
+        sub = erng.indexed(i)
+        clocks = core.sample_clocks(cfg3, sub.named("clocks"))
+        traj = dynamics.run_trajectory(cfg3, clocks, sub, q_max=1e9)
+        merges += [(clocks.perm, ev) for ev in traj.events if 2 in (len(ev.left), len(ev.right))]
+    found = len(merges)
+    se3 = 3.0 * 0.5 / math.sqrt(found)
 
-        # edge endpoint law: in the final merger of three unit masses the
-        # two-vertex side picks each vertex with prob 1/2 (on 30,000
-        # trajectories, or reps when fewer)
-        cfg3 = core.WeightedConfig((1.0, 1.0, 1.0))
-        m = min(reps, 30_000)
-        merges = []  # (rank -> vertex, event) with a two-vertex side
-        erng = rng.named("endpoints")
-        for i in range(m):
-            sub = erng.indexed(i)
-            clocks = core.sample_clocks(cfg3, sub.named("clocks"))
-            traj = dynamics.run_trajectory(cfg3, clocks, sub, q_max=1e9)
-            merges += [
-                (clocks.perm, ev) for ev in traj.events if 2 in (len(ev.left), len(ev.right))
-            ]
-        found = len(merges)
-        se3 = 3.0 * 0.5 / math.sqrt(found)
+    def first_vertex_share(chooser) -> float:
+        hits = 0
+        for perm, ev in merges:
+            child, parent = chooser(perm, ev)
+            if len(ev.right) == 2:
+                hits += child == perm[ev.right.lo]
+            else:
+                hits += parent == perm[ev.left.lo]
+        return hits / found
 
-        def first_vertex_share(chooser) -> float:
-            hits = 0
-            for perm, ev in merges:
-                child, parent = chooser(perm, ev)
-                if len(ev.right) == 2:
-                    hits += child == perm[ev.right.lo]
-                else:
-                    hits += parent == perm[ev.left.lo]
-            return hits / found
+    freq = first_vertex_share(lambda perm, ev: ev.edge)
+    sampler_ok = abs(freq - 0.5) <= se3
+    # the same test on the edges a chooser taking each block's first
+    # vertex would have drawn over the same events
+    broken_freq = first_vertex_share(lambda perm, ev: (perm[ev.right.lo], perm[ev.left.lo]))
+    broken_ok = abs(broken_freq - 0.5) <= se3
 
-        freq = first_vertex_share(lambda perm, ev: ev.edge)
-        sampler_ok = abs(freq - 0.5) <= se3
-        # the same test on the edges a chooser taking each block's first
-        # vertex would have drawn over the same events
-        broken_freq = first_vertex_share(
-            lambda perm, ev: (perm[ev.right.lo], perm[ev.left.lo])
-        )
-        broken_ok = abs(broken_freq - 0.5) <= se3
-
-        passed = (
-            (not ks.rejects())
-            and agree == n_engine
-            and sampler_ok
-            and (not broken_ok)
-        )
-        return _result(
-            8,
-            "merge-rate",
-            passed,
-            {
-                "reps": reps,
-                "ks_statistic": float(ks.statistic),
-                "ks_p_value": float(ks.p_value),
-                "engine_agreements": agree,
-                "engine_checked": n_engine,
-                "endpoint_freq": freq,
-                "endpoint_events": found,
-                "broken_endpoint_freq": broken_freq,
-                "broken_chooser_rejected": not broken_ok,
-            },
-        )
-
-    return _with_retry(run, seed)
+    passed = (not ks.rejects()) and agree == n_engine and sampler_ok and (not broken_ok)
+    return passed, {
+        "reps": reps,
+        "ks_statistic": float(ks.statistic),
+        "ks_p_value": float(ks.p_value),
+        "engine_agreements": agree,
+        "engine_checked": n_engine,
+        "endpoint_freq": freq,
+        "endpoint_events": found,
+        "broken_endpoint_freq": broken_freq,
+        "broken_chooser_rejected": not broken_ok,
+    }
 
 
 # -- criterion 9: finite-size laws approach the limit law --------------------
@@ -532,7 +505,8 @@ _SCALING_H = 1e-3
 _SCALING_LIMIT_REPS = 200_000
 
 
-def check_scaling(seed: int = 7, reps: int = 10_000, batches: int = 5) -> dict:
+@_suite(9, "scaling", retry=True)
+def check_scaling(seed: int = 7, reps: int = 10_000, batches: int = 5):
     """Sup-distance from the largest-component law to the limit excursion
     law decreases strictly in n for a majority of seed batches.
 
@@ -541,44 +515,36 @@ def check_scaling(seed: int = 7, reps: int = 10_000, batches: int = 5) -> dict:
     finite-n side.  The per-n distances at the stated sizes sit near the
     two-sample noise floor otherwise, drowning the ordering.
     """
-
-    def run(s: int) -> dict:
-        params = limit_mod.LimitParams(kappa=1.0, tau=0.0, t=0.0, c=())
-        ref = limit_mod.sample_limit_reference(
-            params, core.RngStream(s).named("scaling-reference"), _SCALING_H, _SCALING_LIMIT_REPS
+    params = limit_mod.LimitParams(kappa=1.0, tau=0.0, t=0.0, c=())
+    ref = limit_mod.sample_limit_reference(
+        params, core.RngStream(seed).named("scaling-reference"), _SCALING_H, _SCALING_LIMIT_REPS
+    )
+    decreasing = []
+    ks_rows = []
+    for bi in range(batches):
+        rng = core.RngStream(seed).named("scaling-batch").indexed(bi)
+        rep = limit_mod.scaling_experiment(
+            _SCALING_N, 0.0, reps, rng, h=_SCALING_H, include_marks=False, reference=ref
         )
-        decreasing = []
-        ks_rows = []
-        for bi in range(batches):
-            rng = core.RngStream(s).named("scaling-batch").indexed(bi)
-            rep = limit_mod.scaling_experiment(
-                _SCALING_N, 0.0, reps, rng, h=_SCALING_H, include_marks=False, reference=ref
-            )
-            decreasing.append(bool(rep["ks_decreasing"]))
-            ks_rows.append([float(r["ks_largest"]) for r in rep["rows"]])
-        good = sum(decreasing)
-        passed = good >= math.ceil(batches * 4 / 5)
-        return _result(
-            9,
-            "scaling",
-            passed,
-            {
-                "reps": reps,
-                "batches": batches,
-                "n_values": list(_SCALING_N),
-                "limit_reps": _SCALING_LIMIT_REPS,
-                "decreasing_batches": good,
-                "ks_distances": ks_rows,
-            },
-        )
-
-    return _with_retry(run, seed)
+        decreasing.append(bool(rep["ks_decreasing"]))
+        ks_rows.append([float(r["ks_largest"]) for r in rep["rows"]])
+    good = sum(decreasing)
+    passed = good >= math.ceil(batches * 4 / 5)
+    return passed, {
+        "reps": reps,
+        "batches": batches,
+        "n_values": list(_SCALING_N),
+        "limit_reps": _SCALING_LIMIT_REPS,
+        "decreasing_batches": good,
+        "ks_distances": ks_rows,
+    }
 
 
 # -- criterion 10: CLI byte determinism --------------------------------------
 
 
-def check_determinism(seed: int = 7) -> dict:
+@_suite(10, "determinism")
+def check_determinism(seed: int = 7):
     """Every CLI invocation repeated with the same seed writes identical
     bytes.  The invocations' own stdout is discarded, so the nested verify
     call does not print into this suite's report."""
@@ -618,20 +584,5 @@ def check_determinism(seed: int = 7) -> dict:
                 outs.add(out.read_bytes())
             details[tag] = code == 0 and len(outs) == 1
 
-    passed = all(details.values())
-    return _result(10, "determinism", passed, details)
-
-
-SUITES = {
-    "static-law": (1, check_static_law),
-    "process-law": (2, check_process_law),
-    "slice-rates": (3, check_slice_rates),
-    "surplus-poisson": (4, check_surplus_poisson),
-    "intensity": (5, check_intensity),
-    "monotone-logs": (6, check_monotone_logs),
-    "mosaic-roundtrip": (7, check_mosaic_roundtrip),
-    "merge-rate": (8, check_merge_rate),
-    "scaling": (9, check_scaling),
-    "determinism": (10, check_determinism),
-}
+    return all(details.values()), details
 

@@ -15,6 +15,8 @@ import pytest
 import mcmosaic
 from mcmosaic import verify
 from mcmosaic.cli import main
+from mcmosaic.core import ClockAssignment, WeightedConfig
+from mcmosaic.walk import WalkPath
 
 
 @pytest.fixture
@@ -168,7 +170,8 @@ def suite_calls(monkeypatch):
         @functools.wraps(fn)
         def record(**kwargs):
             calls.append((name, kwargs))
-            return verify._result(num, name, True, {})
+            return {"criterion": num, "name": name, "passed": True, "details": {},
+                    "retried": False}
 
         return record
 
@@ -357,6 +360,20 @@ def test_config_scalars_are_type_checked(argv, bad, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + [str(out), "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q", [0, -1.5, True, "1"])
+def test_cli_and_library_refuse_a_level_in_the_same_words(q, tmp_path, capsys):
+    """A level that is not a finite number > 0 (bools and strings included)
+    exits 2 with the library's own message."""
+    with pytest.raises(ValueError) as library:
+        WalkPath.from_clocks(WeightedConfig((1, 2)), ClockAssignment.from_xi((1.0, 2.0)), q)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"masses": [1, 2], "q": q}))
+    out = tmp_path / "out"
+    assert main(["forest", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {library.value}\n"
     assert not out.exists()
 
 

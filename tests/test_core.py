@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mcmosaic.core import (
     ClockAssignment,
     RngStream,
     WeightedConfig,
+    check_positive,
     find,
     groups,
     load_config,
@@ -43,6 +45,30 @@ def test_config_coerces_to_float():
 def test_config_rejects_bad_masses(bad):
     with pytest.raises(ValueError):
         WeightedConfig(bad)
+
+
+@pytest.mark.parametrize("masses", [(1e308,) * 3, (1.7e308, 1.7e308), (1e308, 8e307)])
+def test_config_rejects_masses_whose_total_overflows(masses):
+    """Finite masses whose total is not a finite double are refused by name
+    (every reader sums the masses of a block); a total just below is kept."""
+    with pytest.raises(ValueError, match="must total a finite double, got a total of inf"):
+        WeightedConfig(masses)
+    assert WeightedConfig((1e308, 7e307)).masses == (1e308, 7e307)
+
+
+@pytest.mark.parametrize("v", [1, 2.5, np.float64(0.25), np.int64(3), 1.7976931348623157e308])
+def test_check_positive_returns_a_float(v):
+    assert check_positive("q", v) == float(v) and type(check_positive("q", v)) is float
+
+
+@pytest.mark.parametrize(
+    "v",
+    [0, 0.0, -1.0, math.nan, math.inf, pytest.param(10**400, id="10**400"), True, False, "1",
+     None, [1.0]],
+)
+def test_check_positive_refuses_what_is_not_a_finite_number_above_zero(v):
+    with pytest.raises(ValueError, match=f"^q must be finite and > 0, got {re.escape(repr(v))}$"):
+        check_positive("q", v)
 
 
 def test_clock_assignment_sorting():

@@ -2,11 +2,13 @@
 
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcmosaic import render
 from mcmosaic.core import ClockAssignment, RngStream, WeightedConfig, sample_clocks
 from mcmosaic.dynamics import run_trajectory
 from mcmosaic.mosaic import build_mosaic, slice_decomposition
@@ -59,13 +61,6 @@ def test_no_negative_zero_coordinates():
         assert int(m.group(1)) > 0 and int(m.group(2)) > 0
 
 
-def test_custom_dimensions():
-    svg = render_svg(_traj(), 3.0, width=300, height=200)
-    assert 'width="300"' in svg
-    assert 'height="200"' in svg
-    assert 'viewBox="0 0 300 200"' in svg
-
-
 def test_single_vertex():
     cfg = WeightedConfig((1.25,))
     clocks = sample_clocks(cfg, RngStream(0).named("c"))
@@ -89,10 +84,16 @@ def _fmt(v):
     return "0.00" if s == "-0.00" else s
 
 
-def reference_render_svg(trajectory, q, *, shade_slices=False, width=900, height=420, fmt=_fmt):
+def _canvas(width, height):
+    """The renderer's canvas set to width x height pixels while in use."""
+    return mock.patch.multiple(render, _WIDTH=width, _HEIGHT=height)
+
+
+def reference_render_svg(trajectory, q, *, shade_slices=False, fmt=_fmt):
     """The renderer as it was before it read the mosaic pass directly: it
     rebuilds the mosaic and slice objects and formats one coordinate at a
-    time.  fmt formats one coordinate."""
+    time, on the renderer's canvas.  fmt formats one coordinate."""
+    width, height = render._WIDTH, render._HEIGHT
     path = WalkPath.from_clocks(trajectory.config, trajectory.clocks, q)
     excursions = build_mosaic(trajectory, q)
     pos = path.jump_times
@@ -210,9 +211,10 @@ def assert_render_matches_reference(exponents, equal, seed, ties, log_q, fractio
     positive = [ev.time for ev in traj.events if ev.time > 0.0]
     if fraction > 0.5 and positive:
         q = positive[int((fraction - 0.5) * 2 * (len(positive) - 1))]
-    width, height = size
-    got = render_svg(traj, q, shade_slices=shade, width=width, height=height)
-    assert got == reference_render_svg(traj, q, shade_slices=shade, width=width, height=height)
+    with _canvas(*size):
+        assert render_svg(traj, q, shade_slices=shade) == reference_render_svg(
+            traj, q, shade_slices=shade
+        )
 
 
 @settings(deadline=None, max_examples=150)
@@ -237,12 +239,13 @@ def test_coordinates_in_the_negative_rounding_band_print_as_zero():
     """At width 13 some pixel coordinates of this walk fall in (-0.005, 0):
     plain 2-decimal formatting prints them as -0.00, the file as 0.00."""
     t = _traj(5)
-    raw = reference_render_svg(t, 3.0, shade_slices=True, width=13, fmt=lambda v: f"{v:.2f}")
+    with _canvas(13, 420):
+        raw = reference_render_svg(t, 3.0, shade_slices=True, fmt=lambda v: f"{v:.2f}")
+        svg = render_svg(t, 3.0, shade_slices=True)
+        assert svg == reference_render_svg(t, 3.0, shade_slices=True)
     assert raw.count("-0.00") == 3
-    svg = render_svg(t, 3.0, shade_slices=True, width=13)
     assert "-0.00" not in svg
     assert svg == raw.replace("-0.00", "0.00")
-    assert svg == reference_render_svg(t, 3.0, shade_slices=True, width=13)
 
 
 _HORIZON_READERS = {

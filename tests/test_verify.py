@@ -1,28 +1,88 @@
-"""Bookkeeping of the acceptance suites: retries, on runs stubbed to fail
-once, and the work that a suite's budget bounds."""
+"""Bookkeeping of the acceptance suites: their registry, retries on runs
+stubbed to fail once, and the work that a suite's budget bounds."""
 
+import inspect
 from dataclasses import replace
 
 from mcmosaic import cli, stats, verify
 
 
-def test_retry_keeps_the_failed_first_attempt():
+def test_retry_keeps_the_failed_first_attempt(monkeypatch):
+    """A suite registered with retry reruns a failed first attempt once at
+    the shifted seed, and keeps that attempt's details; a passing suite
+    runs once.  Registration fills SUITES with (number, suite)."""
+    monkeypatch.setattr(verify, "SUITES", {})
     seeds = []
 
-    def run(s):
-        seeds.append(s)
-        return verify._result(9, "stub", len(seeds) > 1, {"seed": s, "ks": [0.5]})
+    @verify._suite(9, "stub", retry=True)
+    def flaky(seed=7):
+        seeds.append(seed)
+        return len(seeds) > 1, {"seed": seed, "ks": [0.5]}
 
-    out = verify._with_retry(run, 7)
+    @verify._suite(10, "steady", retry=True)
+    def steady(seed=7):
+        return True, {"seed": seed}
+
+    assert verify.SUITES == {"stub": (9, flaky), "steady": (10, steady)}
+    out = flaky(7)
     assert seeds == [7, 7 + verify._RETRY_SHIFT]
-    assert out["passed"] and out["retried"]
-    assert out["details"] == {
-        "seed": 7 + verify._RETRY_SHIFT,
-        "ks": [0.5],
-        "first_attempt": {"seed": 7, "ks": [0.5]},
+    assert out == {
+        "criterion": 9,
+        "name": "stub",
+        "passed": True,
+        "details": {
+            "seed": 7 + verify._RETRY_SHIFT,
+            "ks": [0.5],
+            "first_attempt": {"seed": 7, "ks": [0.5]},
+        },
+        "retried": True,
     }
-    out = verify._with_retry(lambda s: verify._result(9, "stub", True, {"seed": s}), 7)
+    out = steady()
     assert out["details"] == {"seed": 7} and not out["retried"]
+
+
+# number, name, public function, parameters with defaults, and a small budget
+_REGISTRY = [
+    (1, "static-law", "check_static_law", {"seed": 7, "reps": 100_000}, {"reps": 20}),
+    (2, "process-law", "check_process_law", {"seed": 7, "reps": 100_000}, {"reps": 20}),
+    (3, "slice-rates", "check_slice_rates", {"seed": 7, "instances": 1000}, {"instances": 2}),
+    (4, "surplus-poisson", "check_surplus_poisson",
+     {"seed": 7, "trajectories": 100, "reps": 100_000}, {"trajectories": 1, "reps": 50}),
+    (5, "intensity", "check_intensity", {"seed": 7, "instances": 1000}, {"instances": 2}),
+    (6, "monotone-logs", "check_monotone_logs", {"seed": 7, "trajectories": 1000},
+     {"trajectories": 2}),
+    (7, "mosaic-roundtrip", "check_mosaic_roundtrip", {"seed": 7, "instances": 1000},
+     {"instances": 2}),
+    (8, "merge-rate", "check_merge_rate", {"seed": 7, "reps": 100_000}, {"reps": 20}),
+    (9, "scaling", "check_scaling", {"seed": 7, "reps": 10_000, "batches": 5},
+     {"reps": 20, "batches": 1}),
+    (10, "determinism", "check_determinism", {"seed": 7}, {}),
+]
+
+
+def test_registry_pins_every_suite(monkeypatch):
+    """Each suite sits in SUITES under its name and number, in criterion
+    order, as the public check_* function with its parameters and defaults,
+    and returns the five-key verdict (here on small budgets, and criterion
+    9 on a small grid); a suite called positionally reads its arguments in
+    signature order."""
+    monkeypatch.setattr(verify, "_SCALING_N", (20, 40, 80))
+    monkeypatch.setattr(verify, "_SCALING_LIMIT_REPS", 200)
+    assert [(num, name) for name, (num, _) in verify.SUITES.items()] == [
+        (num, name) for num, name, *_ in _REGISTRY
+    ]
+    for num, name, public, params, budget in _REGISTRY:
+        fn = verify.SUITES[name][1]
+        assert fn is getattr(verify, public) and public in verify.__all__
+        signature = inspect.signature(fn).parameters
+        assert [(k, p.default) for k, p in signature.items()] == list(params.items()), name
+        out = fn(**budget)
+        assert list(out) == ["criterion", "name", "passed", "details", "retried"], name
+        assert (out["criterion"], out["name"]) == (num, name)
+        assert type(out["passed"]) is bool and type(out["retried"]) is bool, name
+    out = verify.check_intensity(7, 3)
+    assert out == verify.check_intensity(seed=7, instances=3)
+    assert out["details"]["instances"] == 3 and out["passed"] and not out["retried"]
 
 
 def test_surplus_poisson_lists_first_draw_failures(monkeypatch):
